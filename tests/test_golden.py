@@ -1,0 +1,172 @@
+"""Golden digests of seeded CLI stdout.
+
+Each case runs one subcommand on a small fixed input and compares the
+sha256 of its stdout with a recorded digest, so any change to numerics or
+to output formatting shows up here and has to be made on purpose. To
+re-baseline after a deliberate change, run this file as a script: it
+prints the current digest table.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from jpotile.cli import main
+
+TWO_PI = 2 * math.pi
+
+INPUTS = {
+    "problem.json": {
+        "n": 4,
+        "h": [0.0, 0.0, 0.0, 0.0],
+        "J": [[0, 1, 2.0], [0, 2, -3.0], [1, 2, 0.5], [1, 3, 0.125], [2, 3, -1.75]],
+    },
+    "flat.json": {
+        "n": 3,
+        "h": [0, 0, 0],
+        "J": [0, 1.5, -2, 1.5, 0, 0.25, -2, 0.25, 0],
+    },
+    "tile.json": {"j": [0.3, -0.2, 0.1, 0.0], "j_a1": 1.0, "j_a2": 0.7, "c_cnst": 1.5},
+    "clamped.json": {
+        "j": [0.0, 0.0, 0.0, 0.0], "j_a1": 1.0, "j_a2": 1.0, "c_cnst": 1.0,
+        "clamp_ancilla": [1, -1],
+    },
+    "sweep.json": {"j_a": 1.0, "j_c": 1.0, "noise": {"thermal_coefficient": 0.19}},
+    "fixed.json": {
+        "j_a": 0.8, "j_c": 1.2, "j": [0.0, 0.0, 0.0, 0.0],
+        "noise": {"thermal_coefficient": 0.3, "distribution": "normal"},
+    },
+    "circuit.json": {
+        "squid": {"l1": 7.5e-12, "l2": 7.5e-12, "i_c1": 80e-6, "i_c2": 80e-6},
+        "resonator": {"omega_r": TWO_PI * 5e9, "c_s": 5e-13},
+        "target_omega0": TWO_PI * 7.5e9,
+        "sweep": {
+            "current_to_flux": 2.067833848e-15,
+            "i_start": 0.0,
+            "i_stop": 0.75,
+            "points": 7,
+        },
+        "iv": {
+            "junction": {"i_c": 160e-6, "r_shunt": 15.0},
+            "i_start": 0.0,
+            "i_stop": 320e-6,
+            "points": 200,
+        },
+    },
+    "program.json": {
+        "pump_phase": [math.pi / 2] * 6,
+        "c_cnst": 5.0,
+        "kappa": 2e7,
+        "schedule": {"duration": 20.0, "dt": 0.01},
+    },
+}
+
+COMMANDS = {
+    "lhz-map": ["lhz", "map", "--n", "4", "--problem", "problem.json"],
+    "lhz-map-flat": ["lhz", "map", "--n", "3", "--problem", "flat.json"],
+    "tile-enumerate": ["tile", "enumerate", "--params", "tile.json"],
+    "tile-enumerate-clamped": ["tile", "enumerate", "--params", "clamped.json"],
+    "tile-quantum-sweep": [
+        "tile", "quantum", "--params", "sweep.json", "--trials", "3", "--seed", "7",
+    ],
+    "tile-quantum-fixed": [
+        "tile", "quantum", "--params", "fixed.json", "--trials", "4", "--seed", "2",
+    ],
+    "tile-quantum-dense": [
+        "tile", "quantum", "--params", "fixed.json", "--trials", "4", "--seed", "2",
+        "--dense",
+    ],
+    "circuit-sweep": ["circuit", "sweep", "--config", "circuit.json"],
+    "circuit-iv": [
+        "circuit", "iv", "--config", "circuit.json", "--temp", "4.2", "--seed", "11",
+    ],
+    "anneal": ["anneal", "--program", "program.json", "--trials", "16", "--seed", "3"],
+    "anneal-dense-canonical": [
+        "anneal", "--program", "program.json", "--trials", "16", "--seed", "5",
+        "--dense", "--canonical",
+    ],
+}
+
+DIGESTS = {
+    "lhz-map/csv":
+        "a3a80215250230154bbc6cfed9b63a039cfdc3c9596fb9dfe7403e01ee94b798",
+    "lhz-map/json":
+        "c97765b39243f1bb8bf7d8dea0cb2d87d92b9ff3277182ed9637a5ed3c6ba98b",
+    "lhz-map-flat/csv":
+        "59340bed6d19a6693b9fffb84f3e24b6a03b5bad2467a93ac5552c7b7943d645",
+    "lhz-map-flat/json":
+        "53db5b892a726fd8424a332e596ccf9f6cdf3241c45ffd50c5f14f2333b5e212",
+    "tile-enumerate/csv":
+        "cdf33f973e0f427d8e1ef7a7776030034e0756069fcef6358c4fca88ad131871",
+    "tile-enumerate/json":
+        "196a287de08161d3f8b4c15f8afc92d65c94186b2289f834208a625eb6911eb4",
+    "tile-enumerate-clamped/csv":
+        "bdd6ec534472143798af66adc9413f22ea9ccdd2e8ed10d114e004d711c944dc",
+    "tile-enumerate-clamped/json":
+        "8c20ebffaf326deb3d5e269fcf2cc231476e9b4d7e36feb60242b3dc2fe8d15a",
+    "tile-quantum-sweep/csv":
+        "63de8003c2d094e09b7409960b3f685fc65b63f97437a92a327886bfc3a0df64",
+    "tile-quantum-sweep/json":
+        "7f491fc3fe4d95b7bb042e32e6d671582ece2f97de1a4798dfc7c29192bea516",
+    "tile-quantum-fixed/csv":
+        "2bd7525f3362a5688f2de3fc0b5e71f534976fbb80eeb530effadc66c89ac123",
+    "tile-quantum-fixed/json":
+        "c566a2a0c6dc78c1cacfc603e804522bcf3d6e92fa753fa5ded4836ed60283ef",
+    "tile-quantum-dense/csv":
+        "392659d0306823763f5f72fb60624562557ae459a27cae8469f99f0fde464740",
+    "tile-quantum-dense/json":
+        "c45e723ed0acbd8a2593932f9528201336e475bd7118c481282ea767ae43ef3a",
+    "circuit-sweep/csv":
+        "6026460430f920a37ea686e128979a01c0c5606b31292f637cf7db38569b0fec",
+    "circuit-sweep/json":
+        "cbfd882175751c853b5239e907899d2f08bbf6cdf3d7174aef436b6eacc42ca5",
+    "circuit-iv/csv":
+        "d0220aee262f4b5158bf18b8339f9711e754e190ebebbf0221d6ea8ad9204430",
+    "circuit-iv/json":
+        "ab7112fd05c807677f7ae6c392efbf798b33dcaae9b4e6e79cccafd6e830cf18",
+    "anneal/csv":
+        "30cf389debc1073595f11c273b46303a83da3ea60ca135e32174af2695d3656a",
+    "anneal/json":
+        "877e9173e306fc2f37ea4662ef0f9e63ecc2cb1dde556378853461ddda22b224",
+    "anneal-dense-canonical/csv":
+        "b95b3884761fa5320993a1f840cce39097246e651f2c1e0984f2b8b4ce3f7439",
+    "anneal-dense-canonical/json":
+        "9c71f39d4592988e1b1bd330753536a0ac17f057c95e84a1faf3553ac5a751a0",
+}
+
+
+def stdout_digest(directory, name, fmt):
+    """sha256 of the stdout of one case, run on input files in directory."""
+    for filename, payload in INPUTS.items():
+        (directory / filename).write_text(json.dumps(payload))
+    argv = [
+        str(directory / arg) if arg in INPUTS else arg for arg in COMMANDS[name]
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", fmt, "--quiet"])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_seeded_stdout_digest(case, tmp_path):
+    name, fmt = case.split("/")
+    assert stdout_digest(tmp_path, name, fmt) == DIGESTS[case]
+
+
+def test_every_command_and_format_has_a_digest():
+    assert set(DIGESTS) == {f"{n}/{f}" for n in COMMANDS for f in ("csv", "json")}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COMMANDS:
+            for fmt in ("csv", "json"):
+                print(f'    "{name}/{fmt}":\n        "{stdout_digest(Path(tmp), name, fmt)}",')
