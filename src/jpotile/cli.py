@@ -18,6 +18,7 @@ import secrets
 import sys
 import tempfile
 import time
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,14 +44,13 @@ from .circuit import (
 from .errors import ParseError
 from .lhz import build_layout, layout_to_dict, map_couplings
 from .quantum import (
-    DIM,
     NoiseSpec,
     StateDistribution,
     SUPPORT_TOL,
     logical_distribution,
     sweep_distribution,
 )
-from .spins import load_ising_problem
+from .spins import JsonObject, all_configs, load_ising_problem
 from .tile import TileConfig, TileParams, ground_set, tile_energy
 
 EXIT_OK = 0
@@ -72,12 +72,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage().rstrip()}\njpotile: usage error: {message}")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def _fmt_prob(p: float) -> str:
-    return format(float(p), ".6g")
+def _round_prob(p: float) -> float:
+    """A probability rounded once to the 6 significant digits both formats
+    print; its 12-digit CSV rendering is then the 6-digit one."""
+    return float(format(p, ".6g"))
 
 
 def _log(args, message: str) -> None:
@@ -95,15 +93,43 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _metadata_header(command: str, resolved: dict) -> str:
-    config = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return f"# jpotile {command}\n# config={config}\n"
+def _emit(
+    command: str,
+    resolved: dict,
+    columns: dict[str, list],
+    fmt: str,
+    header: Optional[dict] = None,
+    body: Optional[dict] = None,
+) -> str:
+    """Render one result table with its metadata: the resolved config and seed.
 
-
-def _json_document(command: str, resolved: dict, body: dict) -> str:
-    doc = {"metadata": {"command": command, "config": resolved}}
-    doc.update(body)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    columns maps each column name to its values. CSV starts with
+    '# jpotile <command>' and '# config=<compact JSON>' lines, one more
+    '# <name>=<compact JSON>' line per entry of header, then the table;
+    float columns print with 12 significant digits. JSON is one document
+    with the metadata and the table as "rows", or body in place of the rows.
+    """
+    if fmt == "json":
+        if body is None:
+            rows = map(zip, repeat(list(columns)), zip(*columns.values()))
+            body = {"rows": list(map(dict, rows))}
+        doc = {"metadata": {"command": command, "config": resolved}}
+        doc.update(body)
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"# jpotile {command}"]
+    for name, value in {"config": resolved, **(header or {})}.items():
+        compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        lines.append(f"# {name}={compact}")
+    lines.append(",".join(columns))
+    # column-wise formatting: builtin maps only, no per-cell dispatch
+    cells = [
+        map(format, map(float, v), repeat(".12g"))
+        if v and isinstance(v[0], float)
+        else map(str, v)
+        for v in columns.values()
+    ]
+    lines.extend(map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
 
 
 def _write_output(args, text: str) -> None:
@@ -128,51 +154,6 @@ def _write_output(args, text: str) -> None:
     _log(args, f"wrote {out}")
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    return data
-
-
-def _field_number(data: dict, key: str, path: str, default=None) -> Optional[float]:
-    if key not in data or data[key] is None:
-        return default
-    value = data[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{path}: field '{key}': expected a number, got {value!r}")
-    return float(value)
-
-
-def _require_number(data: dict, key: str, path: str) -> float:
-    if key not in data:
-        raise ParseError(f"{path}: missing required field '{key}'")
-    return _field_number(data, key, path)
-
-
-def _field_numbers(data: dict, key: str, path: str, count: int) -> tuple[float, ...]:
-    if key not in data:
-        raise ParseError(f"{path}: missing required field '{key}'")
-    value = data[key]
-    if (
-        not isinstance(value, list)
-        or len(value) != count
-        or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        )
-    ):
-        raise ParseError(f"{path}: field '{key}': expected a list of {count} numbers")
-    return tuple(float(v) for v in value)
-
-
 # ---------------------------------------------------------------------------
 # histogram and distribution emitters
 
@@ -188,44 +169,22 @@ def emit_histogram(
     labels = sorted(hist.counts)
     if dense:
         labels = [format(i, f"0{hist.n_bits}b") for i in range(2**hist.n_bits)]
-    if fmt == "json":
-        rows = [
-            {
-                "state": label,
-                "count": hist.counts.get(label, 0),
-                "probability": float(_fmt_prob(hist.probability(label))),
-            }
-            for label in labels
-        ]
-        return _json_document(command, resolved, {"rows": rows})
-    lines = [_metadata_header(command, resolved).rstrip("\n")]
-    lines.append("state,count,probability")
-    for label in labels:
-        count = hist.counts.get(label, 0)
-        lines.append(f"{label},{count},{_fmt_prob(count / hist.trials)}")
-    return "\n".join(lines) + "\n"
+    counts = [hist.counts.get(label, 0) for label in labels]
+    probabilities = [_round_prob(count / hist.trials) for count in counts]
+    columns = {"state": labels, "count": counts, "probability": probabilities}
+    return _emit(command, resolved, columns, fmt)
 
 
 def emit_distribution(
     dist: StateDistribution, fmt: str, dense: bool, command: str, resolved: dict
 ) -> str:
     """Render a probability distribution over the 16 logical states."""
-    entries = [
-        (dist.label(i), float(dist.probabilities[i]))
-        for i in range(16)
-        if dense or dist.probabilities[i] > SUPPORT_TOL
-    ]
-    if fmt == "json":
-        rows = [
-            {"state": label, "probability": float(_fmt_prob(p))}
-            for label, p in entries
-        ]
-        return _json_document(command, resolved, {"rows": rows})
-    lines = [_metadata_header(command, resolved).rstrip("\n")]
-    lines.append("state,probability")
-    for label, p in entries:
-        lines.append(f"{label},{_fmt_prob(p)}")
-    return "\n".join(lines) + "\n"
+    kept = [i for i in range(16) if dense or dist.probabilities[i] > SUPPORT_TOL]
+    columns = {
+        "state": [dist.label(i) for i in kept],
+        "probability": [_round_prob(float(dist.probabilities[i])) for i in kept],
+    }
+    return _emit(command, resolved, columns, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -233,72 +192,56 @@ def emit_distribution(
 
 
 def _load_tile_params(path: str) -> tuple[TileParams, Optional[tuple[int, int]]]:
-    data = _load_json_file(path)
+    data = JsonObject.load(path)
     params = TileParams(
-        j=_field_numbers(data, "j", path, 4),
-        j_a1=_require_number(data, "j_a1", path),
-        j_a2=_require_number(data, "j_a2", path),
-        c_cnst=_require_number(data, "c_cnst", path),
+        j=data.numbers("j", 4),
+        j_a1=data.number("j_a1"),
+        j_a2=data.number("j_a2"),
+        c_cnst=data.number("c_cnst"),
     )
-    clamp = None
-    if data.get("clamp_ancilla") is not None:
-        raw = _field_numbers(data, "clamp_ancilla", path, 2)
-        if any(v not in (-1.0, 1.0) for v in raw):
-            raise ParseError(
-                f"{path}: field 'clamp_ancilla': entries must be -1 or +1"
-            )
-        clamp = (int(raw[0]), int(raw[1]))
+    clamp = data.numbers("clamp_ancilla", 2, None)
+    if clamp is not None:
+        if any(v not in (-1.0, 1.0) for v in clamp):
+            raise data.error("clamp_ancilla", "entries must be -1 or +1")
+        clamp = (int(clamp[0]), int(clamp[1]))
     return params, clamp
 
 
 def _load_quantum_params(path: str) -> dict:
-    data = _load_json_file(path)
+    data = JsonObject.load(path)
     out = {
-        "j_a": _require_number(data, "j_a", path),
-        "j_c": _require_number(data, "j_c", path),
-        "j": None,
-        "sweep": bool(data.get("sweep", False)),
+        "j_a": data.number("j_a"),
+        "j_c": data.number("j_c"),
+        "j": data.numbers("j", 4, None),
+        "sweep": data.flag("sweep", False),
         "thermal_coefficient": 0.0,
         "distribution": "uniform",
     }
-    if "j" in data and data["j"] is not None:
-        out["j"] = _field_numbers(data, "j", path, 4)
-    noise = data.get("noise")
+    noise = data.section("noise")
     if noise is not None:
-        if not isinstance(noise, dict):
-            raise ParseError(f"{path}: field 'noise': expected an object")
-        out["thermal_coefficient"] = (
-            _field_number(noise, "thermal_coefficient", path, 0.0) or 0.0
-        )
-        dist = noise.get("distribution", "uniform")
-        if dist not in ("uniform", "normal"):
-            raise ParseError(
-                f"{path}: field 'noise.distribution': must be 'uniform' or 'normal'"
-            )
-        out["distribution"] = dist
-    if out["j"] is None and not out["sweep"]:
+        out["thermal_coefficient"] = noise.number("thermal_coefficient", 0.0) or 0.0
+        out["distribution"] = noise.get("distribution", "uniform")
+        if out["distribution"] not in ("uniform", "normal"):
+            raise noise.error("distribution", "must be 'uniform' or 'normal'")
+    if out["j"] is None:
         out["sweep"] = True
     return out
 
 
 def _load_circuit_config(path: str) -> dict:
-    data = _load_json_file(path)
-    if "squid" not in data or not isinstance(data["squid"], dict):
-        raise ParseError(f"{path}: missing required object 'squid'")
-    sq = data["squid"]
+    data = JsonObject.load(path)
+    sq = data.section("squid", required=True)
     squid = SquidParams(
-        l1=_require_number(sq, "l1", path),
-        l2=_require_number(sq, "l2", path),
-        i_c1=_require_number(sq, "i_c1", path),
-        i_c2=_require_number(sq, "i_c2", path),
+        l1=sq.number("l1"),
+        l2=sq.number("l2"),
+        i_c1=sq.number("i_c1"),
+        i_c2=sq.number("i_c2"),
     )
-    if "resonator" not in data or not isinstance(data["resonator"], dict):
-        raise ParseError(f"{path}: missing required object 'resonator'")
-    rs = data["resonator"]
-    omega_r = _require_number(rs, "omega_r", path)
-    c_s = _require_number(rs, "c_s", path)
-    l_r = _field_number(rs, "l_r", path)
-    target = _field_number(data, "target_omega0", path)
+    rs = data.section("resonator", required=True)
+    omega_r = rs.number("omega_r")
+    c_s = rs.number("c_s")
+    l_r = rs.number("l_r", None)
+    target = data.number("target_omega0", None)
     if l_r is None:
         if target is None:
             raise ParseError(
@@ -307,62 +250,49 @@ def _load_circuit_config(path: str) -> dict:
         l_r = calibrate_resonator(target, omega_r, squid)
     resonator = ResonatorParams(omega_r=omega_r, l_r=l_r, c_s=c_s)
     config = {"squid": squid, "resonator": resonator, "target_omega0": target}
-    sweep = data.get("sweep")
+    sweep = data.section("sweep")
     if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ParseError(f"{path}: field 'sweep': expected an object")
-        config["current_to_flux"] = _require_number(sweep, "current_to_flux", path)
-        config["sweep_i"] = _sample_grid(sweep, path, "sweep")
-    iv = data.get("iv")
+        config["current_to_flux"] = sweep.number("current_to_flux")
+        config["sweep_i"] = _sample_grid(sweep)
+    iv = data.section("iv")
     if iv is not None:
-        if not isinstance(iv, dict):
-            raise ParseError(f"{path}: field 'iv': expected an object")
-        if "junction" not in iv or not isinstance(iv["junction"], dict):
-            raise ParseError(f"{path}: missing required object 'iv.junction'")
+        junction = iv.section("junction", required=True)
         config["junction"] = JunctionParams(
-            i_c=_require_number(iv["junction"], "i_c", path),
-            r_shunt=_require_number(iv["junction"], "r_shunt", path),
+            i_c=junction.number("i_c"), r_shunt=junction.number("r_shunt")
         )
-        config["iv_i"] = _sample_grid(iv, path, "iv")
-        config["dt_eff"] = _field_number(iv, "dt_eff", path, 1e-12)
+        config["iv_i"] = _sample_grid(iv)
+        config["dt_eff"] = iv.number("dt_eff", 1e-12)
     return config
 
 
-def _sample_grid(section: dict, path: str, name: str) -> np.ndarray:
-    start = _require_number(section, "i_start", path)
-    stop = _require_number(section, "i_stop", path)
-    points = section.get("points")
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise ParseError(
-            f"{path}: field '{name}.points': expected an integer >= 2"
-        )
-    return np.linspace(start, stop, points)
+def _sample_grid(section: JsonObject) -> np.ndarray:
+    start = section.number("i_start")
+    stop = section.number("i_stop")
+    return np.linspace(start, stop, section.integer("points", 2))
 
 
 def _load_program(path: str) -> dict:
-    data = _load_json_file(path)
+    data = JsonObject.load(path)
     program = CouplingProgram(
-        pump_phase=_field_numbers(data, "pump_phase", path, 6),
-        coupler_offset_phase=_field_number(data, "coupler_offset_phase", path, 0.0),
-        j_max=_field_number(data, "j_max", path, 1.0),
-        j_max_ancilla=_field_number(data, "j_max_ancilla", path),
-        c_cnst=_field_number(data, "c_cnst", path, 0.0),
+        pump_phase=data.numbers("pump_phase", 6),
+        coupler_offset_phase=data.number("coupler_offset_phase", 0.0),
+        j_max=data.number("j_max", 1.0),
+        j_max_ancilla=data.number("j_max_ancilla", None),
+        c_cnst=data.number("c_cnst", 0.0),
     )
-    sched = data.get("schedule") or {}
-    if not isinstance(sched, dict):
-        raise ParseError(f"{path}: field 'schedule': expected an object")
+    sched = data.section("schedule") or JsonObject({}, path)
     schedule = AnnealSchedule(
-        duration=_field_number(sched, "duration", path, 50.0),
-        dt=_field_number(sched, "dt", path, 1e-2),
-        p_start=_field_number(sched, "p_start", path, 0.5),
-        p_end=_field_number(sched, "p_end", path, 2.0),
+        duration=sched.number("duration", 50.0),
+        dt=sched.number("dt", 1e-2),
+        p_start=sched.number("p_start", 0.5),
+        p_end=sched.number("p_end", 2.0),
     )
     return {
         "program": program,
         "schedule": schedule,
-        "eta": _field_number(data, "eta", path, DEFAULT_ETA),
-        "beta": _field_number(data, "beta", path, DEFAULT_BETA),
-        "kappa": _field_number(data, "kappa", path),
+        "eta": data.number("eta", DEFAULT_ETA),
+        "beta": data.number("beta", DEFAULT_BETA),
+        "kappa": data.number("kappa", None),
     }
 
 
@@ -384,21 +314,15 @@ def _cmd_lhz_map(args) -> int:
         "problem": os.path.basename(args.problem),
         "format": args.format,
     }
-    if args.format == "json":
-        text = _json_document("lhz map", resolved, doc)
-    else:
-        layout_line = json.dumps(
-            {k: doc[k] for k in ("rows", "row_members", "fixed_row", "tiles")},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        lines = [_metadata_header("lhz map", resolved).rstrip("\n")]
-        lines.append(f"# layout={layout_line}")
-        lines.append("k,i,j,j_k")
-        for k, (i, j) in enumerate(layout.pairs):
-            lines.append(f"{k},{i},{j},{_fmt(j_fields[k])}")
-        text = "\n".join(lines) + "\n"
-    _write_output(args, text)
+    columns = {
+        "k": list(range(len(layout.pairs))),
+        "i": [i for i, _ in layout.pairs],
+        "j": [j for _, j in layout.pairs],
+        "j_k": doc["j_fields"],
+    }
+    layout_keys = ("rows", "row_members", "fixed_row", "tiles")
+    header = {"layout": {k: doc[k] for k in layout_keys}}
+    _write_output(args, _emit("lhz map", resolved, columns, args.format, header, doc))
     return EXIT_OK
 
 
@@ -416,37 +340,13 @@ def _cmd_tile_enumerate(args) -> int:
         "ground_energy": e_min,
         "ground_states": ground_labels,
     }
-    rows = []
-    for idx in range(DIM):
-        spins = [2 * ((idx >> (5 - k)) & 1) - 1 for k in range(6)]
-        config = TileConfig(logical=tuple(spins[:4]), ancilla=tuple(spins[4:6]))
-        if clamp is not None and config.ancilla != clamp:
-            continue
-        rows.append(
-            {
-                "s1": spins[0],
-                "s2": spins[1],
-                "s3": spins[2],
-                "s4": spins[3],
-                "a1": spins[4],
-                "a2": spins[5],
-                "energy": tile_energy(params, config),
-                "parity": config.logical_parity,
-            }
-        )
-    if args.format == "json":
-        text = _json_document("tile enumerate", resolved, {"rows": rows})
-    else:
-        lines = [_metadata_header("tile enumerate", resolved).rstrip("\n")]
-        lines.append("s1,s2,s3,s4,a1,a2,energy,parity")
-        for r in rows:
-            lines.append(
-                f"{r['s1']},{r['s2']},{r['s3']},{r['s4']},{r['a1']},{r['a2']},"
-                f"{_fmt(r['energy'])},{r['parity']}"
-            )
-        text = "\n".join(lines) + "\n"
-    _write_output(args, text)
-    _log(args, f"ground energy {_fmt(e_min)} with {len(ground_labels)} states")
+    rows = [s for s in all_configs(6).tolist() if not clamp or tuple(s[4:]) == clamp]
+    configs = [TileConfig(logical=s[:4], ancilla=s[4:]) for s in rows]
+    columns = dict(zip(("s1", "s2", "s3", "s4", "a1", "a2"), map(list, zip(*rows))))
+    columns["energy"] = [tile_energy(params, c) for c in configs]
+    columns["parity"] = [c.logical_parity for c in configs]
+    _write_output(args, _emit("tile enumerate", resolved, columns, args.format))
+    _log(args, f"ground energy {e_min:.12g} with {len(ground_labels)} states")
     return EXIT_OK
 
 
@@ -514,27 +414,13 @@ def _cmd_circuit_sweep(args) -> int:
         "clipped_i_dc": clipped,
     }
     kept = [p for p in points if not p.clipped]
-    if args.format == "json":
-        rows = [
-            {
-                "i_dc_A": p.i_dc,
-                "flux_wb": p.flux,
-                "l_squid_H": p.l_squid,
-                "f0_Hz": p.omega0 / (2 * math.pi),
-            }
-            for p in kept
-        ]
-        text = _json_document("circuit sweep", resolved, {"rows": rows})
-    else:
-        lines = [_metadata_header("circuit sweep", resolved).rstrip("\n")]
-        lines.append("i_dc_A,flux_wb,l_squid_H,f0_Hz")
-        for p in kept:
-            lines.append(
-                f"{_fmt(p.i_dc)},{_fmt(p.flux)},{_fmt(p.l_squid)},"
-                f"{_fmt(p.omega0 / (2 * math.pi))}"
-            )
-        text = "\n".join(lines) + "\n"
-    _write_output(args, text)
+    columns = {
+        "i_dc_A": [p.i_dc for p in kept],
+        "flux_wb": [p.flux for p in kept],
+        "l_squid_H": [p.l_squid for p in kept],
+        "f0_Hz": [p.omega0 / (2 * math.pi) for p in kept],
+    }
+    _write_output(args, _emit("circuit sweep", resolved, columns, args.format))
     if clipped:
         _log(args, f"{len(clipped)} samples clipped near half-quantum flux")
     return EXIT_OK
@@ -544,8 +430,8 @@ def _cmd_circuit_iv(args) -> int:
     config = _load_circuit_config(args.config)
     if "junction" not in config:
         raise ValueError(f"{args.config}: no 'iv' section configured")
-    if args.temp < 0:
-        raise ValueError("--temp must be >= 0")
+    if not (args.temp >= 0 and math.isfinite(args.temp)):
+        raise ValueError(f"--temp must be >= 0 and finite, got {args.temp}")
     seed = _resolve_seed(args)
     i, v = rsj_iv_curve(
         config["junction"],
@@ -567,16 +453,8 @@ def _cmd_circuit_iv(args) -> int:
         "seed": seed,
         "format": args.format,
     }
-    if args.format == "json":
-        rows = [{"i_A": float(a), "v_V": float(b)} for a, b in zip(i, v)]
-        text = _json_document("circuit iv", resolved, {"rows": rows})
-    else:
-        lines = [_metadata_header("circuit iv", resolved).rstrip("\n")]
-        lines.append("i_A,v_V")
-        for a, b in zip(i, v):
-            lines.append(f"{_fmt(a)},{_fmt(b)}")
-        text = "\n".join(lines) + "\n"
-    _write_output(args, text)
+    columns = {"i_A": i.tolist(), "v_V": v.tolist()}
+    _write_output(args, _emit("circuit iv", resolved, columns, args.format))
     return EXIT_OK
 
 

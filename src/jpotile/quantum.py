@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EigensolverError
+from .spins import all_configs, indices_to_spins
 
 N_SPINS = 6
 DIM = 64
@@ -63,8 +64,7 @@ def basis_spins(index: int) -> tuple[int, ...]:
     """Spin values of one basis state, spin 1 first."""
     if not (0 <= index < DIM):
         raise ValueError(f"basis index must be in [0, {DIM}), got {index}")
-    bits = [(index >> (N_SPINS - 1 - k)) & 1 for k in range(N_SPINS)]
-    return tuple(2 * b - 1 for b in bits)
+    return tuple(indices_to_spins([index], N_SPINS)[0].tolist())
 
 
 def basis_label(index: int) -> str:
@@ -125,8 +125,7 @@ def closed_form_ground_energy(j: Sequence[float], j_a: float, j_c: float) -> flo
     if j.size != 4:
         raise ValueError("j must hold exactly 4 field values")
     best = np.inf
-    for idx in range(16):
-        s = np.array([2 * ((idx >> (3 - k)) & 1) - 1 for k in range(4)], dtype=float)
+    for s in all_configs(4).astype(float):
         pi = float(np.prod(s))
         best = min(best, float(j @ s - pi * float(j_c)))
     return best - 2.0 * float(j_a)
@@ -229,13 +228,8 @@ def logical_distribution(
 def default_field_sweep(j_c: float) -> list[np.ndarray]:
     """Field grid covering the degenerate point and all sign patterns of
     magnitude j_c / 4: one zero vector plus 16 signed vectors."""
-    vectors = [np.zeros(4)]
-    for idx in range(16):
-        signs = np.array(
-            [2 * ((idx >> (3 - k)) & 1) - 1 for k in range(4)], dtype=float
-        )
-        vectors.append(signs * (float(j_c) / 4.0))
-    return vectors
+    signs = all_configs(4).astype(float)
+    return [np.zeros(4)] + list(signs * (float(j_c) / 4.0))
 
 
 def sweep_distribution(

@@ -1,5 +1,5 @@
 """Classical spin groundwork: Ising and QUBO energies, parity, exhaustive
-ground-state search, and the problem file reader.
+ground-state search, and the validating reader behind every input file.
 
 Conventions used everywhere in the package:
 
@@ -13,8 +13,10 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,19 +58,29 @@ def label_to_spins(label: str) -> np.ndarray:
     return bits_to_spins([int(ch) for ch in label])
 
 
-def all_configs(n: int) -> np.ndarray:
-    """All 2**n spin configurations, row r labelled by r's binary digits
-    (first spin = most significant bit)."""
+def indices_to_spins(indices: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Spin rows of integer configuration indices over n spins: row r is
+    labelled by the binary digits of indices[r], first spin = most
+    significant bit."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def _check_enumerable(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_LIMIT:
         raise CapacityError(
             f"n={n} exceeds the exhaustive enumeration bound of {ENUMERATION_LIMIT}"
         )
-    idx = np.arange(2**n, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
+
+
+def all_configs(n: int) -> np.ndarray:
+    """All 2**n spin configurations, row r labelled by r's binary digits
+    (first spin = most significant bit)."""
+    _check_enumerable(n)
+    return indices_to_spins(np.arange(2**n), n)
 
 
 @dataclass(frozen=True)
@@ -178,22 +190,16 @@ def enumerate_ground_states(
 
     Raises CapacityError above n = 24 (2**24 is about 17M evaluations).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"n={n} exceeds the exhaustive enumeration bound of {ENUMERATION_LIMIT}"
-        )
+    _check_enumerable(n)
     if tol < 0:
         raise ValueError("tol must be >= 0")
     total = 1 << n
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     best = np.inf
     # (energy, index) candidates within tol of the running minimum
     candidates: list[tuple[float, int]] = []
     for start in range(0, total, chunk_size):
         idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        configs = (2 * ((idx[:, None] >> shifts[None, :]) & 1) - 1).astype(np.int8)
+        configs = indices_to_spins(idx, n)
         if vectorized:
             energies = np.asarray(energy_fn(configs), dtype=float)
         else:
@@ -204,100 +210,169 @@ def enumerate_ground_states(
             candidates = [(e, i) for e, i in candidates if e <= best + tol]
         keep = np.nonzero(energies <= best + tol)[0]
         candidates.extend((float(energies[k]), int(idx[k])) for k in keep)
-    ground = set()
-    for e, i in candidates:
-        if e <= best + tol:
-            bits = (i >> shifts) & 1
-            ground.add(tuple(int(2 * b - 1) for b in bits))
-    return best, ground
+    kept = [i for e, i in candidates if e <= best + tol]
+    return best, set(map(tuple, indices_to_spins(kept, n).tolist()))
 
 
-def _parse_field(data: dict, key: str, path: str):
-    if key not in data:
-        raise ParseError(f"{path}: missing required field '{key}'")
-    return data[key]
+_REQUIRED = object()
+
+
+def _finite_floats(values: list) -> Optional[list[float]]:
+    """values as floats if every entry is a finite JSON number (not a bool,
+    a string or an integer beyond the float range), else None."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        out = list(map(float, values))
+    except OverflowError:
+        return None
+    return out if all(map(math.isfinite, out)) else None
+
+
+def _first_non_finite(values: list) -> int:
+    return next(k for k, v in enumerate(values) if _finite_floats([v]) is None)
+
+
+class JsonObject:
+    """One JSON object from an input file, with typed field accessors.
+
+    Numbers must be finite (Python's json reads NaN and Infinity), flags
+    must be true or false, and sub-objects must be objects. Every failure
+    raises ParseError naming the file and the dotted field path. A field
+    that is absent or null takes the accessor's default; without a default
+    it is required.
+    """
+
+    def __init__(self, data: dict, path: str, prefix: str = ""):
+        self.data = data
+        self.path = path
+        self.prefix = prefix
+
+    @classmethod
+    def load(cls, path: str) -> "JsonObject":
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+        if not isinstance(data, dict):
+            raise ParseError(f"{path}: top level must be an object")
+        return cls(data, path)
+
+    def error(self, key: str, message: str) -> ParseError:
+        return ParseError(f"{self.path}: field '{self.prefix}{key}': {message}")
+
+    def _absent(self, key: str, default: Any) -> bool:
+        """True when the field is absent or null; then it must have a default."""
+        if self.data.get(key) is not None:
+            return False
+        if default is _REQUIRED:
+            raise ParseError(
+                f"{self.path}: missing required field '{self.prefix}{key}'"
+            )
+        return True
+
+    def get(self, key: str, default: Any = _REQUIRED) -> Any:
+        """The raw value of a field."""
+        return default if self._absent(key, default) else self.data[key]
+
+    def number(self, key: str, default: Any = _REQUIRED) -> Optional[float]:
+        if self._absent(key, default):
+            return default
+        value = self.data[key]
+        if _finite_floats([value]) is None:
+            raise self.error(key, f"expected a finite number, got {value!r}")
+        return float(value)
+
+    def numbers(self, key: str, count: int, default: Any = _REQUIRED) -> Any:
+        """A list of exactly count finite numbers, as a tuple of floats."""
+        if self._absent(key, default):
+            return default
+        values = self.data[key]
+        if not isinstance(values, list) or len(values) != count:
+            raise self.error(key, f"expected a list of {count} numbers")
+        out = _finite_floats(values)
+        if out is None:
+            k = _first_non_finite(values)
+            raise self.error(
+                f"{key} entry {k}", f"expected a finite number, got {values[k]!r}"
+            )
+        return tuple(out)
+
+    def integer(self, key: str, minimum: int) -> int:
+        value = self.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise self.error(key, f"expected an integer >= {minimum}, got {value!r}")
+        return value
+
+    def flag(self, key: str, default: bool) -> bool:
+        value = self.get(key, default)
+        if not isinstance(value, bool):
+            raise self.error(key, f"expected true or false, got {value!r}")
+        return value
+
+    def section(self, key: str, required: bool = False) -> Optional["JsonObject"]:
+        """A nested object, or None when an optional one is absent or null."""
+        value = self.get(key, _REQUIRED if required else None)
+        if value is None:
+            return None
+        if not isinstance(value, dict):
+            raise self.error(key, f"expected an object, got {value!r}")
+        return JsonObject(value, self.path, f"{self.prefix}{key}.")
 
 
 def load_ising_problem(path: str) -> IsingProblem:
     """Read a problem file: JSON with keys n, h, and J.
 
     J is either a flat row-major list of n*n numbers or a list of sparse
-    [i, j, value] triples with 0-based indices. Malformed input raises
-    ParseError naming the line or field.
+    [i, j, value] triples with 0-based indices. Malformed input, including
+    a non-finite number, raises ParseError naming the line or field.
     """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be an object")
-
-    n = _parse_field(data, "n", path)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f"{path}: field 'n': expected a positive integer, got {n!r}")
-
-    h_raw = _parse_field(data, "h", path)
-    if not isinstance(h_raw, list) or len(h_raw) != n:
-        raise ParseError(f"{path}: field 'h': expected a list of {n} numbers")
-    try:
-        h = np.array(h_raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: field 'h': entries must be numbers") from exc
-
-    j_raw = _parse_field(data, "J", path)
+    data = JsonObject.load(path)
+    n = data.integer("n", 1)
+    h = np.array(data.numbers("h", n))
+    j_raw = data.get("J")
     if not isinstance(j_raw, list):
-        raise ParseError(f"{path}: field 'J': expected a list")
+        raise data.error("J", "expected a list")
     j = np.zeros((n, n))
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in j_raw):
+    if not any(isinstance(v, list) for v in j_raw):
         if len(j_raw) != n * n:
-            raise ParseError(
-                f"{path}: field 'J': flat row-major form needs {n * n} numbers, "
-                f"got {len(j_raw)}"
+            raise data.error(
+                "J", f"flat row-major form needs {n * n} numbers, got {len(j_raw)}"
             )
-        j = np.array(j_raw, dtype=float).reshape(n, n)
+        j = np.array(data.numbers("J", n * n)).reshape(n, n)
         if not np.array_equal(j, j.T):
-            raise ParseError(f"{path}: field 'J': matrix must be symmetric")
+            raise data.error("J", "matrix must be symmetric")
         if np.any(np.diag(j) != 0.0):
-            raise ParseError(f"{path}: field 'J': diagonal must be zero")
-    else:
-        seen: set[tuple[int, int]] = set()
-        for pos, triple in enumerate(j_raw):
-            if (
-                not isinstance(triple, list)
-                or len(triple) != 3
-                or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in triple
-                )
-            ):
-                raise ParseError(
-                    f"{path}: field 'J' entry {pos}: expected [i, j, value]"
-                )
-            a, b, val = triple
-            if a != int(a) or b != int(b):
-                raise ParseError(
-                    f"{path}: field 'J' entry {pos}: indices must be integers"
-                )
-            a, b = int(a), int(b)
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParseError(
-                    f"{path}: field 'J' entry {pos}: index out of range for n={n}"
-                )
-            if a == b:
-                raise ParseError(
-                    f"{path}: field 'J' entry {pos}: diagonal coupling not allowed"
-                )
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise ParseError(
-                    f"{path}: field 'J' entry {pos}: duplicate pair {key}"
-                )
-            seen.add(key)
-            j[a, b] = float(val)
-            j[b, a] = float(val)
+            raise data.error("J", "diagonal must be zero")
+        return IsingProblem(h=h, j=j)
+    shaped = [isinstance(t, list) and len(t) == 3 for t in j_raw]
+    if not all(shaped):
+        raise data.error(f"J entry {shaped.index(False)}", "expected [i, j, value]")
+    flat = list(chain.from_iterable(j_raw))
+    numbers = _finite_floats(flat)
+    if numbers is None:
+        pos = _first_non_finite(flat) // 3
+        raise data.error(
+            f"J entry {pos}", f"expected finite numbers, got {j_raw[pos]!r}"
+        )
+    seen: set[tuple[int, int]] = set()
+    for pos, (a, b, val) in enumerate(zip(numbers[::3], numbers[1::3], numbers[2::3])):
+        if a != int(a) or b != int(b):
+            raise data.error(f"J entry {pos}", "indices must be integers")
+        a, b = int(a), int(b)
+        if not (0 <= a < n and 0 <= b < n):
+            raise data.error(f"J entry {pos}", f"index out of range for n={n}")
+        if a == b:
+            raise data.error(f"J entry {pos}", "diagonal coupling not allowed")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise data.error(f"J entry {pos}", f"duplicate pair {key}")
+        seen.add(key)
+        j[a, b] = val
+        j[b, a] = val
     return IsingProblem(h=h, j=j)

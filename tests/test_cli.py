@@ -27,12 +27,12 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
-def problem_file(tmp_path):
-    return write_json(
-        tmp_path,
-        "problem.json",
-        {"n": 3, "h": [0.0, 0.0, 0.0], "J": [[0, 1, 2.0], [0, 2, -3.0], [1, 2, 0.5]]},
-    )
+def problem_file(tmp_path, **overrides):
+    payload = {
+        "n": 3, "h": [0.0, 0.0, 0.0], "J": [[0, 1, 2.0], [0, 2, -3.0], [1, 2, 0.5]]
+    }
+    payload.update(overrides)
+    return write_json(tmp_path, "problem.json", payload)
 
 
 def tile_file(tmp_path, **overrides):
@@ -405,6 +405,92 @@ def test_anneal_blowup_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure" in err
+
+
+IV_SECTION = {
+    "junction": {"i_c": 160e-6, "r_shunt": 15.0},
+    "i_start": 0.0,
+    "i_stop": 320e-6,
+    "points": 5,
+}
+ANNEAL_ARGS = ["anneal", "--program", "{path}", "--trials", "2", "--seed", "1"]
+LHZ_ARGS = ["lhz", "map", "--n", "3", "--problem", "{path}"]
+ENUMERATE_ARGS = ["tile", "enumerate", "--params", "{path}"]
+QUANTUM_ARGS = ["tile", "quantum", "--params", "{path}", "--seed", "1"]
+IV_ARGS = ["circuit", "iv", "--config", "{path}", "--seed", "1", "--temp"]
+
+
+@pytest.mark.parametrize(
+    "argv, make_file, overrides, field",
+    [
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"schedule": {"duration": math.inf, "dt": 0.01}},
+            "schedule.duration", id="anneal duration Infinity",
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"j_max": math.nan}, "j_max",
+            id="anneal j_max NaN",
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"eta": math.nan}, "eta", id="anneal eta NaN"
+        ),
+        pytest.param(
+            ENUMERATE_ARGS, tile_file, {"j": [math.nan, 0, 0, 0]}, "j entry 0",
+            id="tile enumerate j NaN",
+        ),
+        pytest.param(
+            ENUMERATE_ARGS, tile_file, {"j_a1": 10**400}, "j_a1",
+            id="tile enumerate integer beyond float range",
+        ),
+        pytest.param(
+            LHZ_ARGS, problem_file, {"J": [[0, 1, math.inf]]}, "J entry 0",
+            id="lhz map coupling Infinity",
+        ),
+        pytest.param(
+            QUANTUM_ARGS, quantum_file, {"j_a": math.inf}, "j_a",
+            id="tile quantum j_a Infinity",
+        ),
+        pytest.param(
+            QUANTUM_ARGS, quantum_file, {"noise": {"thermal_coefficient": math.nan}},
+            "noise.thermal_coefficient", id="tile quantum thermal NaN",
+        ),
+        pytest.param(
+            IV_ARGS + ["0"], circuit_file, {"iv": {**IV_SECTION, "dt_eff": math.inf}},
+            "iv.dt_eff", id="circuit iv dt_eff Infinity",
+        ),
+        pytest.param(
+            IV_ARGS + ["nan"], circuit_file, {"iv": IV_SECTION}, "--temp",
+            id="circuit iv temp nan",
+        ),
+        pytest.param(
+            LHZ_ARGS, problem_file, {"h": ["0", False, "0"]}, "h entry 0",
+            id="lhz map h strings and booleans",
+        ),
+        pytest.param(
+            LHZ_ARGS, problem_file, {"J": [0, 1, 1, "1", 0, 0, 1, 0, 0]}, "J entry 3",
+            id="lhz map flat J with a string",
+        ),
+        pytest.param(
+            QUANTUM_ARGS, quantum_file, {"sweep": "no"}, "sweep",
+            id="tile quantum sweep as a string",
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"schedule": []}, "schedule",
+            id="anneal schedule as a list",
+        ),
+    ],
+)
+def test_malformed_input_exits_two_naming_the_field(
+    tmp_path, capsys, argv, make_file, overrides, field
+):
+    path = make_file(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, [path if a == "{path}" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    if field.startswith("--"):
+        assert f"jpotile: {field} must be" in err
+    else:
+        assert f"jpotile: {path}: field '{field}':" in err
 
 
 def test_out_file_and_env_redirect(tmp_path, capsys, monkeypatch):
