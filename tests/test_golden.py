@@ -27,6 +27,18 @@ INPUTS = {
         "h": [0.0, 0.0, 0.0, 0.0],
         "J": [[0, 1, 2.0], [0, 2, -3.0], [1, 2, 0.5], [1, 3, 0.125], [2, 3, -1.75]],
     },
+    # sparse integer couplings: about a fifth of the pairs, some of them
+    # explicit zeros, the rest omitted; pins hundreds of bulk tiles
+    "sparse40.json": {
+        "n": 40,
+        "h": [0] * 40,
+        "J": [
+            [i, j, (i * j) % 7 - 3]
+            for i in range(40)
+            for j in range(i + 1, 40)
+            if (i + 2 * j) % 5 == 0
+        ],
+    },
     "flat.json": {
         "n": 3,
         "h": [0, 0, 0],
@@ -69,6 +81,7 @@ INPUTS = {
 
 COMMANDS = {
     "lhz-map": ["lhz", "map", "--n", "4", "--problem", "problem.json"],
+    "lhz-map-40": ["lhz", "map", "--n", "40", "--problem", "sparse40.json"],
     "lhz-map-flat": ["lhz", "map", "--n", "3", "--problem", "flat.json"],
     "tile-enumerate": ["tile", "enumerate", "--params", "tile.json"],
     "tile-enumerate-clamped": ["tile", "enumerate", "--params", "clamped.json"],
@@ -98,6 +111,10 @@ DIGESTS = {
         "a3a80215250230154bbc6cfed9b63a039cfdc3c9596fb9dfe7403e01ee94b798",
     "lhz-map/json":
         "c97765b39243f1bb8bf7d8dea0cb2d87d92b9ff3277182ed9637a5ed3c6ba98b",
+    "lhz-map-40/csv":
+        "34c481c6c7ad6067396c491561478f53a1fd2ba089603f1a4c2aec487e0e68d7",
+    "lhz-map-40/json":
+        "c4201398f6157cac31a57321d5a6effc3132057ad0ebb94c71395c1b7dfa5bda",
     "lhz-map-flat/csv":
         "59340bed6d19a6693b9fffb84f3e24b6a03b5bad2467a93ac5552c7b7943d645",
     "lhz-map-flat/json":
