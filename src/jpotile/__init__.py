@@ -51,7 +51,6 @@ from .errors import (
 from .lhz import (
     LhzLayout,
     LhzProblem,
-    Tile,
     build_layout,
     constraint_count,
     decode_readout,

@@ -74,6 +74,8 @@ class AnnealSchedule:
         if not (self.p_start < 1.0 < self.p_end):
             raise ValueError("ramp must start below threshold (p=1) and end above")
         steps = self.duration / self.dt
+        if not math.isfinite(steps):
+            raise ValueError("duration / dt must be a finite number of steps")
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 10:
             raise ValueError("duration must be an integer multiple of dt, >= 10 steps")
 

@@ -268,6 +268,8 @@ def _load_circuit_config(path: str) -> dict:
 def _sample_grid(section: JsonObject) -> np.ndarray:
     start = section.number("i_start")
     stop = section.number("i_stop")
+    if not math.isfinite(stop - start):
+        raise section.error("i_stop", "i_stop - i_start must be finite")
     return np.linspace(start, stop, section.integer("points", 2))
 
 

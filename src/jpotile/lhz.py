@@ -16,14 +16,12 @@ order over the rows (row r holds the pairs (r, r+1) ... (r, n-1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DecodeError, UnsupportedProblemError
 from .spins import IsingProblem, as_spins
-
-FIXED = None  # tile slot carried by a fixed +1 spin
 
 
 def physical_count(n: int) -> int:
@@ -38,90 +36,67 @@ def constraint_count(n: int) -> int:
     return physical_count(n) - n + 1
 
 
+def _pair_index(n, i, j):
+    # pairs (0,*) come first, then (1,*), ...; i and j may be index arrays
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
 def pair_index(n: int, i: int, j: int) -> int:
     """Physical index of logical pair (i, j), i < j, lexicographic order."""
     if not (0 <= i < j < n):
         raise ValueError(f"pair ({i}, {j}) is not a valid 0-based pair for n={n}")
-    # pairs (0,*) come first, then (1,*), ...
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-@dataclass(frozen=True)
-class Tile:
-    """One four-body parity check. Slots are (north, east, south, west);
-    a None slot is carried by a fixed +1 spin of the boundary row."""
-
-    north: Optional[int]
-    east: Optional[int]
-    south: Optional[int]
-    west: Optional[int]
-
-    @property
-    def members(self) -> tuple[Optional[int], Optional[int], Optional[int], Optional[int]]:
-        return (self.north, self.east, self.south, self.west)
-
-    @property
-    def fixed_flags(self) -> tuple[bool, bool, bool, bool]:
-        return tuple(m is FIXED for m in self.members)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """Physical indices only, fixed slots skipped."""
-        return tuple(m for m in self.members if m is not FIXED)
+    return _pair_index(n, i, j)
 
 
 @dataclass(frozen=True)
 class LhzLayout:
+    """The triangular layout. ``tiles`` is a read-only (T, 4) int64 array of
+    physical indices, columns (north, east, south, west); the value
+    ``k_physical`` marks a slot carried by a fixed +1 spin of the boundary
+    row, so ``np.append(sigma, 1)[tiles]`` gathers every tile's spins."""
+
     n_logical: int
     k_physical: int
     rows: tuple[int, ...]          # row lengths, base (n-1) first
     fixed_row: int                 # count of fixed +1 boundary spins
     pairs: tuple[tuple[int, int], ...]  # physical k -> logical pair (i, j)
-    tiles: tuple[Tile, ...]
+    tiles: np.ndarray
 
 
 def build_layout(n: int) -> LhzLayout:
     """Construct the triangular layout for n logical spins.
 
-    Tiles come in two kinds. Bulk tiles are diamonds over the pairs
-    {(i,j), (i,j+1), (i+1,j), (i+1,j+1)}; boundary tiles close the triangle
-    with {(i,i+1), (i,i+2), (i+1,i+2)} plus one fixed spin. Both have spin
-    product +1 on every encoded configuration. Tile order: for each i
+    Tile (i, j), 0 <= i < j <= n-2, is the diamond over the pairs
+    north (i, j+1), east (i+1, j+1), south (i+1, j) and west (i, j). When
+    j == i+1 the south pair would be (i+1, i+1), so a fixed +1 spin closes
+    the boundary tile instead. Every tile has spin product +1 on every
+    encoded configuration. Tile order is row-major in (i, j): for each i
     ascending, the boundary tile first, then its bulk diamonds by j.
     """
     if n < 3:
         raise ValueError("the triangular layout needs at least 3 logical spins")
     k = physical_count(n)
-    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    tiles: list[Tile] = []
-    for i in range(n - 2):
-        tiles.append(
-            Tile(
-                north=pair_index(n, i, i + 2),
-                east=pair_index(n, i + 1, i + 2),
-                south=FIXED,
-                west=pair_index(n, i, i + 1),
-            )
-        )
-        for j in range(i + 2, n - 1):
-            tiles.append(
-                Tile(
-                    north=pair_index(n, i, j + 1),
-                    east=pair_index(n, i + 1, j + 1),
-                    south=pair_index(n, i + 1, j),
-                    west=pair_index(n, i, j),
-                )
-            )
-    layout = LhzLayout(
+    a, b = np.triu_indices(n, 1)
+    i, j = np.triu_indices(n - 1, 1)
+    tiles = np.stack(
+        [
+            _pair_index(n, i, j + 1),
+            _pair_index(n, i + 1, j + 1),
+            np.where(j == i + 1, k, _pair_index(n, i + 1, j)),
+            _pair_index(n, i, j),
+        ],
+        axis=1,
+    )
+    tiles.setflags(write=False)
+    assert len(tiles) == constraint_count(n)
+    return LhzLayout(
         n_logical=n,
         k_physical=k,
         rows=tuple(n - 1 - r for r in range(n - 1)),
         fixed_row=n - 2,
-        pairs=pairs,
-        tiles=tuple(tiles),
+        pairs=tuple(zip(a.tolist(), b.tolist())),
+        tiles=tiles,
     )
-    assert len(tiles) == constraint_count(n)
-    return layout
 
 
 def row_members(layout: LhzLayout) -> tuple[tuple[int, ...], ...]:
@@ -168,10 +143,7 @@ def map_couplings(problem: IsingProblem) -> np.ndarray:
             "nonzero local fields cannot be carried by the pair mapping; "
             "set h = 0"
         )
-    n = problem.n
-    return np.array(
-        [-problem.j[i, j] for i in range(n) for j in range(i + 1, n)], dtype=float
-    )
+    return -problem.j[np.triu_indices(problem.n, 1)]
 
 
 def encode(layout: LhzLayout, logical: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -182,7 +154,8 @@ def encode(layout: LhzLayout, logical: Sequence[int] | np.ndarray) -> np.ndarray
             f"logical configuration has {sigma.size} spins, layout expects "
             f"{layout.n_logical}"
         )
-    return np.array([sigma[i] * sigma[j] for i, j in layout.pairs], dtype=np.int8)
+    a, b = np.triu_indices(layout.n_logical, 1)
+    return sigma[a] * sigma[b]
 
 
 def tile_products(layout: LhzLayout, physical: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -193,11 +166,7 @@ def tile_products(layout: LhzLayout, physical: Sequence[int] | np.ndarray) -> np
             f"physical configuration has {sigma.size} bits, layout expects "
             f"{layout.k_physical}"
         )
-    out = np.ones(len(layout.tiles), dtype=np.int64)
-    for t, tile in enumerate(layout.tiles):
-        for m in tile.indices:
-            out[t] *= sigma[m]
-    return out
+    return np.prod(np.append(sigma, 1)[layout.tiles], axis=1, dtype=np.int64)
 
 
 def lhz_energy(
@@ -219,6 +188,11 @@ def lhz_energy(
     return float(problem.j_fields @ sigma - problem.c_penalty * products.sum())
 
 
+def _members(layout: LhzLayout, tiles: np.ndarray) -> list:
+    """Tile slots as Python lists, None in each fixed slot."""
+    return np.where(tiles == layout.k_physical, None, tiles).tolist()
+
+
 def decode_readout(
     physical: Sequence[int] | np.ndarray, layout: LhzLayout
 ) -> np.ndarray:
@@ -235,20 +209,19 @@ def decode_readout(
             f"physical configuration has {sigma.size} bits, layout expects "
             f"{layout.k_physical}"
         )
-    products = tile_products(layout, physical)
-    bad = np.nonzero(products != 1)[0]
+    bad = np.flatnonzero(tile_products(layout, sigma) != 1)
     if bad.size > 0:
         first = int(bad[0])
+        members = _members(layout, layout.tiles[first])
         raise DecodeError(
             first,
             f"parity tile {first} violated (members "
-            f"{layout.tiles[first].members}); readout is not a valid encoding",
+            f"{tuple(members)}); readout is not a valid encoding",
         )
     n = layout.n_logical
     logical = np.empty(n, dtype=np.int8)
     logical[0] = 1
-    for j in range(1, n):
-        logical[j] = sigma[pair_index(n, 0, j)]
+    logical[1:] = sigma[: n - 1]  # base-row bits (0, j) carry sigma_0 * sigma_j
     return logical
 
 
@@ -267,18 +240,15 @@ def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dic
         "rows": list(layout.rows),
         "row_members": [list(r) for r in row_members(layout)],
         "fixed_row": layout.fixed_row,
-        "pairs": [[i, j] for i, j in layout.pairs],
+        "pairs": list(map(list, layout.pairs)),
         "tiles": [
-            {
-                "north": t.north,
-                "east": t.east,
-                "south": t.south,
-                "west": t.west,
-                "fixed": list(t.fixed_flags),
-            }
-            for t in layout.tiles
+            {"north": north, "east": east, "south": south, "west": west, "fixed": fixed}
+            for (north, east, south, west), fixed in zip(
+                _members(layout, layout.tiles),
+                (layout.tiles == layout.k_physical).tolist(),
+            )
         ],
     }
     if j_fields is not None:
-        doc["j_fields"] = [float(v) for v in np.asarray(j_fields, dtype=float)]
+        doc["j_fields"] = np.asarray(j_fields, dtype=float).tolist()
     return doc

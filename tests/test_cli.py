@@ -418,6 +418,7 @@ LHZ_ARGS = ["lhz", "map", "--n", "3", "--problem", "{path}"]
 ENUMERATE_ARGS = ["tile", "enumerate", "--params", "{path}"]
 QUANTUM_ARGS = ["tile", "quantum", "--params", "{path}", "--seed", "1"]
 IV_ARGS = ["circuit", "iv", "--config", "{path}", "--seed", "1", "--temp"]
+SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
 
 
 @pytest.mark.parametrize(
@@ -463,6 +464,11 @@ IV_ARGS = ["circuit", "iv", "--config", "{path}", "--seed", "1", "--temp"]
             id="circuit iv temp nan",
         ),
         pytest.param(
+            SWEEP_ARGS, circuit_file,
+            {"sweep": {"current_to_flux": 2e-15, "i_start": 1e308, "i_stop": -1e308}},
+            "sweep.i_stop", id="circuit sweep range overflows",
+        ),
+        pytest.param(
             LHZ_ARGS, problem_file, {"h": ["0", False, "0"]}, "h entry 0",
             id="lhz map h strings and booleans",
         ),
@@ -491,6 +497,16 @@ def test_malformed_input_exits_two_naming_the_field(
         assert f"jpotile: {field} must be" in err
     else:
         assert f"jpotile: {path}: field '{field}':" in err
+
+
+def test_anneal_step_count_overflow_exits_two(tmp_path, capsys):
+    path = program_file(
+        tmp_path, pump_phase=[0.0] * 6, schedule={"duration": 1e308, "dt": 0.01}
+    )
+    code, out, err = run_cli(capsys, ["anneal", "--program", path, "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "duration" in err
 
 
 def test_out_file_and_env_redirect(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,8 @@ from jpotile.lhz import (
 )
 from jpotile.spins import IsingProblem, all_configs, ising_energy
 
+SOUTH = 2  # tile columns are (north, east, south, west)
+
 
 def random_coupling_problem(n, rng):
     j = rng.normal(size=(n, n))
@@ -62,8 +64,13 @@ def test_layout_small_cases():
     assert len(tri.tiles) == 1
     assert tri.fixed_row == 1
     # the single constraint leans on the fixed row
-    assert tri.tiles[0].south is None
-    assert set(tri.tiles[0].indices) == {0, 1, 2}
+    assert tri.tiles.shape == (1, 4)
+    assert tri.tiles[0, SOUTH] == tri.k_physical
+    assert set(tri.tiles[0].tolist()) - {tri.k_physical} == {0, 1, 2}
+    # the layout's tile array cannot be edited in place
+    assert not tri.tiles.flags.writeable
+    with pytest.raises(ValueError):
+        tri.tiles[0, 0] = 1
 
     quad = build_layout(4)
     assert quad.rows == (3, 2, 1)
@@ -81,13 +88,21 @@ def test_layout_consistency_through_n10():
         assert len(layout.tiles) == constraint_count(n)
         assert layout.fixed_row == n - 2
         # every physical bit sits in at most four tiles
-        touch = np.zeros(layout.k_physical, dtype=int)
-        for tile in layout.tiles:
-            for m in tile.indices:
-                touch[m] += 1
-        assert touch.max() <= 4
+        touch = np.bincount(layout.tiles.ravel(), minlength=layout.k_physical + 1)
+        assert touch[: layout.k_physical].max() <= 4
         flat = [k for row in row_members(layout) for k in row]
         assert flat == list(range(layout.k_physical))
+        # reference: the diamonds spelled out pair by pair
+        expected = []
+        for i in range(n - 2):
+            for j in range(i + 1, n - 1):
+                south = layout.k_physical if j == i + 1 else pair_index(n, i + 1, j)
+                expected.append([
+                    pair_index(n, i, j + 1), pair_index(n, i + 1, j + 1),
+                    south, pair_index(n, i, j),
+                ])
+        assert layout.tiles.dtype == np.int64
+        assert layout.tiles.tolist() == expected
 
 
 def test_every_encoding_satisfies_all_tiles():
@@ -133,7 +148,7 @@ def test_lhz_energy_all_up_and_single_flip():
     for k in range(layout.k_physical):
         flipped = up.copy()
         flipped[k] = -1
-        touched = sum(k in tile.indices for tile in layout.tiles)
+        touched = int(np.any(layout.tiles == k, axis=1).sum())
         assert lhz_energy(prob, layout, flipped) == pytest.approx(
             base + 2 * c * touched
         )
@@ -177,7 +192,7 @@ def test_decode_reports_first_violated_tile():
     layout = build_layout(4)
     physical = encode(layout, [1, -1, 1, -1])
     bad = physical.copy()
-    bad[layout.tiles[1].indices[0]] *= -1
+    bad[layout.tiles[1, 0]] *= -1
     with pytest.raises(DecodeError) as err:
         decode_readout(bad, layout)
     products = tile_products(layout, bad)
