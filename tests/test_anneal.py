@@ -1,5 +1,6 @@
 """Dynamics, statistics, and readout checks of the annealing module."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,20 @@ def test_single_trial_shapes_and_determinism():
     bare = simulate_trial(even_parity_program(), seed=1, record_trajectory=False)
     assert bare.trajectory is None and bare.times is None
     assert bare.config == result.config
+
+
+def test_trajectory_digest_is_pinned():
+    # 1000 steps, not a multiple of any power-of-two noise block, so a
+    # change in how the noise stream is split into blocks shows up here
+    result = simulate_trial(
+        alternating_field_program(), AnnealSchedule(duration=10.0), seed=1
+    )
+    assert result.trajectory.shape == (1001, 7)
+    assert hashlib.sha256(result.trajectory.tobytes()).hexdigest() == (
+        "b495bf234083d2201ca4e445f45ea2e3ee91bc08ceeba5714e42b797d632fc66"
+    )
+    assert result.config.label == "101011"
+    assert result.canonical_config.label == "010111"
 
 
 def test_unsettled_trials_are_reported_not_classified():
