@@ -93,6 +93,7 @@ from .tile import (
     ground_set,
     lhz_parity_valid,
     penalty_negative_in_ground,
+    tile_energies,
     tile_energy,
     tile_energy_effective,
     uniform_tile_params,

@@ -33,12 +33,15 @@ from .errors import (
     InsufficientDataError,
     IntegrationBlowupError,
 )
-from .tile import TileConfig, TileParams, tile_energy
+from .spins import indices_to_spins
+from .tile import TileConfig, TileParams
 
 DEFAULT_BETA = 0.2       # gradient coupling strength
 DEFAULT_ETA = 0.05       # per-step noise std is eta * sqrt(dt)
 INIT_AMPLITUDE_STD = 0.02
 N_OSC = 7                # four logical, two ancilla, one reference
+MAX_STEPS = 10**7        # longest accepted schedule, in Euler steps
+NOISE_BLOCK = 256        # noise steps drawn per generator call
 
 
 def coupling_from_phase(j_max: float, delta_theta: float) -> float:
@@ -60,7 +63,7 @@ class AnnealSchedule:
     """Pump ramp: linear from p_start to p_end over the given duration.
 
     Time is measured in oscillator relaxation units; dt must divide the
-    duration into at least 10 steps.
+    duration into at least 10 and at most MAX_STEPS steps.
     """
 
     duration: float = 50.0
@@ -74,8 +77,8 @@ class AnnealSchedule:
         if not (self.p_start < 1.0 < self.p_end):
             raise ValueError("ramp must start below threshold (p=1) and end above")
         steps = self.duration / self.dt
-        if not math.isfinite(steps):
-            raise ValueError("duration / dt must be a finite number of steps")
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"duration / dt must be at most {MAX_STEPS} steps")
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 10:
             raise ValueError("duration must be an integer multiple of dt, >= 10 steps")
 
@@ -258,54 +261,54 @@ def _integrate_batch(
     schedule: AnnealSchedule,
     eta: float,
     beta: float,
-    inits: np.ndarray,
-    noise: np.ndarray,
+    rngs: Sequence[np.random.Generator],
     record: bool = False,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Euler-Maruyama over one batch. inits is (m, 7); noise is
-    (m, n_steps, 7) standard normal. Returns final states and, when
-    record is set, the (n_steps + 1, 7) trajectory of the first trial."""
-    dt = schedule.dt
-    sqrt_dt = math.sqrt(dt)
-    n_steps = schedule.n_steps
-    c_sat = schedule.c_sat
-    x = np.array(inits, dtype=float)
+    """Euler-Maruyama over one batch, one generator per trial. Each trial
+    draws its 7 initial amplitudes, then its standard-normal noise
+    NOISE_BLOCK steps at a time into one reused buffer: the same numbers
+    as one (n_steps, 7) draw, in memory that does not grow with n_steps.
+    Returns the (m, 7) final states and, when record is set, the
+    (n_steps + 1, 7) trajectory of the first trial."""
+    dt, n_steps, c_sat = schedule.dt, schedule.n_steps, schedule.c_sat
+    noise_scale = eta * math.sqrt(dt)
+    x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs])
+    noise = np.empty((len(rngs), min(NOISE_BLOCK, n_steps), N_OSC))
     trajectory = None
     if record:
         trajectory = np.empty((n_steps + 1, N_OSC))
         trajectory[0] = x[0]
-    p_values = schedule.p_start + (schedule.p_end - schedule.p_start) * (
-        np.arange(n_steps) * dt / schedule.duration
-    )
     # overflow is reported through IntegrationBlowupError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            drift = (p_values[k] - 1.0 - x**2) * x - beta * _grad_energy(x, params)
-            x += drift * dt + (eta * sqrt_dt) * noise[:, k, :]
-            # check before the clamp: clipping would mask an overflow
-            if not np.all(np.isfinite(x)):
-                raise IntegrationBlowupError(t=(k + 1) * dt, dt=dt)
-            np.clip(x, -c_sat, c_sat, out=x)
-            if record:
-                trajectory[k + 1] = x[0]
+        for start in range(0, n_steps, NOISE_BLOCK):
+            steps = np.arange(start, min(start + NOISE_BLOCK, n_steps))
+            block = noise[:, : steps.size]
+            for row, rng in enumerate(rngs):
+                rng.standard_normal(out=block[row])
+            ramp = (schedule.p_end - schedule.p_start) * (steps * dt / schedule.duration)
+            for i, p in enumerate(schedule.p_start + ramp):
+                drift = (p - 1.0 - x**2) * x - beta * _grad_energy(x, params)
+                x += drift * dt + noise_scale * block[:, i]
+                # check before the clamp: clipping would mask an overflow
+                if not np.all(np.isfinite(x)):
+                    raise IntegrationBlowupError(t=(start + i + 1) * dt, dt=dt)
+                np.clip(x, -c_sat, c_sat, out=x)
+                if record:
+                    trajectory[start + i + 1] = x[0]
     return x, trajectory
 
 
-def _classify(x: np.ndarray, schedule: AnnealSchedule) -> TrialResult:
-    """Readout of one final 7-amplitude state."""
-    state = OscillatorState(c=x[:6], c_ref=float(x[6]))
-    settled = bool(np.all(np.abs(x) > schedule.c_thresh))
-    if not settled:
-        return TrialResult(state=state, settled=False, config=None, canonical_config=None)
-    signs = np.sign(x).astype(int)
-    config = TileConfig(logical=tuple(signs[:4]), ancilla=tuple(signs[4:6]))
-    ref = signs[6]
-    canonical = TileConfig(
-        logical=tuple(int(s * ref) for s in signs[:4]), ancilla=tuple(signs[4:6])
-    )
-    return TrialResult(
-        state=state, settled=True, config=config, canonical_config=canonical
-    )
+def _readout_codes(
+    finals: np.ndarray, schedule: AnnealSchedule, canonical: bool
+) -> np.ndarray:
+    """One int per final (m, 7) state: the tile label's bits, spin 1 most
+    significant, or -1 when any amplitude is at most c_thresh. Canonical
+    codes XOR the four logical bits with the reference oscillator's sign."""
+    up = finals > 0
+    codes = up[:, :6] @ (1 << np.arange(5, -1, -1))
+    if canonical:
+        codes ^= np.where(up[:, 6], 0, 0b111100)
+    return np.where(np.all(np.abs(finals) > schedule.c_thresh, axis=1), codes, -1)
 
 
 def simulate_trial(
@@ -319,24 +322,25 @@ def simulate_trial(
     """Integrate one annealing run and read out the final configuration."""
     schedule = schedule or AnnealSchedule()
     params = effective_tile_couplings(program)
-    rng = np.random.default_rng(seed)
-    inits = rng.normal(0.0, INIT_AMPLITUDE_STD, (1, N_OSC))
-    noise = rng.standard_normal((1, schedule.n_steps, N_OSC))
+    rngs = [np.random.default_rng(seed)]
     final, trajectory = _integrate_batch(
-        params, schedule, eta, beta, inits, noise, record=record_trajectory
+        params, schedule, eta, beta, rngs, record=record_trajectory
     )
-    result = _classify(final[0], schedule)
-    if record_trajectory:
-        times = np.arange(schedule.n_steps + 1) * schedule.dt
-        return TrialResult(
-            state=result.state,
-            settled=result.settled,
-            config=result.config,
-            canonical_config=result.canonical_config,
-            trajectory=trajectory,
-            times=times,
-        )
-    return result
+    codes = np.concatenate([_readout_codes(final, schedule, c) for c in (False, True)])
+    settled = bool(codes[0] >= 0)
+    configs = [None, None]
+    if settled:
+        spins = indices_to_spins(codes, 6).tolist()
+        configs = [TileConfig(logical=s[:4], ancilla=s[4:]) for s in spins]
+    times = np.arange(schedule.n_steps + 1) * schedule.dt if record_trajectory else None
+    return TrialResult(
+        state=OscillatorState(c=final[0, :6], c_ref=final[0, 6]),
+        settled=settled,
+        config=configs[0],
+        canonical_config=configs[1],
+        trajectory=trajectory,
+        times=times,
+    )
 
 
 def run_trials(
@@ -366,30 +370,19 @@ def run_trials(
     schedule = schedule or AnnealSchedule()
     params = effective_tile_couplings(program)
     streams = np.random.SeedSequence(seed).spawn(trials)
-    counts: dict[str, int] = {}
-    unsettled = 0
+    codes = []
     for start in range(0, trials, chunk_size):
-        batch = streams[start : start + chunk_size]
-        m = len(batch)
-        inits = np.empty((m, N_OSC))
-        noise = np.empty((m, schedule.n_steps, N_OSC))
-        for row, ss in enumerate(batch):
-            rng = np.random.default_rng(ss)
-            inits[row] = rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC)
-            noise[row] = rng.standard_normal((schedule.n_steps, N_OSC))
-        finals, _ = _integrate_batch(params, schedule, eta, beta, inits, noise)
-        for row in range(m):
-            result = _classify(finals[row], schedule)
-            if not result.settled:
-                unsettled += 1
-                continue
-            config = result.canonical_config if canonical else result.config
-            label = config.label if n_bits == 6 else config.label[:4]
-            counts[label] = counts.get(label, 0) + 1
+        rngs = [np.random.default_rng(ss) for ss in streams[start : start + chunk_size]]
+        finals, _ = _integrate_batch(params, schedule, eta, beta, rngs)
+        codes.append(_readout_codes(finals, schedule, canonical))
+    settled = np.concatenate(codes)
+    settled = settled[settled >= 0]
+    bins = np.bincount(settled >> (6 - n_bits), minlength=1 << n_bits)
+    labels = np.flatnonzero(bins).tolist()
     return StateHistogram(
-        counts=dict(sorted(counts.items())),
+        counts={format(c, f"0{n_bits}b"): int(bins[c]) for c in labels},
         trials=trials,
-        unsettled=unsettled,
+        unsettled=trials - settled.size,
         seed=seed,
         n_bits=n_bits,
     )

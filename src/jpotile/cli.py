@@ -51,7 +51,7 @@ from .quantum import (
     sweep_distribution,
 )
 from .spins import JsonObject, all_configs, load_ising_problem
-from .tile import TileConfig, TileParams, ground_set, tile_energy
+from .tile import TileParams, ground_set, tile_energies
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -342,11 +342,12 @@ def _cmd_tile_enumerate(args) -> int:
         "ground_energy": e_min,
         "ground_states": ground_labels,
     }
-    rows = [s for s in all_configs(6).tolist() if not clamp or tuple(s[4:]) == clamp]
-    configs = [TileConfig(logical=s[:4], ancilla=s[4:]) for s in rows]
-    columns = dict(zip(("s1", "s2", "s3", "s4", "a1", "a2"), map(list, zip(*rows))))
-    columns["energy"] = [tile_energy(params, c) for c in configs]
-    columns["parity"] = [c.logical_parity for c in configs]
+    rows = all_configs(6)
+    if clamp:
+        rows = rows[np.all(rows[:, 4:] == clamp, axis=1)]
+    columns = dict(zip(("s1", "s2", "s3", "s4", "a1", "a2"), rows.T.tolist()))
+    columns["energy"] = tile_energies(params, rows).tolist()
+    columns["parity"] = np.prod(rows[:, :4], axis=1).tolist()
     _write_output(args, _emit("tile enumerate", resolved, columns, args.format))
     _log(args, f"ground energy {e_min:.12g} with {len(ground_labels)} states")
     return EXIT_OK

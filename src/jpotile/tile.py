@@ -12,7 +12,7 @@ the parity tiles of the LHZ layout are realized in hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -104,8 +104,14 @@ def tile_energy_effective(params: TileParams, config: TileConfig) -> float:
     return float(field - (a2 * j_a + a1 * j_a + params.c_cnst) * pi)
 
 
-def _config_from_spins(spins: Sequence[int]) -> TileConfig:
-    return TileConfig(logical=tuple(spins[:4]), ancilla=tuple(spins[4:6]))
+def tile_energies(params: TileParams, spins: np.ndarray) -> np.ndarray:
+    """Energies of an (m, 6) array of assignments, logical spins first, each
+    summed in tile_energy's order so its bits equal tile_energy's on that row."""
+    s1, s2, s3, s4, a1, a2 = np.asarray(spins, dtype=float).T
+    j1, j2, j3, j4 = params.j
+    field = 0.0 + j1 * s1 + j2 * s2 + j3 * s3 + j4 * s4
+    bracket = params.j_a1 * a1 + params.j_a2 * a2 + params.c_cnst
+    return field - bracket * (s1 * s2 * s3 * s4)
 
 
 def ground_set(
@@ -118,24 +124,20 @@ def ground_set(
     With clamp_ancilla the two ancilla spins are pinned and only the 16
     logical assignments are enumerated.
     """
+    pinned: tuple[int, ...] = ()
     if clamp_ancilla is not None:
         pinned = tuple(int(v) for v in clamp_ancilla)
         if len(pinned) != 2 or any(v not in (-1, 1) for v in pinned):
             raise ValueError("clamp_ancilla must be two spins valued -1 or +1")
 
-        def energy(config: np.ndarray) -> float:
-            return tile_energy(
-                params, TileConfig(logical=tuple(config), ancilla=pinned)
-            )
+    def energies(configs: np.ndarray) -> np.ndarray:
+        pins = np.tile(np.array(pinned, dtype=configs.dtype), (len(configs), 1))
+        return tile_energies(params, np.hstack([configs, pins]))
 
-        e_min, raw = enumerate_ground_states(energy, 4, tol=tol)
-        return e_min, {TileConfig(logical=s, ancilla=pinned) for s in raw}
-
-    def energy(config: np.ndarray) -> float:
-        return tile_energy(params, _config_from_spins(config))
-
-    e_min, raw = enumerate_ground_states(energy, 6, tol=tol)
-    return e_min, {_config_from_spins(s) for s in raw}
+    e_min, raw = enumerate_ground_states(
+        energies, 6 - len(pinned), tol=tol, vectorized=True
+    )
+    return e_min, {TileConfig(logical=s[:4], ancilla=s[4:] + pinned) for s in raw}
 
 
 @dataclass(frozen=True)

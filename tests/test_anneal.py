@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpotile.anneal import (
     AnnealSchedule,
@@ -158,8 +161,8 @@ def test_single_trial_shapes_and_determinism():
 
 
 def test_trajectory_digest_is_pinned():
-    # 1000 steps, not a multiple of any power-of-two noise block, so a
-    # change in how the noise stream is split into blocks shows up here
+    # 1000 steps is not a multiple of the 256-step noise block, so the
+    # digest also covers a partial last block
     result = simulate_trial(
         alternating_field_program(), AnnealSchedule(duration=10.0), seed=1
     )
@@ -234,6 +237,49 @@ def test_histogram_is_chunk_size_invariant():
         assert hist.unsettled == reference.unsettled
     assert reference.seed == 9
     assert reference.n_bits == 4
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_histogram_is_invariant_under_any_chunking(data):
+    trials = data.draw(st.integers(min_value=1, max_value=12))
+    chunk = data.draw(st.integers(min_value=1, max_value=trials))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    canonical = data.draw(st.booleans())
+    n_bits = data.draw(st.sampled_from([4, 6]))
+    # 300 steps cross a noise block boundary; about a third of the trials
+    # are still unsettled at the end of this short ramp
+    schedule = AnnealSchedule(duration=15.0, dt=0.05)
+
+    def hist(chunk_size):
+        return run_trials(
+            even_parity_program(),
+            trials,
+            seed=seed,
+            schedule=schedule,
+            canonical=canonical,
+            n_bits=n_bits,
+            chunk_size=chunk_size,
+        )
+
+    reference, chunked = hist(trials), hist(chunk)
+    assert chunked.counts == reference.counts
+    assert chunked.unsettled == reference.unsettled
+
+
+def test_run_trials_memory_does_not_grow_with_schedule_length():
+    program = even_parity_program()
+    # warm up first, so lazy imports inside numpy are not counted
+    run_trials(program, 2, seed=1, schedule=AnnealSchedule(duration=0.1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_trials(program, 2, seed=1, schedule=AnnealSchedule(duration=200.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 20 000 steps: noise held for the whole schedule would take 2.24 MB
+    assert peak < 1_000_000
 
 
 def test_run_trials_validation():

@@ -499,9 +499,14 @@ def test_malformed_input_exits_two_naming_the_field(
         assert f"jpotile: {path}: field '{field}':" in err
 
 
-def test_anneal_step_count_overflow_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "duration", [1e308, 1e300, 1e6], ids=["1e308", "1e300", "1e6"]
+)
+def test_anneal_step_count_overflow_exits_two(tmp_path, capsys, duration):
+    # 1e308 overflows duration / dt; 1e300 and 1e6 (1e8 steps) are finite
+    # but beyond MAX_STEPS
     path = program_file(
-        tmp_path, pump_phase=[0.0] * 6, schedule={"duration": 1e308, "dt": 0.01}
+        tmp_path, pump_phase=[0.0] * 6, schedule={"duration": duration, "dt": 0.01}
     )
     code, out, err = run_cli(capsys, ["anneal", "--program", path, "--seed", "1"])
     assert code == 2

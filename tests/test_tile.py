@@ -4,13 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jpotile.spins import DEGENERACY_TOL, all_configs
 from jpotile.tile import (
     TileConfig,
     TileParams,
     ground_set,
     lhz_parity_valid,
     penalty_negative_in_ground,
+    tile_energies,
     tile_energy,
     tile_energy_effective,
     uniform_tile_params,
@@ -209,3 +213,42 @@ def test_penalty_sign_predicate():
     assert not penalty_negative_in_ground(
         TileParams((1.0, -2.0, 0.5, 0.0), 0.0, 0.0, 0.0)
     )
+
+
+def test_tile_energies_match_tile_energy_bit_for_bit():
+    rng = np.random.default_rng(17)
+    rows = all_configs(6)
+    configs = [TileConfig(logical=r[:4], ancilla=r[4:]) for r in rows.tolist()]
+    for k in range(200):
+        if k % 2:
+            # signed zeros and exact halves exercise the summation order
+            vals = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], size=7)
+        else:
+            vals = rng.normal(size=7)
+        params = TileParams(j=vals[:4], j_a1=vals[4], j_a2=vals[5], c_cnst=vals[6])
+        expected = np.array([tile_energy(params, c) for c in configs])
+        assert tile_energies(params, rows).tobytes() == expected.tobytes()
+
+
+COUPLING = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(COUPLING, min_size=7, max_size=7),
+    st.sampled_from([None, (1, 1), (1, -1), (-1, 1), (-1, -1)]),
+)
+def test_ground_set_equals_brute_force_oracle(vals, clamp):
+    params = TileParams(j=vals[:4], j_a1=vals[4], j_a2=vals[5], c_cnst=vals[6])
+    candidates = [
+        c for c in all_tile_configs() if clamp is None or c.ancilla == clamp
+    ]
+    energies = [tile_energy(params, c) for c in candidates]
+    floor = min(energies)
+    oracle = {c for c, e in zip(candidates, energies) if e <= floor + DEGENERACY_TOL}
+    e_min, ground = ground_set(params, clamp_ancilla=clamp)
+    assert e_min == floor
+    assert ground == oracle
