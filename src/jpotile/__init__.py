@@ -78,13 +78,13 @@ from .spins import (
     ENUMERATION_LIMIT,
     IsingProblem,
     QuboProblem,
+    code_labels,
     enumerate_ground_states,
     ising_energy,
     load_ising_problem,
     parity,
     qubo_energy,
     qubo_to_ising,
-    spin_label,
 )
 from .tile import (
     ParityCheck,
@@ -95,7 +95,6 @@ from .tile import (
     penalty_negative_in_ground,
     tile_energies,
     tile_energy,
-    tile_energy_effective,
     uniform_tile_params,
 )
 

@@ -33,7 +33,7 @@ from .errors import (
     InsufficientDataError,
     IntegrationBlowupError,
 )
-from .spins import indices_to_spins
+from .spins import code_labels, indices_to_spins
 from .tile import TileConfig, TileParams
 
 DEFAULT_BETA = 0.2       # gradient coupling strength
@@ -41,6 +41,7 @@ DEFAULT_ETA = 0.05       # per-step noise std is eta * sqrt(dt)
 INIT_AMPLITUDE_STD = 0.02
 N_OSC = 7                # four logical, two ancilla, one reference
 MAX_STEPS = 10**7        # longest accepted schedule, in Euler steps
+MAX_TRIALS = 10**7       # largest accepted ensemble
 NOISE_BLOCK = 256        # noise steps drawn per generator call
 
 
@@ -369,20 +370,21 @@ def run_trials(
         raise ValueError("chunk_size must be >= 1")
     schedule = schedule or AnnealSchedule()
     params = effective_tile_couplings(program)
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    codes = []
+    # spawn continues the child counter, so spawning per chunk gives the
+    # streams one spawn(trials) would, in memory bounded by the chunk
+    root = np.random.SeedSequence(seed)
+    bins = np.zeros(1 << n_bits, dtype=np.int64)
     for start in range(0, trials, chunk_size):
-        rngs = [np.random.default_rng(ss) for ss in streams[start : start + chunk_size]]
+        streams = root.spawn(min(chunk_size, trials - start))
+        rngs = [np.random.default_rng(ss) for ss in streams]
         finals, _ = _integrate_batch(params, schedule, eta, beta, rngs)
-        codes.append(_readout_codes(finals, schedule, canonical))
-    settled = np.concatenate(codes)
-    settled = settled[settled >= 0]
-    bins = np.bincount(settled >> (6 - n_bits), minlength=1 << n_bits)
-    labels = np.flatnonzero(bins).tolist()
+        codes = _readout_codes(finals, schedule, canonical)
+        bins += np.bincount(codes[codes >= 0] >> (6 - n_bits), minlength=bins.size)
+    seen = np.flatnonzero(bins)
     return StateHistogram(
-        counts={format(c, f"0{n_bits}b"): int(bins[c]) for c in labels},
+        counts=dict(zip(code_labels(seen, n_bits), bins[seen].tolist())),
         trials=trials,
-        unsettled=trials - settled.size,
+        unsettled=trials - int(bins.sum()),
         seed=seed,
         n_bits=n_bits,
     )

@@ -11,6 +11,7 @@ relative --out paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .anneal import (
     CouplingProgram,
     DEFAULT_BETA,
     DEFAULT_ETA,
+    MAX_TRIALS,
     StateHistogram,
     run_trials,
     wall_clock_seconds,
@@ -50,7 +52,7 @@ from .quantum import (
     logical_distribution,
     sweep_distribution,
 )
-from .spins import JsonObject, all_configs, load_ising_problem
+from .spins import JsonObject, all_configs, code_labels, load_ising_problem
 from .tile import TileParams, ground_set, tile_energies
 
 EXIT_OK = 0
@@ -81,6 +83,11 @@ def _round_prob(p: float) -> float:
 def _log(args, message: str) -> None:
     if not getattr(args, "quiet", False):
         print(message, file=sys.stderr)
+
+
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be >= 1 and at most {MAX_TRIALS}, got {trials}")
 
 
 def _resolve_seed(args) -> int:
@@ -168,7 +175,7 @@ def emit_histogram(
     """
     labels = sorted(hist.counts)
     if dense:
-        labels = [format(i, f"0{hist.n_bits}b") for i in range(2**hist.n_bits)]
+        labels = code_labels(range(2**hist.n_bits), hist.n_bits)
     counts = [hist.counts.get(label, 0) for label in labels]
     probabilities = [_round_prob(count / hist.trials) for count in counts]
     columns = {"state": labels, "count": counts, "probability": probabilities}
@@ -179,10 +186,11 @@ def emit_distribution(
     dist: StateDistribution, fmt: str, dense: bool, command: str, resolved: dict
 ) -> str:
     """Render a probability distribution over the 16 logical states."""
-    kept = [i for i in range(16) if dense or dist.probabilities[i] > SUPPORT_TOL]
+    p = dist.probabilities
+    kept = np.arange(16) if dense else np.flatnonzero(p > SUPPORT_TOL)
     columns = {
-        "state": [dist.label(i) for i in kept],
-        "probability": [_round_prob(float(dist.probabilities[i])) for i in kept],
+        "state": code_labels(kept, 4),
+        "probability": [_round_prob(v) for v in p[kept].tolist()],
     }
     return _emit(command, resolved, columns, fmt)
 
@@ -355,9 +363,8 @@ def _cmd_tile_enumerate(args) -> int:
 
 def _cmd_tile_quantum(args) -> int:
     loaded = _load_quantum_params(args.params)
+    _check_trials(args.trials)
     seed = _resolve_seed(args)
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     noise = NoiseSpec(
         thermal_coefficient=loaded["thermal_coefficient"],
         distribution=loaded["distribution"],
@@ -398,17 +405,8 @@ def _cmd_circuit_sweep(args) -> int:
     )
     clipped = [p.i_dc for p in points if p.clipped]
     resolved = {
-        "squid": {
-            "l1": config["squid"].l1,
-            "l2": config["squid"].l2,
-            "i_c1": config["squid"].i_c1,
-            "i_c2": config["squid"].i_c2,
-        },
-        "resonator": {
-            "omega_r": config["resonator"].omega_r,
-            "l_r": config["resonator"].l_r,
-            "c_s": config["resonator"].c_s,
-        },
+        "squid": dataclasses.asdict(config["squid"]),
+        "resonator": dataclasses.asdict(config["resonator"]),
         "current_to_flux": config["current_to_flux"],
         "i_start": float(config["sweep_i"][0]),
         "i_stop": float(config["sweep_i"][-1]),
@@ -444,10 +442,7 @@ def _cmd_circuit_iv(args) -> int:
         dt_eff=config["dt_eff"],
     )
     resolved = {
-        "junction": {
-            "i_c": config["junction"].i_c,
-            "r_shunt": config["junction"].r_shunt,
-        },
+        "junction": dataclasses.asdict(config["junction"]),
         "temperature": args.temp,
         "dt_eff": config["dt_eff"],
         "i_start": float(i[0]),
@@ -463,8 +458,7 @@ def _cmd_circuit_iv(args) -> int:
 
 def _cmd_anneal(args) -> int:
     loaded = _load_program(args.program)
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
+    _check_trials(args.trials)
     seed = _resolve_seed(args)
     hist = run_trials(
         loaded["program"],
@@ -483,12 +477,7 @@ def _cmd_anneal(args) -> int:
         "j_max": program.j_max,
         "j_max_ancilla": program.ancilla_scale,
         "c_cnst": program.c_cnst,
-        "schedule": {
-            "duration": schedule.duration,
-            "dt": schedule.dt,
-            "p_start": schedule.p_start,
-            "p_end": schedule.p_end,
-        },
+        "schedule": dataclasses.asdict(schedule),
         "eta": loaded["eta"],
         "beta": loaded["beta"],
         "trials": args.trials,

@@ -143,7 +143,8 @@ def map_couplings(problem: IsingProblem) -> np.ndarray:
             "nonzero local fields cannot be carried by the pair mapping; "
             "set h = 0"
         )
-    return -problem.j[np.triu_indices(problem.n, 1)]
+    # + 0.0 turns the -0.0 of a negated zero coupling into 0.0
+    return -problem.j[np.triu_indices(problem.n, 1)] + 0.0
 
 
 def encode(layout: LhzLayout, logical: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -233,7 +234,9 @@ def penalty_too_weak(j_fields: np.ndarray | Sequence[float], c_penalty: float) -
 
 
 def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dict:
-    """JSON-ready description: rows, tile membership, and the k <-> (i, j) table."""
+    """JSON-ready description: rows, the k <-> (i, j) table, and "tiles", the
+    (T, 4) rows of physical indices (north, east, south, west), with None in
+    each fixed slot."""
     doc = {
         "n_logical": layout.n_logical,
         "k_physical": layout.k_physical,
@@ -241,13 +244,7 @@ def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dic
         "row_members": [list(r) for r in row_members(layout)],
         "fixed_row": layout.fixed_row,
         "pairs": list(map(list, layout.pairs)),
-        "tiles": [
-            {"north": north, "east": east, "south": south, "west": west, "fixed": fixed}
-            for (north, east, south, west), fixed in zip(
-                _members(layout, layout.tiles),
-                (layout.tiles == layout.k_physical).tolist(),
-            )
-        ],
+        "tiles": _members(layout, layout.tiles),
     }
     if j_fields is not None:
         doc["j_fields"] = np.asarray(j_fields, dtype=float).tolist()

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EigensolverError
-from .spins import all_configs, indices_to_spins
+from .spins import all_configs, code_labels
 
 N_SPINS = 6
 DIM = 64
@@ -58,17 +58,6 @@ def build_hamiltonian(
     h -= float(j_a) * _site_term({**z_logical, 5: _X})
     h -= float(j_c) * _site_term(z_logical)
     return h
-
-
-def basis_spins(index: int) -> tuple[int, ...]:
-    """Spin values of one basis state, spin 1 first."""
-    if not (0 <= index < DIM):
-        raise ValueError(f"basis index must be in [0, {DIM}), got {index}")
-    return tuple(indices_to_spins([index], N_SPINS)[0].tolist())
-
-
-def basis_label(index: int) -> str:
-    return format(index, f"0{N_SPINS}b")
 
 
 def ground_states(
@@ -163,7 +152,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """Probabilities over the 16 logical states, labels '0000'..'1111'."""
+    """Probabilities over the 16 logical states, indexed by state code;
+    support and as_dict name them by label, '0000'..'1111'."""
 
     probabilities: np.ndarray
 
@@ -176,17 +166,11 @@ class StateDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
-    @staticmethod
-    def label(index: int) -> str:
-        return format(index, "04b")
-
     def support(self, tol: float = SUPPORT_TOL) -> set[str]:
-        return {
-            self.label(i) for i in range(16) if self.probabilities[i] > tol
-        }
+        return set(code_labels(np.flatnonzero(self.probabilities > tol), 4))
 
     def as_dict(self) -> dict[str, float]:
-        return {self.label(i): float(self.probabilities[i]) for i in range(16)}
+        return dict(zip(code_labels(range(16), 4), self.probabilities.tolist()))
 
 
 def _logical_marginal(weights: np.ndarray) -> np.ndarray:
@@ -215,10 +199,12 @@ def logical_distribution(
     if noise.thermal_coefficient == 0.0:
         _, weights = ground_states(h)
         return StateDistribution(_logical_marginal(weights))
-    streams = noise.seed_sequence().spawn(trials)
+    # one child per trial as it runs: spawn continues the child counter, so
+    # these are the streams spawn(trials) would give, without holding them all
+    root = noise.seed_sequence()
     acc = np.zeros(16)
-    for ss in streams:
-        rng = np.random.default_rng(ss)
+    for _ in range(trials):
+        rng = np.random.default_rng(root.spawn(1)[0])
         perturbed = h + np.diag(noise.draw(rng))
         _, weights = ground_states(perturbed)
         acc += _logical_marginal(weights)

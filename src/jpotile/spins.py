@@ -4,8 +4,9 @@ ground-state search, and the validating reader behind every input file.
 Conventions used everywhere in the package:
 
 * a bit b in {0, 1} maps to a spin sigma = 2*b - 1, so bit 1 is spin +1;
-* state labels are bit strings with the first spin leftmost (most
-  significant);
+* a state is an integer code whose bits are the spins, the first spin
+  most significant (indices_to_spins); its label is that code in binary
+  (code_labels), made only where a state is printed or keyed by name;
 * Ising energy is E = -sum_i h_i sigma_i - sum_{i<j} J_ij sigma_i sigma_j,
   each unordered pair counted once.
 """
@@ -36,28 +37,6 @@ def as_spins(config: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr.astype(np.int8)
 
 
-def bits_to_spins(bits: Sequence[int] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(bits)
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bit values must be 0 or 1")
-    return (2 * arr - 1).astype(np.int8)
-
-
-def spins_to_bits(spins: Sequence[int] | np.ndarray) -> np.ndarray:
-    return ((as_spins(spins) + 1) // 2).astype(np.int8)
-
-
-def spin_label(config: Sequence[int] | np.ndarray) -> str:
-    """Bit-string label of a configuration, first spin leftmost."""
-    return "".join(str(b) for b in spins_to_bits(config))
-
-
-def label_to_spins(label: str) -> np.ndarray:
-    if not label or any(ch not in "01" for ch in label):
-        raise ValueError(f"state label must be a non-empty 0/1 string, got {label!r}")
-    return bits_to_spins([int(ch) for ch in label])
-
-
 def indices_to_spins(indices: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     """Spin rows of integer configuration indices over n spins: row r is
     labelled by the binary digits of indices[r], first spin = most
@@ -65,6 +44,15 @@ def indices_to_spins(indices: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     bits = (np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1
     return (2 * bits - 1).astype(np.int8)
+
+
+def code_labels(codes: Sequence[int] | np.ndarray, n: int) -> list[str]:
+    """Bit-string labels of integer state codes over n spins, first spin
+    leftmost (most significant bit)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size and not (0 <= codes.min() and codes.max() < 1 << n):
+        raise ValueError(f"state codes must lie in [0, {1 << n}) for n={n}")
+    return [format(c, f"0{n}b") for c in codes.tolist()]
 
 
 def _check_enumerable(n: int) -> None:

@@ -86,24 +86,6 @@ def tile_energy(params: TileParams, config: TileConfig) -> float:
     return float(field - (params.j_a1 * a1 + params.j_a2 * a2 + params.c_cnst) * pi)
 
 
-def tile_energy_effective(params: TileParams, config: TileConfig) -> float:
-    """Energy in grouped form, the ancilla terms folded into one bracket.
-
-    Requires equal ancilla couplings; agrees with tile_energy bit for bit
-    because the grouping is a re-association of the same products.
-    """
-    if params.j_a1 != params.j_a2:
-        raise ValueError(
-            "grouped form needs j_a1 == j_a2; use tile_energy for distinct "
-            "ancilla couplings"
-        )
-    j_a = params.j_a1
-    pi = config.logical_parity
-    a1, a2 = config.ancilla
-    field = sum(jv * sv for jv, sv in zip(params.j, config.logical))
-    return float(field - (a2 * j_a + a1 * j_a + params.c_cnst) * pi)
-
-
 def tile_energies(params: TileParams, spins: np.ndarray) -> np.ndarray:
     """Energies of an (m, 6) array of assignments, logical spins first, each
     summed in tile_energy's order so its bits equal tile_energy's on that row."""

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from jpotile import __version__
+from jpotile.anneal import MAX_TRIALS
 from jpotile.cli import main
 
 PI = math.pi
@@ -512,6 +513,20 @@ def test_anneal_step_count_overflow_exits_two(tmp_path, capsys, duration):
     assert code == 2
     assert out == ""
     assert "duration" in err
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12], ids=["max+1", "1e12"])
+@pytest.mark.parametrize("command", ["anneal", "tile quantum"])
+def test_trials_above_the_bound_exit_two(tmp_path, capsys, command, trials):
+    if command == "anneal":
+        argv = ["anneal", "--program", program_file(tmp_path)]
+    else:
+        noisy = quantum_file(tmp_path, noise={"thermal_coefficient": 0.1})
+        argv = ["tile", "quantum", "--params", noisy]
+    code, out, err = run_cli(capsys, argv + ["--trials", str(trials), "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert f"--trials must be >= 1 and at most {MAX_TRIALS}" in err
 
 
 def test_out_file_and_env_redirect(tmp_path, capsys, monkeypatch):

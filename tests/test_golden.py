@@ -108,17 +108,17 @@ COMMANDS = {
 
 DIGESTS = {
     "lhz-map/csv":
-        "a3a80215250230154bbc6cfed9b63a039cfdc3c9596fb9dfe7403e01ee94b798",
+        "56d04711d2af184a0dce7d2e572b477c46cf3cd31f9e53fbc60c43bae42082ed",
     "lhz-map/json":
-        "c97765b39243f1bb8bf7d8dea0cb2d87d92b9ff3277182ed9637a5ed3c6ba98b",
+        "fcaa0792b775c9248d5b377e63930626a33fe3c5de1b813ad04baebeb2df6047",
     "lhz-map-40/csv":
-        "34c481c6c7ad6067396c491561478f53a1fd2ba089603f1a4c2aec487e0e68d7",
+        "53fef491a38c73e5edff10e87fa42fbde026ae447776f771da190f0dc124b5ff",
     "lhz-map-40/json":
-        "c4201398f6157cac31a57321d5a6effc3132057ad0ebb94c71395c1b7dfa5bda",
+        "aea8f80752c1c40f8a2f3b732652ab5ea4e1afd8b7c97b8c600ef42beea00bb9",
     "lhz-map-flat/csv":
-        "59340bed6d19a6693b9fffb84f3e24b6a03b5bad2467a93ac5552c7b7943d645",
+        "7a60700790fb653d0407ba98e19ec1c6c54f3f323ef7542b92670b5a30168d8e",
     "lhz-map-flat/json":
-        "53db5b892a726fd8424a332e596ccf9f6cdf3241c45ffd50c5f14f2333b5e212",
+        "52ca8cb52c14a8ee1ead6b2916ea7e7337f7f16dd26ad95acee266e35a163d68",
     "tile-enumerate/csv":
         "cdf33f973e0f427d8e1ef7a7776030034e0756069fcef6358c4fca88ad131871",
     "tile-enumerate/json":

@@ -138,6 +138,15 @@ def test_map_couplings_order_and_errors():
         map_couplings(IsingProblem(h=np.zeros(2), j=np.zeros((2, 2))))
 
 
+def test_map_couplings_zero_fields_are_positive_zero():
+    # a negated zero coupling would print as "-0" in lhz map output
+    j = np.triu(np.random.default_rng(5).integers(-2, 3, (8, 8)), 1).astype(float)
+    fields = map_couplings(IsingProblem(h=np.zeros(8), j=j + j.T))
+    zeros = fields[fields == 0.0]
+    assert zeros.size > 0
+    assert not np.signbit(zeros).any()
+
+
 def test_lhz_energy_all_up_and_single_flip():
     layout = build_layout(5)
     c = 2.5
@@ -255,5 +264,5 @@ def test_layout_export_is_complete():
     assert len(doc["pairs"]) == 6
     assert len(doc["tiles"]) == 3
     assert doc["j_fields"] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    for tile in doc["tiles"]:
-        assert set(tile) == {"north", "east", "south", "west", "fixed"}
+    # (north, east, south, west) rows of the (T, 4) array, None where fixed
+    assert doc["tiles"] == [[1, 3, None, 0], [2, 4, 3, 1], [4, 5, None, 3]]

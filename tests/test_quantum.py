@@ -9,8 +9,6 @@ from jpotile.quantum import (
     DIM,
     NoiseSpec,
     StateDistribution,
-    basis_label,
-    basis_spins,
     build_hamiltonian,
     closed_form_ground_energy,
     default_field_sweep,
@@ -19,6 +17,7 @@ from jpotile.quantum import (
     spectral_gap,
     sweep_distribution,
 )
+from jpotile.spins import code_labels, indices_to_spins
 
 EVEN_LABELS = {"0000", "0011", "0101", "0110", "1001", "1010", "1100", "1111"}
 
@@ -33,18 +32,17 @@ def test_hamiltonian_shape_and_symmetry():
 
 
 def test_basis_ordering_first_spin_most_significant():
-    assert basis_spins(0) == (-1,) * 6
-    assert basis_spins(63) == (1,) * 6
-    assert basis_spins(32) == (1, -1, -1, -1, -1, -1)
+    spins = indices_to_spins(np.arange(DIM), 6).tolist()
+    assert spins[0] == [-1] * 6
+    assert spins[63] == [1] * 6
+    assert spins[32] == [1, -1, -1, -1, -1, -1]
     # ancillas sit in the least significant bits
-    assert basis_spins(1) == (-1, -1, -1, -1, -1, 1)
-    assert basis_label(5) == "000101"
-    for i in range(DIM):
-        assert basis_label(i) == "".join(
-            "1" if s == 1 else "0" for s in basis_spins(i)
-        )
+    assert spins[1] == [-1, -1, -1, -1, -1, 1]
+    assert code_labels([5], 6) == ["000101"]
+    labels = code_labels(range(DIM), 6)
+    assert labels == ["".join("1" if s == 1 else "0" for s in row) for row in spins]
     with pytest.raises(ValueError):
-        basis_spins(64)
+        code_labels([DIM], 6)
 
 
 def test_no_ancilla_coupling_gives_diagonal_matrix():
@@ -52,8 +50,7 @@ def test_no_ancilla_coupling_gives_diagonal_matrix():
     j_c = 0.8
     h = build_hamiltonian(j, 0.0, j_c)
     assert np.array_equal(h, np.diag(np.diag(h)))
-    for idx in range(DIM):
-        spins = basis_spins(idx)
+    for idx, spins in enumerate(indices_to_spins(np.arange(DIM), 6).tolist()):
         pi = spins[0] * spins[1] * spins[2] * spins[3]
         classical = sum(jv * sv for jv, sv in zip(j, spins[:4])) - j_c * pi
         assert h[idx, idx] == pytest.approx(classical, rel=0, abs=1e-12)
@@ -95,8 +92,7 @@ def test_reference_case_ground_weights():
     h = build_hamiltonian((0.0,) * 4, 1.0, 1.0)
     e_min, weights = ground_states(h)
     assert e_min == pytest.approx(-3.0, rel=0, abs=1e-12)
-    for idx in range(DIM):
-        spins = basis_spins(idx)
+    for idx, spins in enumerate(indices_to_spins(np.arange(DIM), 6).tolist()):
         pi = spins[0] * spins[1] * spins[2] * spins[3]
         target = 1 / 32 if pi == 1 else 0.0
         assert weights[idx] == pytest.approx(target, rel=0, abs=1e-12)
@@ -156,7 +152,8 @@ def test_state_distribution_validation_and_views():
     dist = StateDistribution(p)
     assert dist.support() == {"0011", "1100"}
     assert dist.as_dict()["0011"] == 0.5
-    assert StateDistribution.label(10) == "1010"
+    assert list(dist.as_dict()) == code_labels(range(16), 4)
+    assert dist.as_dict()["1010"] == 0.0
     with pytest.raises(ValueError):
         StateDistribution(np.zeros(8))
     with pytest.raises(ValueError):

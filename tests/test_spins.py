@@ -13,16 +13,14 @@ from jpotile.spins import (
     QuboProblem,
     all_configs,
     as_spins,
-    bits_to_spins,
+    code_labels,
     enumerate_ground_states,
+    indices_to_spins,
     ising_energy,
-    label_to_spins,
     load_ising_problem,
     parity,
     qubo_energy,
     qubo_to_ising,
-    spin_label,
-    spins_to_bits,
 )
 
 
@@ -32,11 +30,14 @@ def two_spin_problem(j12):
 
 
 def test_spin_bit_conversions_round_trip():
-    spins = np.array([1, -1, -1, 1])
-    assert np.array_equal(bits_to_spins([1, 0, 0, 1]), spins)
-    assert np.array_equal(spins_to_bits(spins), [1, 0, 0, 1])
-    assert spin_label(spins) == "1001"
-    assert np.array_equal(label_to_spins("1001"), spins)
+    assert np.array_equal(indices_to_spins([0b1001], 4), [[1, -1, -1, 1]])
+    assert code_labels([0b1001, 0, 15], 4) == ["1001", "0000", "1111"]
+    codes = np.arange(64)
+    labels = code_labels(codes, 6)
+    assert [int(label, 2) for label in labels] == codes.tolist()
+    spins = indices_to_spins(codes, 6)
+    assert ["".join("1" if v == 1 else "0" for v in row) for row in spins] == labels
+    assert code_labels([], 3) == []
 
 
 def test_as_spins_rejects_bad_values():
@@ -45,7 +46,9 @@ def test_as_spins_rejects_bad_values():
     with pytest.raises(ValueError):
         as_spins([])
     with pytest.raises(ValueError):
-        label_to_spins("10a1")
+        code_labels([16], 4)
+    with pytest.raises(ValueError):
+        code_labels([-1], 4)
 
 
 def test_ising_energy_hand_values():

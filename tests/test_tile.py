@@ -16,7 +16,6 @@ from jpotile.tile import (
     penalty_negative_in_ground,
     tile_energies,
     tile_energy,
-    tile_energy_effective,
     uniform_tile_params,
 )
 
@@ -78,29 +77,11 @@ def test_zero_params_zero_energy_everywhere():
         assert tile_energy(params, config) == 0.0
 
 
-def test_effective_form_matches_bit_for_bit():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        vals = rng.normal(size=6)
-        params = TileParams(
-            j=tuple(vals[:4]), j_a1=vals[4], j_a2=vals[4], c_cnst=vals[5]
-        )
-        for config in all_tile_configs():
-            assert tile_energy_effective(params, config) == tile_energy(
-                params, config
-            )
-
-    uneven = TileParams(j=(0.0,) * 4, j_a1=1.0, j_a2=2.0, c_cnst=0.0)
-    with pytest.raises(ValueError):
-        tile_energy_effective(uneven, TileConfig((1, 1, 1, 1), (1, 1)))
-
-
-def test_effective_form_zero_field_values():
+def test_tile_energies_zero_field_hand_values():
     params = TileParams(j=(0.0,) * 4, j_a1=1.25, j_a2=1.25, c_cnst=0.5)
-    even = TileConfig(logical=(1, 1, -1, -1), ancilla=(1, 1))
-    odd = TileConfig(logical=(1, 1, 1, -1), ancilla=(-1, -1))
-    assert tile_energy_effective(params, even) == -3.0
-    assert tile_energy_effective(params, odd) == -2.0
+    even = (1, 1, -1, -1, 1, 1)
+    odd = (1, 1, 1, -1, -1, -1)
+    assert tile_energies(params, np.array([even, odd])).tolist() == [-3.0, -2.0]
 
 
 def test_ground_set_even_parity_oracle():
@@ -225,6 +206,8 @@ def test_tile_energies_match_tile_energy_bit_for_bit():
             vals = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], size=7)
         else:
             vals = rng.normal(size=7)
+        if k % 4 == 2:
+            vals[5] = vals[4]  # equal ancilla couplings
         params = TileParams(j=vals[:4], j_a1=vals[4], j_a2=vals[5], c_cnst=vals[6])
         expected = np.array([tile_energy(params, c) for c in configs])
         assert tile_energies(params, rows).tobytes() == expected.tobytes()
