@@ -7,57 +7,81 @@ in the computational z basis, spin 1 most significant, ancillas last:
 
 Basis index bits follow the package convention bit 1 <-> spin +1, so the
 single-site z operator is diag(-1, +1). Thermal disorder enters as a
-random diagonal operator added to H before diagonalization.
+random diagonal operator added to H before diagonalization. H, disorder
+included, commutes with Z_1..Z_4, so it is solved as 16 blocks of 4 x 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import EigensolverError
-from .spins import all_configs, code_labels
+from .spins import all_configs, code_labels, indices_to_spins
 
-N_SPINS = 6
 DIM = 64
 RELATIVE_DEGENERACY_TOL = 1e-9
 SUPPORT_TOL = 1e-12
+_TRIAL_CHUNK = 512  # disorder trials per batched eigensolve
 
-# site basis: index bit 0 -> spin -1, bit 1 -> spin +1
-_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_I = np.eye(2)
-
-
-def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+# H commutes with Z_1..Z_4, so it splits into 16 blocks of 4 x 4, one per
+# logical state L, over the ancilla pair: basis index = 4 * L + ancilla.
+_LOGICAL = indices_to_spins(np.arange(16), 4).astype(float)
+_PARITY = _LOGICAL.prod(axis=1)
+# X_5 and X_6 flip the ancilla bits of value 2 and 1
+_ANCILLA_FLIPS = np.isin(np.arange(4)[:, None] ^ np.arange(4), (1, 2)).astype(float)
+_BLOCK = np.arange(16)
+_OFF_BLOCK = ~np.kron(np.eye(16, dtype=bool), np.ones((4, 4), dtype=bool))
 
 
-def _site_term(ops: dict[int, np.ndarray]) -> np.ndarray:
-    return _kron_chain([ops.get(site, _I) for site in range(N_SPINS)])
-
-
-def build_hamiltonian(
-    j: Sequence[float], j_a: float, j_c: float
-) -> np.ndarray:
-    """Assemble the 64 x 64 tile Hamiltonian by Kronecker products."""
+def _tile_blocks(j: Sequence[float], j_a: float, j_c: float) -> np.ndarray:
+    """The 16 diagonal 4 x 4 blocks of H, indexed by logical state code."""
     j = tuple(float(v) for v in j)
     if len(j) != 4:
         raise ValueError("j must hold exactly 4 field values")
+    diag = (_LOGICAL * j).sum(axis=1) - float(j_c) * _PARITY
+    flips = float(j_a) * _PARITY[:, None, None] * _ANCILLA_FLIPS
+    return diag[:, None, None] * np.eye(4) - flips
+
+
+def build_hamiltonian(j: Sequence[float], j_a: float, j_c: float) -> np.ndarray:
+    """The dense 64 x 64 tile Hamiltonian, its blocks placed on the diagonal."""
     h = np.zeros((DIM, DIM))
-    for i, ji in enumerate(j):
-        if ji != 0.0:
-            h += ji * _site_term({i: _Z})
-    z_logical = {i: _Z for i in range(4)}
-    h -= float(j_a) * _site_term({**z_logical, 4: _X})
-    h -= float(j_a) * _site_term({**z_logical, 5: _X})
-    h -= float(j_c) * _site_term(z_logical)
+    h.reshape(16, 4, 16, 4)[_BLOCK, :, _BLOCK, :] = _tile_blocks(j, j_a, j_c)
     return h
+
+
+def _blocks_of(h: np.ndarray) -> np.ndarray:
+    """Validate a dense tile Hamiltonian and return its (16, 4, 4) blocks."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (DIM, DIM):
+        raise ValueError(f"expected a {DIM} x {DIM} matrix, got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("Hamiltonian entries must be finite")
+    if not np.array_equal(h, h.T):
+        raise ValueError("Hamiltonian must be symmetric")
+    if np.any(h[_OFF_BLOCK]):
+        raise ValueError(
+            "Hamiltonian couples logical states; it must commute with Z_1..Z_4")
+    return h.reshape(16, 4, 16, 4)[_BLOCK, :, _BLOCK, :]
+
+
+def _solve(blocks: np.ndarray, vectors: bool = False):
+    try:
+        return np.linalg.eigh(blocks) if vectors else np.linalg.eigvalsh(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"symmetric block eigensolver failed: {exc}") from exc
+
+
+def _ground_mask(evals: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+    """Which of the (..., 16, 4) block eigenvalues lie within tol of their
+    stack's minimum; tol defaults to 1e-9 of the full 64-level range."""
+    lo = evals.min(axis=(-2, -1), keepdims=True)
+    if tol is None:
+        tol = RELATIVE_DEGENERACY_TOL * (evals.max(axis=(-2, -1), keepdims=True) - lo)
+    return evals <= lo + tol
 
 
 def ground_states(
@@ -68,39 +92,21 @@ def ground_states(
     Weights come from an orthonormal basis of the degenerate subspace
     (eigenvalues within tol of the minimum, default 1e-9 of the spectral
     range) and are invariant under rotations inside it. They sum to 1.
+    h must not couple logical states (ValueError otherwise).
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (DIM, DIM):
-        raise ValueError(f"expected a {DIM} x {DIM} matrix, got {h.shape}")
-    if not np.allclose(h, h.T, atol=0.0, rtol=0.0):
-        raise ValueError("Hamiltonian must be symmetric")
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense symmetric eigensolver failed: {exc}") from exc
-    e_min = float(evals[0])
-    if tol is None:
-        tol = RELATIVE_DEGENERACY_TOL * float(evals[-1] - evals[0])
-    members = np.nonzero(evals <= e_min + tol)[0]
-    sub = evecs[:, members]
-    weights = (sub**2).sum(axis=1) / members.size
-    return e_min, weights
+    evals, evecs = _solve(_blocks_of(h), vectors=True)
+    ground = _ground_mask(evals, tol)
+    weights = (evecs**2 * ground[:, None, :]).sum(axis=2).ravel() / ground.sum()
+    return float(evals.min()), weights
 
 
 def spectral_gap(h: np.ndarray, tol: Optional[float] = None) -> float:
     """Distance from the ground level to the next distinct eigenvalue."""
-    h = np.asarray(h, dtype=float)
-    try:
-        evals = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense symmetric eigensolver failed: {exc}") from exc
-    e_min = float(evals[0])
+    evals = np.sort(_solve(_blocks_of(h)), axis=None)
     if tol is None:
         tol = RELATIVE_DEGENERACY_TOL * float(evals[-1] - evals[0])
-    above = evals[evals > e_min + tol]
-    if above.size == 0:
-        return 0.0
-    return float(above[0] - e_min)
+    above = evals[evals > evals[0] + tol]
+    return float(above[0] - evals[0]) if above.size else 0.0
 
 
 def closed_form_ground_energy(j: Sequence[float], j_a: float, j_c: float) -> float:
@@ -113,11 +119,8 @@ def closed_form_ground_energy(j: Sequence[float], j_a: float, j_c: float) -> flo
     j = np.asarray(tuple(float(v) for v in j))
     if j.size != 4:
         raise ValueError("j must hold exactly 4 field values")
-    best = np.inf
-    for s in all_configs(4).astype(float):
-        pi = float(np.prod(s))
-        best = min(best, float(j @ s - pi * float(j_c)))
-    return best - 2.0 * float(j_a)
+    s = all_configs(4).astype(float)
+    return float(np.min(s @ j - s.prod(axis=1) * float(j_c))) - 2.0 * float(j_a)
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,12 @@ class StateDistribution:
         return dict(zip(code_labels(range(16), 4), self.probabilities.tolist()))
 
 
-def _logical_marginal(weights: np.ndarray) -> np.ndarray:
-    # ancilla bits are least significant in the basis index
-    return weights.reshape(16, 4).sum(axis=1)
+def _logical_weights(blocks: np.ndarray) -> np.ndarray:
+    """Ground-subspace weight of each logical state, per stack of blocks:
+    eigenvectors stay inside their block and are normalised, so it is the
+    block's count of ground-level eigenvalues over the total count."""
+    counts = _ground_mask(_solve(blocks)).sum(axis=-1)
+    return counts / counts.sum(axis=-1, keepdims=True)
 
 
 def logical_distribution(
@@ -187,35 +193,35 @@ def logical_distribution(
 ) -> StateDistribution:
     """Trial-averaged ground-subspace distribution over the logical states.
 
-    Each trial adds one draw of the diagonal disorder, diagonalizes, and
-    accumulates the ground-subspace weight marginalized over the ancillas.
-    Per-trial RNG streams are split from the seed by index, so the result
-    does not depend on how trials are batched.
+    Each trial adds one draw of the diagonal disorder to the blocks of H and
+    takes the ground-subspace weight of each logical state. Per-trial RNG
+    streams are split from the seed by index and the weights are summed in
+    trial order, so the result does not depend on how trials are batched.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     noise = noise or NoiseSpec(0.0)
-    h = build_hamiltonian(j, j_a, j_c)
+    blocks = _tile_blocks(j, j_a, j_c)
     if noise.thermal_coefficient == 0.0:
-        _, weights = ground_states(h)
-        return StateDistribution(_logical_marginal(weights))
+        return StateDistribution(_logical_weights(blocks))
     # one child per trial as it runs: spawn continues the child counter, so
     # these are the streams spawn(trials) would give, without holding them all
     root = noise.seed_sequence()
-    acc = np.zeros(16)
-    for _ in range(trials):
-        rng = np.random.default_rng(root.spawn(1)[0])
-        perturbed = h + np.diag(noise.draw(rng))
-        _, weights = ground_states(perturbed)
-        acc += _logical_marginal(weights)
-    return StateDistribution(acc / trials)
+    draws = np.empty((min(trials, _TRIAL_CHUNK), DIM))
+    acc = np.zeros((1, 16))
+    for start in range(0, trials, _TRIAL_CHUNK):
+        m = min(_TRIAL_CHUNK, trials - start)
+        for row in draws[:m]:
+            row[:] = noise.draw(np.random.default_rng(root.spawn(1)[0]))
+        noisy = blocks + draws[:m].reshape(m, 16, 4, 1) * np.eye(4)
+        acc = np.concatenate((acc, _logical_weights(noisy))).cumsum(axis=0)[-1:]
+    return StateDistribution(acc[0] / trials)
 
 
 def default_field_sweep(j_c: float) -> list[np.ndarray]:
     """Field grid covering the degenerate point and all sign patterns of
     magnitude j_c / 4: one zero vector plus 16 signed vectors."""
-    signs = all_configs(4).astype(float)
-    return [np.zeros(4)] + list(signs * (float(j_c) / 4.0))
+    return [np.zeros(4)] + list(all_configs(4) * (float(j_c) / 4.0))
 
 
 def sweep_distribution(
@@ -230,20 +236,12 @@ def sweep_distribution(
     Each vector gets its own deterministic noise sub-stream, so the sweep
     result is reproducible and independent of iteration batching.
     """
-    if field_vectors is None:
-        field_vectors = default_field_sweep(j_c)
-    field_vectors = list(field_vectors)
-    if not field_vectors:
+    vectors = default_field_sweep(j_c) if field_vectors is None else list(field_vectors)
+    if not vectors:
         raise ValueError("field_vectors must not be empty")
     noise = noise or NoiseSpec(0.0)
-    sub_seeds = noise.seed_sequence().spawn(len(field_vectors))
     acc = np.zeros(16)
-    for vec, ss in zip(field_vectors, sub_seeds):
-        sub_noise = NoiseSpec(
-            thermal_coefficient=noise.thermal_coefficient,
-            distribution=noise.distribution,
-            seed=ss,
-        )
-        dist = logical_distribution(vec, j_a, j_c, noise=sub_noise, trials=trials)
+    for vec, ss in zip(vectors, noise.seed_sequence().spawn(len(vectors))):
+        dist = logical_distribution(vec, j_a, j_c, replace(noise, seed=ss), trials)
         acc += dist.probabilities
-    return StateDistribution(acc / len(field_vectors))
+    return StateDistribution(acc / len(vectors))

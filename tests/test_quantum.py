@@ -1,12 +1,18 @@
 """Spectral checks of the 64-dimensional tile Hamiltonian."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jpotile.quantum as quantum
 from jpotile.quantum import (
     DIM,
+    RELATIVE_DEGENERACY_TOL,
+    SUPPORT_TOL,
     NoiseSpec,
     StateDistribution,
     build_hamiltonian,
@@ -107,6 +113,110 @@ def test_ground_states_input_validation():
         ground_states(bad)
 
 
+def _invalid_hamiltonian(kind):
+    h = build_hamiltonian((0.3, -0.2, 0.1, 0.5), 0.7, 1.1)
+    if kind == "shape":
+        return np.zeros((16, 16))
+    if kind == "finite":
+        h[5, 5] = np.nan
+    elif kind == "symmetric":
+        h[0, 1] += 0.25  # inside a block, so only symmetry is broken
+    else:
+        # symmetric, but couples logical states 0000 and 0001 (X_4)
+        h[0, 4] = h[4, 0] = 0.5
+    return h
+
+
+@pytest.mark.parametrize("solver", [ground_states, spectral_gap])
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("shape", "expected a 64 x 64 matrix"),
+        ("finite", "must be finite"),
+        ("symmetric", "must be symmetric"),
+        ("couples", "couples logical states"),
+    ],
+)
+def test_solvers_reject_invalid_hamiltonians(solver, kind, message):
+    with pytest.raises(ValueError, match=message):
+        solver(_invalid_hamiltonian(kind))
+
+
+def _kron_hamiltonian(j, j_a, j_c):
+    """Test-only assembly of H from Kronecker products of site operators."""
+    z = np.diag([-1.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def term(ops):
+        out = np.eye(1)
+        for site in range(6):
+            out = np.kron(out, ops.get(site, np.eye(2)))
+        return out
+
+    logical = {site: z for site in range(4)}
+    h = sum(jk * term({k: z}) for k, jk in enumerate(j))
+    h = h - j_a * term({**logical, 4: x}) - j_a * term({**logical, 5: x})
+    return h - j_c * term(logical)
+
+
+def test_build_hamiltonian_matches_kronecker_assembly():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        j = tuple(rng.uniform(-2.0, 2.0, 4))
+        j_a, j_c = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        oracle = _kron_hamiltonian(j, j_a, j_c)
+        assert np.max(np.abs(build_hamiltonian(j, j_a, j_c) - oracle)) <= 1e-12
+
+
+def _dense_ground(h):
+    """Ground energy, basis weights, gap and the separation between the
+    ground level's members and the rest, from one dense 64 x 64 eigh."""
+    evals, evecs = np.linalg.eigh(h)
+    tol = RELATIVE_DEGENERACY_TOL * (evals[-1] - evals[0])
+    members = evals <= evals[0] + tol
+    weights = (evecs[:, members] ** 2).sum(axis=1) / members.sum()
+    above = evals[~members]
+    gap = above[0] - evals[0] if above.size else 0.0
+    separation = above[0] - evals[members][-1] if above.size else np.inf
+    return evals[0], weights, gap, separation
+
+
+PARAMETER = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(PARAMETER, min_size=6, max_size=6),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from(["uniform", "normal"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed):
+    j, j_a, j_c = params[:4], params[4], params[5]
+    noise = NoiseSpec(coefficient, distribution, seed=seed)
+    # the disorder logical_distribution adds in its first trial
+    draw = noise.draw(np.random.default_rng(noise.seed_sequence().spawn(1)[0]))
+    h = build_hamiltonian(j, j_a, j_c) + np.diag(draw)
+    e_dense, w_dense, gap_dense, separation = _dense_ground(h)
+
+    e_min, weights = ground_states(h)
+    assert abs(e_min - e_dense) <= 1e-12
+    # either solver's eigenvectors are only fixed to ~eps * |H| / separation
+    assert np.max(np.abs(weights - w_dense)) <= 1e-12 * max(1.0, 1.0 / separation)
+    assert set(np.flatnonzero(weights > SUPPORT_TOL)) == set(
+        np.flatnonzero(w_dense > SUPPORT_TOL)
+    )
+    assert abs(spectral_gap(h) - gap_dense) <= 1e-12
+
+    marginal = w_dense.reshape(16, 4).sum(axis=1)
+    dist = logical_distribution(j, j_a, j_c, noise=noise, trials=1)
+    assert np.max(np.abs(dist.probabilities - marginal)) <= 1e-12
+    assert dist.support() == set(code_labels(np.flatnonzero(marginal > SUPPORT_TOL), 4))
+
+
 def test_closed_form_matches_eigensolver():
     rng = np.random.default_rng(11)
     for _ in range(120):
@@ -183,6 +293,32 @@ def test_small_noise_keeps_even_support():
     dist = logical_distribution((0.0,) * 4, 1.0, 1.0, noise=noise, trials=40)
     assert dist.support() == EVEN_LABELS
     assert float(dist.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_logical_distribution_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    noise = NoiseSpec(0.4, "normal", seed=13)
+    args = ((0.2, -0.1, 0.0, 0.3), 0.9, 1.1)
+    default = logical_distribution(*args, noise=noise, trials=25)
+    monkeypatch.setattr(quantum, "_TRIAL_CHUNK", chunk)
+    batched = logical_distribution(*args, noise=noise, trials=25)
+    assert batched.probabilities.tobytes() == default.probabilities.tobytes()
+
+
+def test_logical_distribution_memory_does_not_grow_with_trials():
+    noise = NoiseSpec(0.1, "uniform", seed=4)
+    peaks = []
+    for trials in (600, 2_000, 20_000):  # the first run warms caches
+        tracemalloc.start()
+        try:
+            logical_distribution((0.0,) * 4, 1.0, 1.0, noise=noise, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one float64 held per trial would add 144 KB; the peaks differ only by
+    # the 0-3 KB of small-object residue that varies from run to run
+    assert peaks[2] <= peaks[1] + 16 * 1024
+    assert peaks[2] < 8 * 2**20
 
 
 def test_noise_runs_are_reproducible():

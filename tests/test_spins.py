@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpotile.errors import CapacityError, ParseError
 from jpotile.spins import (
@@ -133,6 +135,20 @@ def test_qubo_to_ising_exhaustive_equality():
             direct = qubo_energy(qubo, bits)
             mapped = ising_energy(ising, sigma) + offset
             assert direct == pytest.approx(mapped, rel=1e-12, abs=1e-12)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_qubo_to_ising_offset_is_exact_on_integer_q(n, data):
+    entries = st.integers(min_value=-50, max_value=50)
+    upper = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    q = np.triu(upper.reshape(n, n).astype(float))
+    q = q + np.triu(q, 1).T
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    qubo = QuboProblem(q=q)
+    ising, offset = qubo_to_ising(qubo)
+    # halves and quarters of small integers: every step is exact
+    assert qubo_energy(qubo, bits) == ising_energy(ising, 2 * bits - 1) + offset
 
 
 def test_qubo_rejects_asymmetric():
