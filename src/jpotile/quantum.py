@@ -102,11 +102,9 @@ def ground_states(
 
 def spectral_gap(h: np.ndarray, tol: Optional[float] = None) -> float:
     """Distance from the ground level to the next distinct eigenvalue."""
-    evals = np.sort(_solve(_blocks_of(h)), axis=None)
-    if tol is None:
-        tol = RELATIVE_DEGENERACY_TOL * float(evals[-1] - evals[0])
-    above = evals[evals > evals[0] + tol]
-    return float(above[0] - evals[0]) if above.size else 0.0
+    evals = _solve(_blocks_of(h))
+    above = evals[~_ground_mask(evals, tol)]
+    return float(above.min() - evals.min()) if above.size else 0.0
 
 
 def closed_form_ground_energy(j: Sequence[float], j_a: float, j_c: float) -> float:
@@ -120,7 +118,8 @@ def closed_form_ground_energy(j: Sequence[float], j_a: float, j_c: float) -> flo
     if j.size != 4:
         raise ValueError("j must hold exactly 4 field values")
     s = all_configs(4).astype(float)
-    return float(np.min(s @ j - s.prod(axis=1) * float(j_c))) - 2.0 * float(j_a)
+    classical = (s * j).sum(axis=1) - s.prod(axis=1) * float(j_c)
+    return float(classical.min()) - 2.0 * float(j_a)
 
 
 @dataclass(frozen=True)
