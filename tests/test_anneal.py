@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jpotile.anneal import (
+    DEFAULT_BETA,
+    DEFAULT_ETA,
+    NOISE_BLOCK,
     AnnealSchedule,
     CouplingProgram,
     OscillatorState,
@@ -26,6 +29,7 @@ from jpotile.anneal import (
     simulate_trial,
     wall_clock_seconds,
 )
+from jpotile.anneal import _integrate_batch
 from jpotile.errors import (
     AmbiguousPhaseError,
     InsufficientDataError,
@@ -172,6 +176,39 @@ def test_trajectory_digest_is_pinned():
     )
     assert result.config.label == "101011"
     assert result.canonical_config.label == "010111"
+
+
+def test_batch_digest_is_pinned():
+    # run_trials digests see only labels, which hide last-bit drift in the
+    # batched arithmetic (at m > 1 the reference row goes through BLAS
+    # gemv); this pins the raw states of a 37-trial batch
+    schedule = AnnealSchedule(duration=7.77)
+    assert schedule.n_steps % NOISE_BLOCK != 0
+    phases = tuple(np.random.default_rng(37).uniform(0.0, 2 * math.pi, 6))
+    programs = (
+        alternating_field_program(),
+        CouplingProgram(pump_phase=phases, j_max=2.0, c_cnst=2.0),
+    )
+    digest = hashlib.sha256()
+    for program in programs:
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(37).spawn(37)]
+        finals, trajectory = _integrate_batch(
+            effective_tile_couplings(program),
+            schedule,
+            DEFAULT_ETA,
+            DEFAULT_BETA,
+            rngs,
+            record=True,
+        )
+        assert finals.shape == (37, 7)
+        assert trajectory.shape == (schedule.n_steps + 1, 7)
+        # the fast ramp drives amplitudes into the clamp
+        assert np.any(np.abs(finals) == schedule.c_sat)
+        digest.update(finals.tobytes())
+        digest.update(trajectory.tobytes())
+    assert digest.hexdigest() == (
+        "d055de40a48bb9fbbeec4de2276ce37c5dc19e687a9e35732cecac07d1563169"
+    )
 
 
 def test_unsettled_trials_are_reported_not_classified():
@@ -327,8 +364,10 @@ def test_integration_blowup_is_reported():
     assert err.value.dt == 0.1
     assert err.value.t == pytest.approx(0.2, rel=1e-12)
     assert "non-finite" in str(err.value)
-    with pytest.raises(IntegrationBlowupError):
+    # a batch reports the same step as a single trial
+    with pytest.raises(IntegrationBlowupError) as err:
         run_trials(hot, trials=3, schedule=schedule, seed=0)
+    assert err.value.t == pytest.approx(0.2, rel=1e-12)
 
 
 def test_wall_clock_report():
