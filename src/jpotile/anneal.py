@@ -87,8 +87,8 @@ class AnnealSchedule:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
-    def pump(self, t: float) -> float:
-        frac = min(max(t / self.duration, 0.0), 1.0)
+    def pump(self, t: float | np.ndarray) -> float | np.ndarray:
+        frac = np.clip(np.divide(t, self.duration), 0.0, 1.0)
         return self.p_start + (self.p_end - self.p_start) * frac
 
     @property
@@ -236,39 +236,40 @@ class StateHistogram:
         return {label for label, count in self.counts.items() if count > 0}
 
 
-# overflow is reported through IntegrationBlowupError, not warnings
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # raised as IntegrationBlowupError
 def _integrate_batch(
     params: TileParams, schedule: AnnealSchedule, eta: float, beta: float,
     seeds: Sequence, record: bool = False,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Euler-Maruyama over one batch, one np.random.default_rng seed per
-    trial. Each trial draws 7 initial amplitudes, then its noise NOISE_BLOCK
-    steps at a time into one reused buffer, the numbers of one (n_steps, 7)
-    draw. The (7, m) state and scratch are bound once; a step is ~25 in-place
-    numpy calls in a fixed order. The dE/dc_ref row stays a BLAS gemv on a
-    C-ordered (m, 4) copy: OpenBLAS rounds it unlike J @ x[:4] or a sum for
-    m > 1, and the digests pin its bits. Returns the (m, 7) final states and,
-    if record, trial 0's (n_steps + 1, 7) trajectory."""
+    """Euler-Maruyama over one batch, one default_rng seed per trial. Each
+    trial draws 7 initial amplitudes, then its noise NOISE_BLOCK steps at a
+    time into one reused buffer: the numbers of one (n_steps, 7) draw. The
+    (7, m) state and scratch are bound once; a step is ~25 in-place numpy
+    calls in a fixed order. The dE/dc_ref row stays a BLAS gemv on an (m, 4)
+    C-ordered copy: for m > 1 J @ x[:4] or a sum rounds differently, and the
+    digests pin these bits. Returns the (m, 7) final states and, if record,
+    trial 0's (n_steps + 1, 7) trajectory."""
     rngs = [np.random.default_rng(s) for s in seeds]
     dt, n_steps, c_sat, m = schedule.dt, schedule.n_steps, schedule.c_sat, len(rngs)
     x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
-    noise = np.empty((m, min(NOISE_BLOCK, n_steps), N_OSC))
+    noise = np.empty((m, min(NOISE_BLOCK, n_steps), N_OSC)).transpose(1, 2, 0)
     trajectory = np.tile(x[:, 0], (n_steps + 1, 1)) if record else None
     j, j_anc = np.asarray(params.j), -np.array([[params.j_a1], [params.j_a2]])
     drift, grad = np.empty((2, N_OSC, m))
     g_logical, g_anc, g_ref = grad[:4].reshape(2, 2, m), grad[4:6], grad[6]
     c13, c24, c5, c6, c_ref, x_logical = x[0:4:2], x[1:4:2], *x[4:], x[:4].T
     pairs, (bracket, prod4) = np.empty((2, 2, m))
+    p12, p34 = pairs
     partners, other_pair = x[:4].reshape(2, 2, m)[:, ::-1], pairs[::-1, None]
     others, logical, j_pairs = np.empty((2, 2, m)), np.empty((m, 4)), j.reshape(2, 2, 1)
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
-        block = noise[:, : stop - start]
+        block = noise[: stop - start]  # step k as a (7, m) array
         for row, rng in enumerate(rngs):
-            rng.standard_normal(out=block[row])
+            rng.standard_normal(out=block[..., row])
         block *= eta * math.sqrt(dt)
-        for k in range(start, stop):
+        gains = schedule.pump(np.arange(start, stop) * dt) - 1.0
+        for k, gain in enumerate(gains.tolist(), start):
             # E = c_ref sum_i J_i c_i - (J_a1 c_5 + J_a2 c_6 + C) c_1 c_2 c_3 c_4
             np.multiply(c13, c24, out=pairs)  # c_1 c_2, c_3 c_4
             np.multiply(partners, other_pair, out=others)  # the other three c_k
@@ -278,19 +279,18 @@ def _integrate_batch(
             np.multiply(j_pairs, c_ref, out=g_logical)
             others *= bracket
             g_logical -= others
-            np.multiply(j_anc, np.multiply(pairs[0], pairs[1], out=prod4), out=g_anc)
+            np.multiply(j_anc, np.multiply(p12, p34, out=prod4), out=g_anc)
             np.copyto(logical, x_logical)
             np.matmul(logical, j, out=g_ref)
             np.multiply(x, x, out=drift)
-            np.subtract(schedule.pump(k * dt) - 1.0, drift, out=drift)
+            np.subtract(gain, drift, out=drift)
             drift *= x
             grad *= beta
             drift -= grad
             drift *= dt
-            drift += noise[:, k - start].T
+            drift += block[k - start]
             x += drift
-            # check before the clamp: clipping would mask an overflow
-            if not np.isfinite(x).all():
+            if not np.isfinite(x).all():  # before the clamp, which would mask it
                 raise IntegrationBlowupError(t=(k + 1) * dt, dt=dt)
             np.minimum(x, c_sat, out=x)
             np.maximum(x, -c_sat, out=x)
