@@ -53,7 +53,10 @@ class LhzLayout:
     """The triangular layout. ``tiles`` is a read-only (T, 4) int64 array of
     physical indices, columns (north, east, south, west); the value
     ``k_physical`` marks a slot carried by a fixed +1 spin of the boundary
-    row, so ``np.append(sigma, 1)[tiles]`` gathers every tile's spins."""
+    row, so ``np.append(sigma, 1)[tiles]`` gathers every tile's spins.
+    ``tiles`` is the transpose of a C-ordered (4, T) array, so each column
+    is contiguous. ``pair_ends`` is ``pairs`` as a read-only (2, K) int64
+    array: the logical ends i and j of every physical bit."""
 
     n_logical: int
     k_physical: int
@@ -61,6 +64,7 @@ class LhzLayout:
     fixed_row: int                 # count of fixed +1 boundary spins
     pairs: tuple[tuple[int, int], ...]  # physical k -> logical pair (i, j)
     tiles: np.ndarray
+    pair_ends: np.ndarray
 
 
 def build_layout(n: int) -> LhzLayout:
@@ -76,26 +80,27 @@ def build_layout(n: int) -> LhzLayout:
     if n < 3:
         raise ValueError("the triangular layout needs at least 3 logical spins")
     k = physical_count(n)
-    a, b = np.triu_indices(n, 1)
+    ends = np.stack(np.triu_indices(n, 1))
+    ends.setflags(write=False)
     i, j = np.triu_indices(n - 1, 1)
-    tiles = np.stack(
+    columns = np.stack(
         [
             _pair_index(n, i, j + 1),
             _pair_index(n, i + 1, j + 1),
             np.where(j == i + 1, k, _pair_index(n, i + 1, j)),
             _pair_index(n, i, j),
-        ],
-        axis=1,
+        ]
     )
-    tiles.setflags(write=False)
-    assert len(tiles) == constraint_count(n)
+    columns.setflags(write=False)
+    assert columns.shape[1] == constraint_count(n)
     return LhzLayout(
         n_logical=n,
         k_physical=k,
         rows=tuple(n - 1 - r for r in range(n - 1)),
         fixed_row=n - 2,
-        pairs=tuple(zip(a.tolist(), b.tolist())),
-        tiles=tiles,
+        pairs=tuple(zip(*ends.tolist())),
+        tiles=columns.T,
+        pair_ends=ends,
     )
 
 
@@ -147,6 +152,32 @@ def map_couplings(problem: IsingProblem) -> np.ndarray:
     return -problem.j[np.triu_indices(problem.n, 1)] + 0.0
 
 
+def _checked_word(
+    physical: Sequence[int] | np.ndarray, layout: LhzLayout
+) -> np.ndarray:
+    """A physical readout as an int8 +-1 word of the layout's size."""
+    sigma = as_spins(physical)
+    if sigma.size != layout.k_physical:
+        raise ValueError(
+            f"physical configuration has {sigma.size} bits, layout expects "
+            f"{layout.k_physical}"
+        )
+    return sigma
+
+
+def _tile_parity(layout: LhzLayout, sigma: np.ndarray) -> np.ndarray:
+    """Spin product of each tile of a checked word, int8. One gather per
+    tile column, multiplied in place: a product over the 4-wide axis would
+    run a reduction per tile."""
+    padded = np.append(sigma, np.int8(1))
+    north, east, south, west = layout.tiles.T
+    product = padded[north]
+    product *= padded[east]
+    product *= padded[south]
+    product *= padded[west]
+    return product
+
+
 def encode(layout: LhzLayout, logical: Sequence[int] | np.ndarray) -> np.ndarray:
     """Physical configuration carrying a logical one: bit (i,j) = sigma_i*sigma_j."""
     sigma = as_spins(logical)
@@ -155,38 +186,28 @@ def encode(layout: LhzLayout, logical: Sequence[int] | np.ndarray) -> np.ndarray
             f"logical configuration has {sigma.size} spins, layout expects "
             f"{layout.n_logical}"
         )
-    a, b = np.triu_indices(layout.n_logical, 1)
+    a, b = layout.pair_ends
     return sigma[a] * sigma[b]
 
 
 def tile_products(layout: LhzLayout, physical: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Spin product of each tile; fixed slots contribute +1."""
-    sigma = as_spins(physical)
-    if sigma.size != layout.k_physical:
-        raise ValueError(
-            f"physical configuration has {sigma.size} bits, layout expects "
-            f"{layout.k_physical}"
-        )
-    return np.prod(np.append(sigma, 1)[layout.tiles], axis=1, dtype=np.int64)
+    """Spin product of each tile as int64; fixed slots contribute +1."""
+    return _tile_parity(layout, _checked_word(physical, layout)).astype(np.int64)
 
 
 def lhz_energy(
     problem: LhzProblem, layout: LhzLayout, physical: Sequence[int] | np.ndarray
 ) -> float:
     """Field energy plus tile penalties: sum_k J_k sigma_k - C * sum_l prod_l."""
-    sigma = as_spins(physical).astype(float)
     if problem.j_fields.size != layout.k_physical:
         raise ValueError(
             f"j_fields has {problem.j_fields.size} entries, layout expects "
             f"{layout.k_physical}"
         )
-    if sigma.size != layout.k_physical:
-        raise ValueError(
-            f"physical configuration has {sigma.size} bits, layout expects "
-            f"{layout.k_physical}"
-        )
-    products = tile_products(layout, physical)
-    return float(problem.j_fields @ sigma - problem.c_penalty * products.sum())
+    sigma = _checked_word(physical, layout)
+    # an int8 sum accumulates in int64, as the int64 products did
+    penalty = _tile_parity(layout, sigma).sum()
+    return float(problem.j_fields @ sigma.astype(float) - problem.c_penalty * penalty)
 
 
 def _members(layout: LhzLayout, tiles: np.ndarray) -> list:
@@ -204,15 +225,10 @@ def decode_readout(
     (0, j) supply the rest, so the result is canonical up to the global
     flip the encoding cannot distinguish.
     """
-    sigma = as_spins(physical)
-    if sigma.size != layout.k_physical:
-        raise ValueError(
-            f"physical configuration has {sigma.size} bits, layout expects "
-            f"{layout.k_physical}"
-        )
-    bad = np.flatnonzero(tile_products(layout, sigma) != 1)
-    if bad.size > 0:
-        first = int(bad[0])
+    sigma = _checked_word(physical, layout)
+    products = _tile_parity(layout, sigma)
+    first = int(products.argmin())  # argmin returns the first -1
+    if products[first] != 1:
         members = _members(layout, layout.tiles[first])
         raise DecodeError(
             first,

@@ -25,6 +25,9 @@ from .errors import CapacityError, ParseError
 
 ENUMERATION_LIMIT = 24
 DEGENERACY_TOL = 1e-9
+# largest n a problem file may declare: `lhz map` at n = 1000 peaks at
+# ~0.8 GB resident (JSON output) and its memory grows as n**2
+MAX_PROBLEM_SPINS = 1000
 
 
 def as_spins(config: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -318,10 +321,13 @@ def load_ising_problem(path: str) -> IsingProblem:
 
     J is either a flat row-major list of n*n numbers or a list of sparse
     [i, j, value] triples with 0-based indices. Malformed input, including
-    a non-finite number, raises ParseError naming the line or field.
+    a non-finite number or n above MAX_PROBLEM_SPINS, raises ParseError
+    naming the line or field.
     """
     data = JsonObject.load(path)
     n = data.integer("n", 1)
+    if n > MAX_PROBLEM_SPINS:
+        raise data.error("n", f"expected at most {MAX_PROBLEM_SPINS} spins, got {n}")
     h = np.array(data.numbers("h", n))
     j_raw = data.get("J")
     if not isinstance(j_raw, list):

@@ -9,6 +9,7 @@ import pytest
 from jpotile import __version__
 from jpotile.anneal import MAX_TRIALS
 from jpotile.cli import main
+from jpotile.spins import MAX_PROBLEM_SPINS
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -89,6 +90,20 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    # main keeps one parser per process, so a failed parse must not leak
+    # into the next call
+    argv = ["lhz", "map", "--n", "3", "--problem", problem_file(tmp_path), "--quiet"]
+    code, first, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, _, err = run_cli(capsys, ["lhz", "map", "--n", "3", "--format", "xml"])
+    assert code == 1
+    assert "jpotile: usage error" in err
+    code, again, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert again == first
+
+
 def test_lhz_map_csv(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -129,6 +144,18 @@ def test_lhz_map_json_and_mismatched_n(tmp_path, capsys):
     )
     assert code == 2
     assert "does not match" in err
+
+
+@pytest.mark.parametrize("n", [MAX_PROBLEM_SPINS + 1, 100_000])
+def test_lhz_map_problem_above_the_spin_bound_exits_two(tmp_path, capsys, n):
+    path = problem_file(tmp_path, n=n, h=[0] * n, J=[[0, 1, 1.0]])
+    code, out, err = run_cli(capsys, ["lhz", "map", "--n", str(n), "--problem", path])
+    assert code == 2
+    assert out == ""
+    assert (
+        f"jpotile: {path}: field 'n': expected at most {MAX_PROBLEM_SPINS} spins"
+        in err
+    )
 
 
 def test_lhz_map_malformed_problem(tmp_path, capsys):

@@ -76,3 +76,46 @@ def test_single_flip_is_reported_at_the_first_violated_tile(sigma, data):
     with pytest.raises(DecodeError) as err:
         decode_readout(bad, layout)
     assert err.value.tile_index == violated[0]
+
+
+@st.composite
+def words_and_configs(draw):
+    """An arbitrary +-1 physical word and a logical configuration of one size."""
+    sigma = draw(logical_configs())
+    k = sigma.size * (sigma.size - 1) // 2
+    word = draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+    return np.array(word, dtype=np.int8), sigma
+
+
+@settings(deadline=None)
+@given(words_and_configs())
+def test_parity_kernel_matches_a_product_over_each_tile(drawn):
+    word, sigma = drawn
+    n = sigma.size
+    layout = build_layout(n)
+    oracle = np.prod(np.append(word, 1)[layout.tiles], axis=1, dtype=np.int64)
+    products = tile_products(layout, word)
+    assert products.dtype == np.int64
+    assert np.array_equal(products, oracle)
+
+    fields = np.arange(word.size, dtype=float) - 7.0
+    energy = lhz_energy(LhzProblem(fields, PENALTY), layout, word)
+    assert energy == float(fields @ word - PENALTY * oracle.sum())
+
+    violated = np.flatnonzero(oracle == -1)
+    if violated.size:
+        first = int(violated[0])
+        members = tuple(None if k == layout.k_physical else k
+                        for k in layout.tiles[first].tolist())
+        with pytest.raises(DecodeError) as err:
+            decode_readout(word, layout)
+        assert err.value.tile_index == first
+        assert str(err.value) == (
+            f"parity tile {first} violated (members {members}); "
+            "readout is not a valid encoding"
+        )
+    else:
+        assert decode_readout(word, layout).tolist() == [1, *word[: n - 1].tolist()]
+
+    expected = [sigma[i] * sigma[j] for i, j in layout.pairs]
+    assert encode(layout, sigma).tolist() == expected
