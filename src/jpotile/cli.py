@@ -20,7 +20,8 @@ import secrets
 import sys
 import tempfile
 import time
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,6 +102,59 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_SCALARS = {str, int, float, bool, type(None)}
+_UNQUOTED = _SCALARS - {str}
+
+
+def _json_text(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2), byte for byte, for a document whose keys
+    are strings.
+
+    json.dumps runs its pure-Python encoder whenever indent is set. Here the
+    C encoder formats a whole list in one call when it holds only scalars,
+    only non-empty rows of non-string scalars, or only non-empty objects of
+    scalars, and the text is re-indented with str.replace: the compact form
+    of such a list has no newline, and no comma or bracket inside a value.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _compact_json(value)
+    close = "\n" + "  " * level
+    inner = close + "  "
+    if isinstance(value, dict):
+        items = (
+            f"{encode_basestring_ascii(key)}: {_json_text(v, level + 1)}"
+            for key, v in value.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + close + "}"
+    deeper = inner + "  "
+    types = set(map(type, value))
+    if types <= _UNQUOTED or types <= {list, tuple}:
+        text = _compact_json(value)
+        rows = text.count("[") - 1
+        if rows == 0:
+            return "[" + inner + text[1:-1].replace(",", "," + inner) + close + "]"
+        if rows == len(value) and '"' not in text and "[]" not in text:
+            # "|" marks the row breaks: no number, null, true or false holds it
+            body = (
+                text[1:-1].replace("],[", "]|[").replace(",", "," + deeper)
+                .replace("[", "[" + deeper).replace("]", inner + "]")
+                .replace("|", "," + inner)
+            )
+            return "[" + inner + body + close + "]"
+    elif types == {dict} and all(value):
+        if set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS:
+            # one separator for object items and rows; "},<deeper>{" can only
+            # be a row break, since a string holds no raw newline
+            text = json.dumps(value, separators=("," + deeper, ": "))
+            body = text[2:-2].replace(
+                "}," + deeper + "{", inner + "}," + inner + "{" + deeper
+            )
+            return "[" + inner + "{" + deeper + body + inner + "}" + close + "]"
+    items = (_json_text(v, level + 1) for v in value)
+    return "[" + inner + ("," + inner).join(items) + close + "]"
+
+
 def _emit(
     command: str,
     resolved: dict,
@@ -123,7 +177,7 @@ def _emit(
             body = {"rows": list(map(dict, rows))}
         doc = {"metadata": {"command": command, "config": resolved}}
         doc.update(body)
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_text(doc) + "\n"
     lines = [f"# jpotile {command}"]
     for name, value in {"config": resolved, **(header or {})}.items():
         compact = json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -26,18 +26,29 @@ from .errors import CapacityError, ParseError
 ENUMERATION_LIMIT = 24
 DEGENERACY_TOL = 1e-9
 # largest n a problem file may declare: `lhz map` at n = 1000 peaks at
-# ~0.8 GB resident (JSON output) and its memory grows as n**2
+# ~530 MB resident (JSON output) and its memory grows as n**2
 MAX_PROBLEM_SPINS = 1000
+
+
+def _checked_spins(config: Sequence[int] | np.ndarray) -> np.ndarray:
+    """config as a non-empty 1-D array whose values all equal -1 or +1."""
+    arr = np.asarray(config)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("spin configuration must be a non-empty 1-D sequence")
+    if arr.dtype.kind in "biuf":
+        # |x| == 1 is exact in every real dtype (abs keeps int8 -128 at -128)
+        valid = not np.count_nonzero(np.abs(arr) != 1)
+    else:
+        # complex, string and object values: |1j| == 1 but 1j is no spin
+        valid = ((arr == 1) | (arr == -1)).all()
+    if not valid:
+        raise ValueError("spin values must be exactly -1 or +1")
+    return arr
 
 
 def as_spins(config: Sequence[int] | np.ndarray) -> np.ndarray:
     """Validate a +-1 configuration and return it as an int8 array."""
-    arr = np.asarray(config)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("spin configuration must be a non-empty 1-D sequence")
-    if not np.all((arr == 1) | (arr == -1)):
-        raise ValueError("spin values must be exactly -1 or +1")
-    return arr.astype(np.int8)
+    return _checked_spins(config).astype(np.int8)
 
 
 def indices_to_spins(indices: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
@@ -124,13 +135,18 @@ class QuboProblem:
 
 
 def ising_energy(problem: IsingProblem, config: Sequence[int] | np.ndarray) -> float:
-    sigma = as_spins(config).astype(float)
-    if sigma.size != problem.n:
-        raise ValueError(
-            f"configuration has {sigma.size} spins, problem has {problem.n}"
-        )
+    sigma = _checked_spins(config).astype(float)
+    h, j = problem.h, problem.j
+    if sigma.size != h.size:
+        raise ValueError(f"configuration has {sigma.size} spins, problem has {h.size}")
     # zero diagonal makes sigma.J.sigma twice the pair sum
-    return float(-problem.h @ sigma - 0.5 * sigma @ problem.j @ sigma)
+    if sigma.size > 1 and j.flags.c_contiguous:
+        # the BLAS calls of the matmul form below, in its order, at a
+        # fraction of its cost per call
+        return float((-h).dot(sigma)) - float((0.5 * sigma).dot(j).dot(sigma))
+    # matmul sums a J of any other layout in its own order, and signs a zero
+    # sum over one spin differently: keep its rounding there
+    return float(-h @ sigma - 0.5 * sigma @ j @ sigma)
 
 
 def qubo_energy(problem: QuboProblem, bits: Sequence[int] | np.ndarray) -> float:
@@ -179,10 +195,11 @@ def enumerate_ground_states(
     chunk_size. With vectorized=True, energy_fn must accept an (m, n) array
     and return m energies.
 
-    Raises CapacityError above n = 24 (2**24 is about 17M evaluations).
+    Raises CapacityError above n = 24 (2**24 is about 17M evaluations), and
+    ValueError naming the first configuration whose energy is NaN.
     """
     _check_enumerable(n)
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
     total = 1 << n
     best = np.inf
@@ -196,6 +213,10 @@ def enumerate_ground_states(
         else:
             energies = np.array([energy_fn(c) for c in configs], dtype=float)
         chunk_min = float(energies.min())
+        if math.isnan(chunk_min):  # min passes on a NaN
+            first = np.flatnonzero(np.isnan(energies))[0]
+            config = tuple(configs[first].tolist())
+            raise ValueError(f"energy is NaN at configuration {config}")
         if chunk_min < best:
             best = chunk_min
             candidates = [(e, i) for e, i in candidates if e <= best + tol]
@@ -333,7 +354,9 @@ def load_ising_problem(path: str) -> IsingProblem:
     if not isinstance(j_raw, list):
         raise data.error("J", "expected a list")
     j = np.zeros((n, n))
-    if not any(isinstance(v, list) for v in j_raw):
+    # json.load builds plain lists, so the types of the entries tell the forms apart
+    types = set(map(type, j_raw))
+    if list not in types:
         if len(j_raw) != n * n:
             raise data.error(
                 "J", f"flat row-major form needs {n * n} numbers, got {len(j_raw)}"
@@ -344,8 +367,8 @@ def load_ising_problem(path: str) -> IsingProblem:
         if np.any(np.diag(j) != 0.0):
             raise data.error("J", "diagonal must be zero")
         return IsingProblem(h=h, j=j)
-    shaped = [isinstance(t, list) and len(t) == 3 for t in j_raw]
-    if not all(shaped):
+    if types != {list} or set(map(len, j_raw)) != {3}:
+        shaped = [isinstance(t, list) and len(t) == 3 for t in j_raw]
         raise data.error(f"J entry {shaped.index(False)}", "expected [i, j, value]")
     flat = list(chain.from_iterable(j_raw))
     numbers = _finite_floats(flat)
@@ -354,19 +377,31 @@ def load_ising_problem(path: str) -> IsingProblem:
         raise data.error(
             f"J entry {pos}", f"expected finite numbers, got {j_raw[pos]!r}"
         )
-    seen: set[tuple[int, int]] = set()
-    for pos, (a, b, val) in enumerate(zip(numbers[::3], numbers[1::3], numbers[2::3])):
-        if a != int(a) or b != int(b):
-            raise data.error(f"J entry {pos}", "indices must be integers")
-        a, b = int(a), int(b)
-        if not (0 <= a < n and 0 <= b < n):
-            raise data.error(f"J entry {pos}", f"index out of range for n={n}")
-        if a == b:
-            raise data.error(f"J entry {pos}", "diagonal coupling not allowed")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise data.error(f"J entry {pos}", f"duplicate pair {key}")
-        seen.add(key)
-        j[a, b] = val
-        j[b, a] = val
+    a, b, values = np.array(numbers).reshape(-1, 3).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # each entry's checks, in the order the error for it reports them
+    integral = (np.trunc(lo) == lo) & (np.trunc(hi) == hi)
+    in_range = (lo >= 0) & (hi < n)
+    off_diagonal = lo != hi
+    valid = integral & in_range & off_diagonal
+    # a pair repeats at every entry but the first that holds it. A faulty
+    # entry's key may equal a valid one's, but that can only flag an entry
+    # after the faulty one, which is reported first
+    first = np.zeros(a.size, dtype=bool)
+    first[np.unique(lo * n + hi, return_index=True)[1]] = True
+    bad = np.flatnonzero(~(valid & first))
+    if bad.size:
+        pos = int(bad[0])
+        if not integral[pos]:
+            message = "indices must be integers"
+        elif not in_range[pos]:
+            message = f"index out of range for n={n}"
+        elif not off_diagonal[pos]:
+            message = "diagonal coupling not allowed"
+        else:
+            message = f"duplicate pair {(int(lo[pos]), int(hi[pos]))}"
+        raise data.error(f"J entry {pos}", message)
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    j[a, b] = values
+    j[b, a] = values
     return IsingProblem(h=h, j=j)

@@ -2,6 +2,7 @@
 problem file parsing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -238,6 +239,134 @@ def test_enumerate_capacity_and_validation():
         enumerate_ground_states(lambda s: 0.0, 2, tol=-1.0)
 
 
+def test_enumerate_names_the_first_nan_energy():
+    # a NaN energy compares false with everything, so it used to drop out
+    # of the minimum and the ground set without a word
+    with pytest.raises(ValueError, match=r"NaN at configuration \(1, -1, -1\)$"):
+        enumerate_ground_states(lambda s: math.nan if s[0] > 0 else 1.0, 3)
+    with pytest.raises(ValueError, match=r"NaN at configuration \(-1, -1, -1\)$"):
+        enumerate_ground_states(lambda s: math.nan, 3)
+    with pytest.raises(ValueError, match=r"NaN at configuration \(1, -1, 1\)$"):
+        enumerate_ground_states(
+            lambda s: math.nan if s[0] > 0 and s[2] > 0 else 0.0, 3, chunk_size=2
+        )
+
+    def batch(configs):
+        return np.where(configs[:, 1] > 0, np.nan, -1.0)
+
+    with pytest.raises(ValueError, match=r"NaN at configuration \(-1, 1, -1\)$"):
+        enumerate_ground_states(batch, 3, vectorized=True)
+    with pytest.raises(ValueError, match=r"NaN at configuration \(-1, 1, -1\)$"):
+        enumerate_ground_states(batch, 3, chunk_size=1, vectorized=True)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        enumerate_ground_states(lambda s: 0.0, 2, tol=math.nan)
+
+
+def _bits(x):
+    return "nan" if math.isnan(x) else float.hex(x)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from(["C", "F", "strided"]),
+    st.sampled_from([np.int8, np.int64, np.float64]),
+    st.data(),
+)
+def test_ising_energy_matches_the_matmul_form_bit_for_bit(n, layout, dtype, data):
+    reals = st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    h = np.array(data.draw(st.lists(reals, min_size=n, max_size=n)), dtype=float)
+    upper = data.draw(st.lists(reals, min_size=n * n, max_size=n * n))
+    j = np.triu(np.reshape(upper, (n, n)), 1)
+    j = j + j.T
+    if layout == "F":
+        j = np.asfortranarray(j)
+    elif layout == "strided":
+        wide = np.zeros((n, 2 * n))
+        wide[:, ::2] = j
+        j = wide[:, ::2]
+    problem = IsingProblem(h=h, j=j)
+    spins = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    sigma = np.array(spins, dtype=dtype)
+    s = sigma.astype(float)
+    with np.errstate(all="ignore"):
+        # the oracle: the energy as written before the per-call cost was cut
+        want = float(-problem.h @ s - 0.5 * s @ problem.j @ s)
+        got = ising_energy(problem, sigma)
+    assert _bits(got) == _bits(want)
+
+
+def test_ising_energy_signs_a_zero_energy_as_the_matmul_form():
+    # over one spin np.dot multiplies where matmul sums, and their zeros
+    # carry different signs
+    for n in (1, 2, 3):
+        for zero in (0.0, -0.0):
+            problem = IsingProblem(h=np.full(n, zero), j=np.full((n, n), zero))
+            for s in all_configs(n).astype(float):
+                want = float(-problem.h @ s - 0.5 * s @ problem.j @ s)
+                assert _bits(ising_energy(problem, s)) == _bits(want)
+
+
+SHAPE_MESSAGE = "spin configuration must be a non-empty 1-D sequence"
+VALUE_MESSAGE = "spin values must be exactly -1 or +1"
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.data(),
+    st.sampled_from(
+        [
+            (np.int8, [0, 2, 127, -128, -2]),
+            (np.int64, [0, 2, -3, 2**40]),
+            (np.float64, [0.0, 2.0, math.nan, math.inf, -math.inf, 0.5,
+                          1.0000000000000002, -0.9999999999999999]),
+            (np.float32, [0.0, 2.0, math.nan, 1.0000001]),
+            (np.complex128, [1j, -1j, 1 + 1j, 0.0]),
+            (object, [None, "1", 0, 2.0]),
+        ]
+    ),
+)
+def test_as_spins_rejects_every_non_spin_value(n, data, case):
+    dtype, bad_values = case
+    spins = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    problem = IsingProblem(h=np.zeros(n), j=np.zeros((n, n)))
+    config = np.array(spins, dtype=dtype)
+    if dtype is not np.complex128:  # casting complex to int8 warns
+        assert np.array_equal(as_spins(config), spins)
+    config[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(bad_values))
+    for call in (as_spins, lambda c: ising_energy(problem, c)):
+        with pytest.raises(ValueError) as err:
+            call(config)
+        assert str(err.value) == VALUE_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 0, -1], VALUE_MESSAGE),
+        ([1, 2], VALUE_MESSAGE),
+        ([1.0, math.nan], VALUE_MESSAGE),
+        (["1", "-1"], VALUE_MESSAGE),
+        (np.array(["a", "b"]), VALUE_MESSAGE),
+        (np.array([1, 255], dtype=np.uint8), VALUE_MESSAGE),
+        (np.array([True, False]), VALUE_MESSAGE),
+        ([[1, -1]], SHAPE_MESSAGE),
+        ([], SHAPE_MESSAGE),
+        (np.zeros(0, dtype=np.int8), SHAPE_MESSAGE),
+        (1, SHAPE_MESSAGE),
+    ],
+)
+def test_as_spins_messages(config, message):
+    problem = IsingProblem(h=np.zeros(2), j=np.zeros((2, 2)))
+    for call in (as_spins, lambda c: ising_energy(problem, c)):
+        with pytest.raises(ValueError) as err:
+            call(config)
+        assert str(err.value) == message
+
+
 def write_problem(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -298,3 +427,79 @@ def test_load_problem_bad_json_names_line(tmp_path):
 def test_load_problem_missing_file():
     with pytest.raises(ParseError):
         load_ising_problem("/nonexistent/problem.json")
+
+
+def reference_sparse_j(n, triples):
+    """The loader's sparse [i, j, value] checks, one entry at a time: the
+    oracle for the array checks. Returns J, or the message of the first
+    fault."""
+    j = np.zeros((n, n))
+    seen = set()
+    for pos, (a, b, val) in enumerate(triples):
+        field = f"field 'J entry {pos}'"
+        if a != int(a) or b != int(b):
+            return f"{field}: indices must be integers"
+        a, b = int(a), int(b)
+        if not (0 <= a < n and 0 <= b < n):
+            return f"{field}: index out of range for n={n}"
+        if a == b:
+            return f"{field}: diagonal coupling not allowed"
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            return f"{field}: duplicate pair {key}"
+        seen.add(key)
+        j[a, b] = val
+        j[b, a] = val
+    return j
+
+
+@st.composite
+def sparse_problems(draw):
+    """n and a list of [i, j, value] triples, valid or with faults injected:
+    non-integral and out-of-range indices, diagonal entries and repeated
+    pairs in either order, several to a list."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    values = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))
+    triples = [
+        [a, b, draw(values)] if draw(st.booleans()) else [b, a, draw(values)]
+        for a, b in chosen
+    ]
+    # an index that is valid, out of range below or above, or not integral
+    index = st.one_of(
+        st.integers(0, n - 1),
+        st.integers(-3, -1),
+        st.integers(n, n + 3),
+        st.integers(-2, n + 2).map(lambda k: k + 0.5),
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from(["indices", "diagonal", "repeat", "reverse"]))
+        if fault == "indices":
+            entry = [draw(index), draw(index), 1.0]
+        elif fault == "diagonal":
+            k = draw(index)
+            entry = [k, k, 1.0]
+        else:
+            a, b, _ = draw(st.sampled_from(triples))
+            entry = [a, b, 2.0] if fault == "repeat" else [b, a, 2.0]
+        if draw(st.booleans()):
+            entry[:2] = map(float, entry[:2])  # integral floats are valid indices
+        triples.insert(draw(st.integers(0, len(triples))), entry)
+    return n, triples
+
+
+@settings(deadline=None)
+@given(sparse_problems())
+def test_sparse_loader_matches_the_per_entry_checks(tmp_path_factory, problem):
+    n, triples = problem
+    path = str(tmp_path_factory.getbasetemp() / "sparse_problem.json")
+    with open(path, "w") as fh:
+        json.dump({"n": n, "h": [0.0] * n, "J": triples}, fh)
+    want = reference_sparse_j(n, triples)
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as err:
+            load_ising_problem(path)
+        assert str(err.value) == f"{path}: {want}"
+    else:
+        assert load_ising_problem(path).j.tobytes() == want.tobytes()
