@@ -57,7 +57,6 @@ from .lhz import (
     encode,
     lhz_energy,
     map_couplings,
-    pair_index,
     penalty_too_weak,
     physical_count,
     tile_products,
@@ -77,14 +76,10 @@ from .spins import (
     DEGENERACY_TOL,
     ENUMERATION_LIMIT,
     IsingProblem,
-    QuboProblem,
     code_labels,
     enumerate_ground_states,
     ising_energy,
     load_ising_problem,
-    parity,
-    qubo_energy,
-    qubo_to_ising,
 )
 from .tile import (
     ParityCheck,

@@ -16,6 +16,7 @@ order over the rows (row r holds the pairs (r, r+1) ... (r, n-1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -41,13 +42,6 @@ def _pair_index(n, i, j):
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def pair_index(n: int, i: int, j: int) -> int:
-    """Physical index of logical pair (i, j), i < j, lexicographic order."""
-    if not (0 <= i < j < n):
-        raise ValueError(f"pair ({i}, {j}) is not a valid 0-based pair for n={n}")
-    return _pair_index(n, i, j)
-
-
 @dataclass(frozen=True)
 class LhzLayout:
     """The triangular layout. ``tiles`` is a read-only (T, 4) int64 array of
@@ -55,16 +49,20 @@ class LhzLayout:
     ``k_physical`` marks a slot carried by a fixed +1 spin of the boundary
     row, so ``np.append(sigma, 1)[tiles]`` gathers every tile's spins.
     ``tiles`` is the transpose of a C-ordered (4, T) array, so each column
-    is contiguous. ``pair_ends`` is ``pairs`` as a read-only (2, K) int64
-    array: the logical ends i and j of every physical bit."""
+    is contiguous. ``pair_ends`` is a read-only (2, K) int64 array of the
+    logical ends i and j of every physical bit; ``pairs`` derives from it."""
 
     n_logical: int
     k_physical: int
     rows: tuple[int, ...]          # row lengths, base (n-1) first
     fixed_row: int                 # count of fixed +1 boundary spins
-    pairs: tuple[tuple[int, int], ...]  # physical k -> logical pair (i, j)
     tiles: np.ndarray
     pair_ends: np.ndarray
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Physical k -> logical pair (i, j), as Python ints."""
+        return tuple(zip(*self.pair_ends.tolist()))
 
 
 def build_layout(n: int) -> LhzLayout:
@@ -98,7 +96,6 @@ def build_layout(n: int) -> LhzLayout:
         k_physical=k,
         rows=tuple(n - 1 - r for r in range(n - 1)),
         fixed_row=n - 2,
-        pairs=tuple(zip(*ends.tolist())),
         tiles=columns.T,
         pair_ends=ends,
     )
@@ -106,12 +103,8 @@ def build_layout(n: int) -> LhzLayout:
 
 def row_members(layout: LhzLayout) -> tuple[tuple[int, ...], ...]:
     """Physical indices per row, base row first, left to right."""
-    rows = []
-    k = 0
-    for length in layout.rows:
-        rows.append(tuple(range(k, k + length)))
-        k += length
-    return tuple(rows)
+    starts = accumulate(layout.rows, initial=0)
+    return tuple(tuple(range(k, k + size)) for k, size in zip(starts, layout.rows))
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ class LhzProblem:
     c_penalty: float
 
     def __post_init__(self):
-        j = np.asarray(self.j_fields, dtype=float)
+        j = np.array(self.j_fields, dtype=float)
         if j.ndim != 1:
             raise ValueError("j_fields must be a 1-D array")
         if not self.c_penalty > 0:
@@ -259,7 +252,7 @@ def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dic
         "rows": list(layout.rows),
         "row_members": [list(r) for r in row_members(layout)],
         "fixed_row": layout.fixed_row,
-        "pairs": list(map(list, layout.pairs)),
+        "pairs": layout.pair_ends.T.tolist(),
         "tiles": _members(layout, layout.tiles),
     }
     if j_fields is not None:

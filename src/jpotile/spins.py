@@ -1,5 +1,5 @@
-"""Classical spin groundwork: Ising and QUBO energies, parity, exhaustive
-ground-state search, and the validating reader behind every input file.
+"""Classical spin groundwork: Ising energies, exhaustive ground-state
+search, and the validating reader behind every input file.
 
 Conventions used everywhere in the package:
 
@@ -87,14 +87,15 @@ def all_configs(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsingProblem:
-    """Fields h and symmetric zero-diagonal couplings J over n spins."""
+    """Fields h and symmetric zero-diagonal couplings J over n spins, kept
+    as read-only float copies (J in C order) so the caller's arrays stay free."""
 
     h: np.ndarray
     j: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        j = np.asarray(self.j, dtype=float)
+        h = np.array(self.h, dtype=float)
+        j = np.array(self.j, dtype=float, order="C")
         if h.ndim != 1:
             raise ValueError("h must be a 1-D array")
         n = h.size
@@ -114,71 +115,18 @@ class IsingProblem:
         return self.h.size
 
 
-@dataclass(frozen=True)
-class QuboProblem:
-    """Symmetric QUBO matrix Q; cost is x^T Q x over bit vectors x."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("Q must be a square matrix")
-        if not np.array_equal(q, q.T):
-            raise ValueError("Q must be symmetric")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-
 def ising_energy(problem: IsingProblem, config: Sequence[int] | np.ndarray) -> float:
     sigma = _checked_spins(config).astype(float)
     h, j = problem.h, problem.j
     if sigma.size != h.size:
         raise ValueError(f"configuration has {sigma.size} spins, problem has {h.size}")
     # zero diagonal makes sigma.J.sigma twice the pair sum
-    if sigma.size > 1 and j.flags.c_contiguous:
-        # the BLAS calls of the matmul form below, in its order, at a
-        # fraction of its cost per call
-        return float((-h).dot(sigma)) - float((0.5 * sigma).dot(j).dot(sigma))
-    # matmul sums a J of any other layout in its own order, and signs a zero
-    # sum over one spin differently: keep its rounding there
-    return float(-h @ sigma - 0.5 * sigma @ j @ sigma)
-
-
-def qubo_energy(problem: QuboProblem, bits: Sequence[int] | np.ndarray) -> float:
-    x = np.asarray(bits, dtype=float)
-    if x.size != problem.n:
-        raise ValueError(f"bit vector has {x.size} entries, problem has {problem.n}")
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError("bit values must be 0 or 1")
-    return float(x @ problem.q @ x)
-
-
-def qubo_to_ising(problem: QuboProblem) -> tuple[IsingProblem, float]:
-    """Rewrite x^T Q x over bits as an Ising energy plus a constant offset.
-
-    Uses x = (1 + sigma) / 2. For every configuration,
-    qubo_energy(Q, x) == ising_energy(h, J, sigma) + offset exactly up to
-    float rounding.
-    """
-    q = problem.q
-    h = -0.5 * q.sum(axis=1)
-    j = -0.5 * q
-    np.fill_diagonal(j, 0.0)
-    trace = float(np.trace(q))
-    off_diag_sum = float(q.sum() - trace)
-    offset = 0.5 * trace + 0.25 * off_diag_sum
-    return IsingProblem(h=h, j=j), offset
-
-
-def parity(config: Sequence[int] | np.ndarray) -> int:
-    """Product of all spins: +1 for an even number of -1 entries."""
-    sigma = as_spins(config)
-    return int(np.prod(sigma, dtype=np.int64))
+    if sigma.size == 1:
+        # over one spin np.dot multiplies where matmul sums, and their zeros
+        # carry different signs: keep matmul's
+        return float(-h @ sigma - 0.5 * sigma @ j @ sigma)
+    # that matmul form's BLAS calls in its order, at a fraction of its cost
+    return float((-h).dot(sigma)) - float((0.5 * sigma).dot(j).dot(sigma))
 
 
 def enumerate_ground_states(
@@ -353,7 +301,6 @@ def load_ising_problem(path: str) -> IsingProblem:
     j_raw = data.get("J")
     if not isinstance(j_raw, list):
         raise data.error("J", "expected a list")
-    j = np.zeros((n, n))
     # json.load builds plain lists, so the types of the entries tell the forms apart
     types = set(map(type, j_raw))
     if list not in types:
@@ -402,6 +349,7 @@ def load_ising_problem(path: str) -> IsingProblem:
             message = f"duplicate pair {(int(lo[pos]), int(hi[pos]))}"
         raise data.error(f"J entry {pos}", message)
     a, b = a.astype(np.int64), b.astype(np.int64)
+    j = np.zeros((n, n))
     j[a, b] = values
     j[b, a] = values
     return IsingProblem(h=h, j=j)

@@ -8,7 +8,7 @@ import pytest
 
 from jpotile import __version__
 from jpotile.anneal import MAX_TRIALS
-from jpotile.cli import main
+from jpotile.cli import MAX_GRID_POINTS, main
 from jpotile.spins import MAX_PROBLEM_SPINS
 
 PI = math.pi
@@ -554,6 +554,26 @@ def test_trials_above_the_bound_exit_two(tmp_path, capsys, command, trials):
     assert code == 2
     assert out == ""
     assert f"--trials must be >= 1 and at most {MAX_TRIALS}" in err
+
+
+@pytest.mark.parametrize("points", [MAX_GRID_POINTS + 1, 10**13], ids=["max+1", "1e13"])
+@pytest.mark.parametrize("section", ["sweep", "iv"])
+def test_circuit_grid_above_the_bound_exits_two(tmp_path, capsys, section, points):
+    # the grid is refused before it is allocated
+    if section == "sweep":
+        grid = {"current_to_flux": 2e-15, "i_start": 0.0, "i_stop": 1e-3}
+        argv = SWEEP_ARGS
+    else:
+        grid = IV_SECTION
+        argv = IV_ARGS + ["0"]
+    path = circuit_file(tmp_path, **{section: {**grid, "points": points}})
+    code, out, err = run_cli(capsys, [path if a == "{path}" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert (
+        f"jpotile: {path}: field '{section}.points': expected at most "
+        f"{MAX_GRID_POINTS} points, got {points}" in err
+    )
 
 
 def test_out_file_and_env_redirect(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from jpotile.lhz import (
     layout_to_dict,
     lhz_energy,
     map_couplings,
-    pair_index,
     penalty_too_weak,
     physical_count,
     row_members,
@@ -42,19 +41,6 @@ def test_counts():
         physical_count(1)
     with pytest.raises(ValueError):
         constraint_count(1)
-
-
-def test_pair_index_matches_lexicographic_order():
-    for n in range(3, 8):
-        expected = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for k, (i, j) in enumerate(expected):
-            assert pair_index(n, i, j) == k
-    with pytest.raises(ValueError):
-        pair_index(4, 2, 2)
-    with pytest.raises(ValueError):
-        pair_index(4, 3, 1)
-    with pytest.raises(ValueError):
-        pair_index(4, 0, 4)
 
 
 def test_layout_small_cases():
@@ -92,15 +78,22 @@ def test_layout_consistency_through_n10():
         assert touch[: layout.k_physical].max() <= 4
         flat = [k for row in row_members(layout) for k in row]
         assert flat == list(range(layout.k_physical))
-        # reference: the diamonds spelled out pair by pair
+        # reference: physical bits in lexicographic pair order, and the
+        # diamonds spelled out pair by pair
+        index = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                index[i, j] = len(index)
+        assert layout.pairs == tuple(index)
+        assert all(type(v) is int for pair in layout.pairs for v in pair)
+        assert layout.pair_ends.T.tolist() == [list(pair) for pair in index]
         expected = []
         for i in range(n - 2):
             for j in range(i + 1, n - 1):
-                south = layout.k_physical if j == i + 1 else pair_index(n, i + 1, j)
-                expected.append([
-                    pair_index(n, i, j + 1), pair_index(n, i + 1, j + 1),
-                    south, pair_index(n, i, j),
-                ])
+                south = layout.k_physical if j == i + 1 else index[i + 1, j]
+                expected.append(
+                    [index[i, j + 1], index[i + 1, j + 1], south, index[i, j]]
+                )
         assert layout.tiles.dtype == np.int64
         assert layout.tiles.tolist() == expected
 
@@ -252,6 +245,12 @@ def test_problem_validation():
         LhzProblem(j_fields=np.zeros(3), c_penalty=0.0)
     with pytest.raises(ValueError):
         LhzProblem(j_fields=np.zeros((2, 2)), c_penalty=1.0)
+    # the problem keeps a read-only copy; the caller's fields stay writable
+    fields = np.zeros(3)
+    problem = LhzProblem(j_fields=fields, c_penalty=1.0)
+    fields[0] = 5.0
+    assert problem.j_fields.tolist() == [0.0, 0.0, 0.0]
+    assert not problem.j_fields.flags.writeable
 
 
 def test_layout_export_is_complete():
@@ -261,7 +260,7 @@ def test_layout_export_is_complete():
     assert doc["k_physical"] == 6
     assert doc["rows"] == [3, 2, 1]
     assert doc["fixed_row"] == 2
-    assert len(doc["pairs"]) == 6
+    assert doc["pairs"] == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
     assert len(doc["tiles"]) == 3
     assert doc["j_fields"] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     # (north, east, south, west) rows of the (T, 4) array, None where fixed

@@ -1,5 +1,4 @@
-"""Spin foundations: energies, QUBO mapping, parity, exhaustive search,
-problem file parsing."""
+"""Spin foundations: energies, exhaustive search, problem file parsing."""
 
 import json
 import math
@@ -13,7 +12,6 @@ from jpotile.errors import CapacityError, ParseError
 from jpotile.spins import (
     DEGENERACY_TOL,
     IsingProblem,
-    QuboProblem,
     all_configs,
     as_spins,
     code_labels,
@@ -21,9 +19,6 @@ from jpotile.spins import (
     indices_to_spins,
     ising_energy,
     load_ising_problem,
-    parity,
-    qubo_energy,
-    qubo_to_ising,
 )
 
 
@@ -109,64 +104,17 @@ def test_global_flip_invariance_without_fields():
         )
 
 
-def test_qubo_to_ising_single_variable():
-    prob, offset = qubo_to_ising(QuboProblem(q=np.array([[0.0]])))
-    assert prob.h[0] == 0.0 and offset == 0.0
-
-    prob, offset = qubo_to_ising(QuboProblem(q=np.array([[1.0]])))
-    assert prob.h[0] == -0.5 and offset == 0.5
-    for bit in (0, 1):
-        sigma = [2 * bit - 1]
-        assert bit * 1.0 * bit == pytest.approx(
-            ising_energy(prob, sigma) + offset
-        )
-
-
-def test_qubo_to_ising_exhaustive_equality():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        n = int(rng.integers(1, 5))
-        q = rng.normal(size=(n, n))
-        q = (q + q.T) / 2
-        qubo = QuboProblem(q=q)
-        ising, offset = qubo_to_ising(qubo)
-        for idx in range(2**n):
-            bits = [(idx >> (n - 1 - k)) & 1 for k in range(n)]
-            sigma = [2 * b - 1 for b in bits]
-            direct = qubo_energy(qubo, bits)
-            mapped = ising_energy(ising, sigma) + offset
-            assert direct == pytest.approx(mapped, rel=1e-12, abs=1e-12)
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_qubo_to_ising_offset_is_exact_on_integer_q(n, data):
-    entries = st.integers(min_value=-50, max_value=50)
-    upper = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
-    q = np.triu(upper.reshape(n, n).astype(float))
-    q = q + np.triu(q, 1).T
-    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    qubo = QuboProblem(q=q)
-    ising, offset = qubo_to_ising(qubo)
-    # halves and quarters of small integers: every step is exact
-    assert qubo_energy(qubo, bits) == ising_energy(ising, 2 * bits - 1) + offset
-
-
-def test_qubo_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        QuboProblem(q=np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_parity_values():
-    assert parity([1, 1, 1, 1]) == 1
-    assert parity([1, -1, 1, 1]) == -1
-    assert parity([-1, -1]) == 1
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        sigma = rng.choice([-1, 1], size=int(rng.integers(1, 10)))
-        assert parity(sigma) == (-1) ** int(np.sum(sigma == -1))
-    with pytest.raises(ValueError):
-        parity([])
+def test_ising_problem_leaves_the_callers_arrays_alone():
+    h = np.zeros(3)
+    j = np.asfortranarray(np.ones((3, 3)) - np.eye(3))
+    problem = IsingProblem(h=h, j=j)
+    assert h.flags.writeable and j.flags.writeable
+    h[0] = 5.0
+    j[0, 1] = j[1, 0] = 7.0
+    assert problem.h.tolist() == [0.0, 0.0, 0.0]
+    assert problem.j[0, 1] == problem.j[1, 0] == 1.0
+    assert not problem.h.flags.writeable and not problem.j.flags.writeable
+    assert problem.j.flags.c_contiguous
 
 
 def test_all_configs_ordering():
