@@ -141,48 +141,44 @@ def effective_tile_couplings(program: CouplingProgram) -> TileParams:
     return TileParams(j=j, j_a1=j_a1, j_a2=j_a2, c_cnst=program.c_cnst)
 
 
-def even_parity_program(j_max: float = 1.0, c_cnst: float = 5.0) -> CouplingProgram:
+def even_parity_program() -> CouplingProgram:
     """No programmed problem: every pump in quadrature with the coupler, so
     all effective couplings vanish and only the parity offset acts. Trials
     relax to the eight even-parity logical states uniformly.
 
-    The default offset keeps beta * c_cnst near 1. Weaker offsets leave a
-    metastable odd-parity fixed point (the majority amplitudes compress,
-    which starves the quartic force) and a slow leak of odd outcomes.
+    The offset c_cnst = 5 (j_max = 1) keeps beta * c_cnst near 1. Weaker
+    offsets leave a metastable odd-parity fixed point (the majority
+    amplitudes compress, which starves the quartic force) and a slow leak
+    of odd outcomes.
     """
-    return CouplingProgram(
-        pump_phase=(math.pi / 2,) * 6, j_max=j_max, c_cnst=c_cnst
-    )
+    return CouplingProgram(pump_phase=(math.pi / 2,) * 6, j_max=1.0, c_cnst=5.0)
 
 
-def alternating_field_program(
-    j_max: float = 2.0, c_cnst: float = 2.0
-) -> CouplingProgram:
+def alternating_field_program() -> CouplingProgram:
     """Fields of alternating sign on the logical oscillators (phases
     0, pi, 0, pi), ancillas in phase. The tile minimum is the checkerboard
     state; runs split evenly between it and its global complement because
     the reference oscillator picks its sign symmetrically.
 
-    The default field scale makes the field-aligned collective mode
-    outgrow the others fast enough that stray outcomes are negligible at
-    ensemble sizes of a few thousand.
+    The field scale j_max = 2 (c_cnst = 2) makes the field-aligned
+    collective mode outgrow the others fast enough that stray outcomes are
+    negligible at ensemble sizes of a few thousand.
     """
     return CouplingProgram(
-        pump_phase=(0.0, math.pi, 0.0, math.pi, 0.0, 0.0),
-        j_max=j_max,
-        c_cnst=c_cnst,
+        pump_phase=(0.0, math.pi, 0.0, math.pi, 0.0, 0.0), j_max=2.0, c_cnst=2.0
     )
 
 
 @dataclass(frozen=True)
 class OscillatorState:
-    """Final in-phase amplitudes: six tile oscillators plus the reference."""
+    """Final in-phase amplitudes: six tile oscillators plus the reference.
+    c is kept as a read-only copy, so the caller's array stays free."""
 
     c: np.ndarray
     c_ref: float
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)
         if c.shape != (6,):
             raise ValueError("c must hold 6 amplitudes")
         if not (np.all(np.isfinite(c)) and np.isfinite(self.c_ref)):

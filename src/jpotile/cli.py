@@ -38,6 +38,7 @@ from .anneal import (
     wall_clock_seconds,
 )
 from .circuit import (
+    PHI0,
     JunctionParams,
     ResonatorParams,
     SquidParams,
@@ -308,14 +309,22 @@ def _load_circuit_config(path: str) -> dict:
     c_s = rs.number("c_s")
     l_r = rs.number("l_r", None)
     target = data.number("target_omega0", None)
+    # the field that sets l_r, named when the resonance frequency overflows
+    l_r_field = "resonator.l_r"
     if l_r is None:
         if target is None:
             raise ParseError(
                 f"{path}: provide either 'resonator.l_r' or 'target_omega0'"
             )
         l_r = calibrate_resonator(target, omega_r, squid)
+        if not math.isfinite(l_r):
+            raise data.error("squid", "its inductance overflows the calibrated l_r")
+        l_r_field = "target_omega0"
     resonator = ResonatorParams(omega_r=omega_r, l_r=l_r, c_s=c_s)
-    config = {"squid": squid, "resonator": resonator, "target_omega0": target}
+    config = {
+        "squid": squid, "resonator": resonator, "target_omega0": target,
+        "l_r_field": l_r_field,
+    }
     sweep = data.section("sweep")
     if sweep is not None:
         config["current_to_flux"] = sweep.number("current_to_flux")
@@ -323,8 +332,11 @@ def _load_circuit_config(path: str) -> dict:
     iv = data.section("iv")
     if iv is not None:
         junction = iv.section("junction", required=True)
+        i_c = junction.number("i_c")
+        if not math.isfinite(i_c * i_c):
+            raise junction.error("i_c", f"i_c**2 overflows, got {i_c!r}")
         config["junction"] = JunctionParams(
-            i_c=junction.number("i_c"), r_shunt=junction.number("r_shunt")
+            i_c=i_c, r_shunt=junction.number("r_shunt")
         )
         config["iv_i"] = _sample_grid(iv)
         config["dt_eff"] = iv.number("dt_eff", 1e-12)
@@ -342,6 +354,17 @@ def _sample_grid(section: JsonObject) -> np.ndarray:
             "points", f"expected at most {MAX_GRID_POINTS} points, got {points}"
         )
     return np.linspace(start, stop, points)
+
+
+def _require_finite(path: str, field: str, quantity: str, values, bias) -> None:
+    """Reject a computed circuit column that overflowed, naming the input
+    field of the file at path that drives it and the first bias current
+    where it happened."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise JsonObject({}, path).error(
+            field, f"{quantity} overflows at bias current {bias[bad[0]]:g} A"
+        )
 
 
 def _load_program(path: str) -> dict:
@@ -484,6 +507,15 @@ def _cmd_circuit_sweep(args) -> int:
         "l_squid_H": [p.l_squid for p in kept],
         "f0_Hz": [p.omega0 / (2 * math.pi) for p in kept],
     }
+    bias = columns["i_dc_A"]
+    with np.errstate(over="ignore"):
+        flux_quanta = np.divide(columns["flux_wb"], PHI0)
+    path = args.config
+    _require_finite(path, "sweep.current_to_flux", "flux / PHI0", flux_quanta, bias)
+    _require_finite(path, "squid", "SQUID inductance", columns["l_squid_H"], bias)
+    _require_finite(
+        path, config["l_r_field"], "resonance frequency", columns["f0_Hz"], bias
+    )
     _write_output(args, _emit("circuit sweep", resolved, columns, args.format))
     if clipped:
         _log(args, f"{len(clipped)} samples clipped near half-quantum flux")
@@ -504,6 +536,14 @@ def _cmd_circuit_iv(args) -> int:
         seed=seed,
         dt_eff=config["dt_eff"],
     )
+    if not np.isfinite(v).all():
+        # without noise |V| grows with |I|, so an overflow reaches an end of the
+        # bias range; if neither end overflows alone, the thermal walk did it
+        ends = rsj_iv_curve(config["junction"], 0.0, i[[0, -1]])[1]
+        names = ("iv.i_start", "iv.i_stop")
+        fields = [f for f, e in zip(names, ends) if not math.isfinite(e)]
+        field = (fields or ["iv.dt_eff"])[0]
+        _require_finite(args.config, field, "voltage", v, i)
     resolved = {
         "junction": dataclasses.asdict(config["junction"]),
         "temperature": args.temp,

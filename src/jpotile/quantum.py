@@ -75,35 +75,32 @@ def _solve(blocks: np.ndarray, vectors: bool = False):
         raise EigensolverError(f"symmetric block eigensolver failed: {exc}") from exc
 
 
-def _ground_mask(evals: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-    """Which of the (..., 16, 4) block eigenvalues lie within tol of their
-    stack's minimum; tol defaults to 1e-9 of the full 64-level range."""
+def _ground_mask(evals: np.ndarray) -> np.ndarray:
+    """Which of the (..., 16, 4) block eigenvalues lie above their stack's
+    minimum by at most RELATIVE_DEGENERACY_TOL of its 64-level range."""
     lo = evals.min(axis=(-2, -1), keepdims=True)
-    if tol is None:
-        tol = RELATIVE_DEGENERACY_TOL * (evals.max(axis=(-2, -1), keepdims=True) - lo)
-    return evals <= lo + tol
+    hi = evals.max(axis=(-2, -1), keepdims=True)
+    return evals <= lo + RELATIVE_DEGENERACY_TOL * (hi - lo)
 
 
-def ground_states(
-    h: np.ndarray, tol: Optional[float] = None
-) -> tuple[float, np.ndarray]:
+def ground_states(h: np.ndarray) -> tuple[float, np.ndarray]:
     """Ground energy and per-basis-state weight of the ground subspace.
 
     Weights come from an orthonormal basis of the degenerate subspace
-    (eigenvalues within tol of the minimum, default 1e-9 of the spectral
-    range) and are invariant under rotations inside it. They sum to 1.
+    (eigenvalues within 1e-9 of the spectral range above the minimum) and
+    are invariant under rotations inside it. They sum to 1.
     h must not couple logical states (ValueError otherwise).
     """
     evals, evecs = _solve(_blocks_of(h), vectors=True)
-    ground = _ground_mask(evals, tol)
+    ground = _ground_mask(evals)
     weights = (evecs**2 * ground[:, None, :]).sum(axis=2).ravel() / ground.sum()
     return float(evals.min()), weights
 
 
-def spectral_gap(h: np.ndarray, tol: Optional[float] = None) -> float:
+def spectral_gap(h: np.ndarray) -> float:
     """Distance from the ground level to the next distinct eigenvalue."""
     evals = _solve(_blocks_of(h))
-    above = evals[~_ground_mask(evals, tol)]
+    above = evals[~_ground_mask(evals)]
     return float(above.min() - evals.min()) if above.size else 0.0
 
 
@@ -154,13 +151,14 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """Probabilities over the 16 logical states, indexed by state code;
-    support and as_dict name them by label, '0000'..'1111'."""
+    """Probabilities over the 16 logical states, indexed by state code, kept
+    as a read-only copy; support and as_dict name them by label,
+    '0000'..'1111'."""
 
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+        p = np.array(self.probabilities, dtype=float)
         if p.shape != (16,):
             raise ValueError("probabilities must have shape (16,)")
         if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-9:
@@ -168,8 +166,8 @@ class StateDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
-    def support(self, tol: float = SUPPORT_TOL) -> set[str]:
-        return set(code_labels(np.flatnonzero(self.probabilities > tol), 4))
+    def support(self) -> set[str]:
+        return set(code_labels(np.flatnonzero(self.probabilities > SUPPORT_TOL), 4))
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(code_labels(range(16), 4), self.probabilities.tolist()))
@@ -226,18 +224,16 @@ def default_field_sweep(j_c: float) -> list[np.ndarray]:
 def sweep_distribution(
     j_a: float,
     j_c: float,
-    field_vectors: Optional[Sequence[np.ndarray]] = None,
     noise: Optional[NoiseSpec] = None,
     trials: int = 1,
 ) -> StateDistribution:
-    """Average of logical_distribution over a grid of field vectors.
+    """Average of logical_distribution over the field vectors of
+    default_field_sweep(j_c).
 
     Each vector gets its own deterministic noise sub-stream, so the sweep
     result is reproducible and independent of iteration batching.
     """
-    vectors = default_field_sweep(j_c) if field_vectors is None else list(field_vectors)
-    if not vectors:
-        raise ValueError("field_vectors must not be empty")
+    vectors = default_field_sweep(j_c)
     noise = noise or NoiseSpec(0.0)
     acc = np.zeros(16)
     for vec, ss in zip(vectors, noise.seed_sequence().spawn(len(vectors))):

@@ -25,6 +25,7 @@ from .errors import CapacityError, ParseError
 
 ENUMERATION_LIMIT = 24
 DEGENERACY_TOL = 1e-9
+_ENUMERATION_CHUNK = 1 << 16  # configurations per energy_fn batch
 # largest n a problem file may declare: `lhz map` at n = 1000 peaks at
 # ~530 MB resident (JSON output) and its memory grows as n**2
 MAX_PROBLEM_SPINS = 1000
@@ -132,29 +133,25 @@ def ising_energy(problem: IsingProblem, config: Sequence[int] | np.ndarray) -> f
 def enumerate_ground_states(
     energy_fn: Callable[[np.ndarray], float],
     n: int,
-    tol: float = DEGENERACY_TOL,
-    chunk_size: int = 1 << 16,
     vectorized: bool = False,
 ) -> tuple[float, set[tuple[int, ...]]]:
     """Exhaustive minimum of energy_fn over all 2**n configurations.
 
-    Returns the minimum energy and the set of configurations within tol
-    (absolute) of it. Enumeration is chunked; the result is independent of
-    chunk_size. With vectorized=True, energy_fn must accept an (m, n) array
-    and return m energies.
+    Returns the minimum energy and the set of configurations within
+    DEGENERACY_TOL (absolute) of it. Enumeration is chunked; the result is
+    independent of the chunk size. With vectorized=True, energy_fn must
+    accept an (m, n) array and return m energies.
 
     Raises CapacityError above n = 24 (2**24 is about 17M evaluations), and
     ValueError naming the first configuration whose energy is NaN.
     """
     _check_enumerable(n)
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
-    total = 1 << n
+    total, chunk = 1 << n, _ENUMERATION_CHUNK
     best = np.inf
-    # (energy, index) candidates within tol of the running minimum
+    # (energy, index) candidates within DEGENERACY_TOL of the running minimum
     candidates: list[tuple[float, int]] = []
-    for start in range(0, total, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         configs = indices_to_spins(idx, n)
         if vectorized:
             energies = np.asarray(energy_fn(configs), dtype=float)
@@ -167,10 +164,10 @@ def enumerate_ground_states(
             raise ValueError(f"energy is NaN at configuration {config}")
         if chunk_min < best:
             best = chunk_min
-            candidates = [(e, i) for e, i in candidates if e <= best + tol]
-        keep = np.nonzero(energies <= best + tol)[0]
+            candidates = [(e, i) for e, i in candidates if e <= best + DEGENERACY_TOL]
+        keep = np.nonzero(energies <= best + DEGENERACY_TOL)[0]
         candidates.extend((float(energies[k]), int(idx[k])) for k in keep)
-    kept = [i for e, i in candidates if e <= best + tol]
+    kept = [i for e, i in candidates if e <= best + DEGENERACY_TOL]
     return best, set(map(tuple, indices_to_spins(kept, n).tolist()))
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spins import DEGENERACY_TOL, as_spins, enumerate_ground_states
+from .spins import as_spins, enumerate_ground_states
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def tile_energies(params: TileParams, spins: np.ndarray) -> np.ndarray:
 
 
 def ground_set(
-    params: TileParams,
-    clamp_ancilla: Optional[tuple[int, int]] = None,
-    tol: float = DEGENERACY_TOL,
+    params: TileParams, clamp_ancilla: Optional[tuple[int, int]] = None
 ) -> tuple[float, set[TileConfig]]:
     """Exhaustive minimum over the 64 tile assignments.
 
@@ -116,9 +114,7 @@ def ground_set(
         pins = np.tile(np.array(pinned, dtype=configs.dtype), (len(configs), 1))
         return tile_energies(params, np.hstack([configs, pins]))
 
-    e_min, raw = enumerate_ground_states(
-        energies, 6 - len(pinned), tol=tol, vectorized=True
-    )
+    e_min, raw = enumerate_ground_states(energies, 6 - len(pinned), vectorized=True)
     return e_min, {TileConfig(logical=s[:4], ancilla=s[4:] + pinned) for s in raw}
 
 
@@ -133,19 +129,19 @@ class ParityCheck:
         return self.valid
 
 
-def lhz_parity_valid(params: TileParams, tol: float = DEGENERACY_TOL) -> ParityCheck:
+def lhz_parity_valid(params: TileParams) -> ParityCheck:
     """Do all ground assignments have even logical parity?"""
-    _, ground = ground_set(params, tol=tol)
+    _, ground = ground_set(params)
     bad = tuple(
         sorted((g for g in ground if g.logical_parity != 1), key=lambda g: g.label)
     )
     return ParityCheck(valid=len(bad) == 0, violations=bad)
 
 
-def penalty_negative_in_ground(params: TileParams, tol: float = DEGENERACY_TOL) -> bool:
+def penalty_negative_in_ground(params: TileParams) -> bool:
     """True when the four-body contribution is negative in every ground
     assignment, the regime the offset C_cnst is meant to enforce."""
-    _, ground = ground_set(params, tol=tol)
+    _, ground = ground_set(params)
     for g in ground:
         a1, a2 = g.ancilla
         term = -(params.j_a1 * a1 + params.j_a2 * a2 + params.c_cnst) * g.logical_parity

@@ -119,6 +119,15 @@ def test_program_to_tile_couplings():
         CouplingProgram(pump_phase=(0.0,) * 5)
 
 
+def test_oscillator_state_leaves_the_callers_array_alone():
+    c = np.linspace(-1.0, 1.0, 6)
+    state = OscillatorState(c, 1.0)
+    assert c.flags.writeable
+    c[0] = 5.0
+    assert state.c[0] == -1.0
+    assert not state.c.flags.writeable
+
+
 def test_state_and_histogram_validation():
     with pytest.raises(ValueError):
         OscillatorState(c=np.zeros(5), c_ref=1.0)

@@ -441,6 +441,7 @@ IV_SECTION = {
     "i_stop": 320e-6,
     "points": 5,
 }
+SWEEP_SECTION = {"current_to_flux": 2e-15, "i_start": 0.0, "i_stop": 1e-3, "points": 5}
 ANNEAL_ARGS = ["anneal", "--program", "{path}", "--trials", "2", "--seed", "1"]
 LHZ_ARGS = ["lhz", "map", "--n", "3", "--problem", "{path}"]
 ENUMERATE_ARGS = ["tile", "enumerate", "--params", "{path}"]
@@ -495,6 +496,43 @@ SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
             SWEEP_ARGS, circuit_file,
             {"sweep": {"current_to_flux": 2e-15, "i_start": 1e308, "i_stop": -1e308}},
             "sweep.i_stop", id="circuit sweep range overflows",
+        ),
+        pytest.param(
+            IV_ARGS + ["0"], circuit_file,
+            {"iv": {**IV_SECTION, "junction": {"i_c": 1e200, "r_shunt": 15.0}}},
+            "iv.junction.i_c", id="circuit iv i_c squared overflows",
+        ),
+        pytest.param(
+            IV_ARGS + ["0"], circuit_file,
+            {"iv": {**IV_SECTION, "i_start": -1e200, "i_stop": 1e200}},
+            "iv.i_start", id="circuit iv voltage overflows",
+        ),
+        pytest.param(
+            IV_ARGS + ["1e300"], circuit_file,
+            {"iv": {**IV_SECTION, "junction": {"i_c": 160e-6, "r_shunt": 1e-31}}},
+            "iv.dt_eff", id="circuit iv thermal walk overflows",
+        ),
+        pytest.param(
+            SWEEP_ARGS, circuit_file,
+            {"sweep": {**SWEEP_SECTION, "current_to_flux": 1e300}},
+            "sweep.current_to_flux", id="circuit sweep flux overflows",
+        ),
+        pytest.param(
+            SWEEP_ARGS, circuit_file,
+            {
+                "squid": {"l1": 7.5e-12, "l2": 7.5e-12, "i_c1": 1e-320, "i_c2": 1e-320},
+                "sweep": SWEEP_SECTION,
+            },
+            "squid", id="circuit sweep inductance overflows",
+        ),
+        pytest.param(
+            SWEEP_ARGS, circuit_file,
+            {
+                "squid": {"l1": 7.5e-12, "l2": 7.5e-12, "i_c1": 1e-320, "i_c2": 1e-320},
+                "resonator": {"omega_r": TWO_PI * 5e9, "c_s": 5e-13, "l_r": 1e-9},
+                "sweep": SWEEP_SECTION,
+            },
+            "resonator.l_r", id="circuit sweep frequency overflows",
         ),
         pytest.param(
             LHZ_ARGS, problem_file, {"h": ["0", False, "0"]}, "h entry 0",

@@ -274,6 +274,15 @@ def test_state_distribution_validation_and_views():
         StateDistribution(bad)
 
 
+def test_state_distribution_leaves_the_callers_array_alone():
+    p = np.full(16, 1 / 16)
+    dist = StateDistribution(p)
+    assert p.flags.writeable
+    p[0] = 5.0
+    assert dist.probabilities[0] == 1 / 16
+    assert not dist.probabilities.flags.writeable
+
+
 def test_noise_free_distribution_is_uniform_on_even_states():
     dist = logical_distribution((0.0,) * 4, 1.0, 1.0)
     assert dist.support() == EVEN_LABELS
@@ -351,6 +360,3 @@ def test_sweep_distribution_support_and_determinism():
     b = sweep_distribution(1.0, 1.0, noise=noise, trials=8)
     assert a.support() == EVEN_LABELS
     assert np.array_equal(a.probabilities, b.probabilities)
-
-    with pytest.raises(ValueError):
-        sweep_distribution(1.0, 1.0, field_vectors=[])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jpotile import spins
 from jpotile.errors import CapacityError, ParseError
 from jpotile.spins import (
     DEGENERACY_TOL,
@@ -139,7 +140,7 @@ def test_enumerate_two_spin_bond():
     assert ground == {(1, 1), (-1, -1)}
 
 
-def test_enumerate_chunking_and_vectorized_agree():
+def test_enumerate_chunking_and_vectorized_agree(monkeypatch):
     # integer couplings keep both energy callables exact, so the scalar
     # and vectorized paths must agree to the bit
     rng = np.random.default_rng(17)
@@ -157,7 +158,8 @@ def test_enumerate_chunking_and_vectorized_agree():
 
     ref = enumerate_ground_states(scalar_energy, 8)
     for chunk in (1, 3, 64, 1 << 16):
-        assert enumerate_ground_states(scalar_energy, 8, chunk_size=chunk) == ref
+        monkeypatch.setattr(spins, "_ENUMERATION_CHUNK", chunk)
+        assert enumerate_ground_states(scalar_energy, 8) == ref
     assert enumerate_ground_states(batch_energy, 8, vectorized=True) == ref
 
 
@@ -183,31 +185,30 @@ def test_enumerate_capacity_and_validation():
         enumerate_ground_states(lambda s: 0.0, 25)
     with pytest.raises(ValueError):
         enumerate_ground_states(lambda s: 0.0, 0)
-    with pytest.raises(ValueError):
-        enumerate_ground_states(lambda s: 0.0, 2, tol=-1.0)
 
 
-def test_enumerate_names_the_first_nan_energy():
+def test_enumerate_names_the_first_nan_energy(monkeypatch):
     # a NaN energy compares false with everything, so it used to drop out
     # of the minimum and the ground set without a word
     with pytest.raises(ValueError, match=r"NaN at configuration \(1, -1, -1\)$"):
         enumerate_ground_states(lambda s: math.nan if s[0] > 0 else 1.0, 3)
     with pytest.raises(ValueError, match=r"NaN at configuration \(-1, -1, -1\)$"):
         enumerate_ground_states(lambda s: math.nan, 3)
-    with pytest.raises(ValueError, match=r"NaN at configuration \(1, -1, 1\)$"):
-        enumerate_ground_states(
-            lambda s: math.nan if s[0] > 0 and s[2] > 0 else 0.0, 3, chunk_size=2
-        )
+    with monkeypatch.context() as patch:
+        patch.setattr(spins, "_ENUMERATION_CHUNK", 2)
+        with pytest.raises(ValueError, match=r"NaN at configuration \(1, -1, 1\)$"):
+            enumerate_ground_states(
+                lambda s: math.nan if s[0] > 0 and s[2] > 0 else 0.0, 3
+            )
 
     def batch(configs):
         return np.where(configs[:, 1] > 0, np.nan, -1.0)
 
     with pytest.raises(ValueError, match=r"NaN at configuration \(-1, 1, -1\)$"):
         enumerate_ground_states(batch, 3, vectorized=True)
+    monkeypatch.setattr(spins, "_ENUMERATION_CHUNK", 1)
     with pytest.raises(ValueError, match=r"NaN at configuration \(-1, 1, -1\)$"):
-        enumerate_ground_states(batch, 3, chunk_size=1, vectorized=True)
-    with pytest.raises(ValueError, match="tol must be >= 0"):
-        enumerate_ground_states(lambda s: 0.0, 2, tol=math.nan)
+        enumerate_ground_states(batch, 3, vectorized=True)
 
 
 def _bits(x):
