@@ -13,7 +13,7 @@ with the SQUID inductance L = Phi_0 / (2 pi (I_C1 + I_C2)) divided by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,8 +129,7 @@ def pump_frequency(omega0: float) -> float:
     return 2.0 * omega0
 
 
-@dataclass(frozen=True)
-class FluxSweepPoint:
+class FluxSweepPoint(NamedTuple):
     i_dc: float
     flux: float
     l_squid: float
@@ -147,20 +146,19 @@ def flux_sweep(
     """Frequency versus bias current, flux = current_to_flux * i_dc.
 
     Points too close to a half-quantum flux are flagged clipped and carry
-    NaN inductance and frequency instead of aborting the sweep.
+    NaN inductance and frequency instead of aborting the sweep. The grid is
+    evaluated at once, in the operation order of squid_inductance and
+    resonance_frequency, so every point matches them bit for bit.
     """
-    points = []
-    for i_dc in np.asarray(i_dc_values, dtype=float):
-        flux = current_to_flux * float(i_dc)
-        try:
-            l_sq = squid_inductance(squid, flux)
-            omega0 = resonance_frequency(res, squid, flux)
-            points.append(FluxSweepPoint(float(i_dc), flux, l_sq, omega0, False))
-        except DivergenceError:
-            points.append(
-                FluxSweepPoint(float(i_dc), flux, float("nan"), float("nan"), True)
-            )
-    return points
+    i_dc = np.asarray(i_dc_values, dtype=float)
+    flux = current_to_flux * i_dc
+    frac = flux / PHI0
+    clipped = np.abs(frac % 1.0 - 0.5) < FLUX_GUARD
+    l_sq = jj_inductance(squid.i_c_total) / np.abs(np.cos(np.pi * frac))
+    l_sq[clipped] = np.nan
+    omega0 = res.omega_r * (1.0 + (l_sq + squid.l1 / 2.0) / res.l_r)
+    columns = (i_dc, flux, l_sq, omega0, clipped)
+    return list(map(FluxSweepPoint._make, zip(*(a.tolist() for a in columns))))
 
 
 def rsj_iv_curve(

@@ -65,7 +65,7 @@ EXIT_NUMERICAL = 3
 
 OUT_DIR_ENV = "JPOTILE_OUT_DIR"
 # largest grid a circuit config may ask for: `circuit sweep --format json`
-# at this many points peaks at ~490 MB resident, near `lhz map` at its n cap
+# at this many points peaks at ~555 MB resident, near `lhz map` at its n cap
 MAX_GRID_POINTS = 500_000
 
 
@@ -481,15 +481,15 @@ def _cmd_tile_quantum(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(all="ignore")  # every overflow is reported below by field
 def _cmd_circuit_sweep(args) -> int:
     config = _load_circuit_config(args.config)
     if "sweep_i" not in config:
         raise ValueError(f"{args.config}: no 'sweep' section configured")
-    points = flux_sweep(
+    i_dc, flux, l_squid, omega0, clipped = map(np.array, zip(*flux_sweep(
         config["resonator"], config["squid"], config["current_to_flux"],
         config["sweep_i"],
-    )
-    clipped = [p.i_dc for p in points if p.clipped]
+    )))
     resolved = {
         "squid": dataclasses.asdict(config["squid"]),
         "resonator": dataclasses.asdict(config["resonator"]),
@@ -498,30 +498,28 @@ def _cmd_circuit_sweep(args) -> int:
         "i_stop": float(config["sweep_i"][-1]),
         "points": int(config["sweep_i"].size),
         "format": args.format,
-        "clipped_i_dc": clipped,
+        "clipped_i_dc": i_dc[clipped].tolist(),
     }
-    kept = [p for p in points if not p.clipped]
-    columns = {
-        "i_dc_A": [p.i_dc for p in kept],
-        "flux_wb": [p.flux for p in kept],
-        "l_squid_H": [p.l_squid for p in kept],
-        "f0_Hz": [p.omega0 / (2 * math.pi) for p in kept],
-    }
-    bias = columns["i_dc_A"]
-    with np.errstate(over="ignore"):
-        flux_quanta = np.divide(columns["flux_wb"], PHI0)
+    kept = ~clipped
+    bias, flux, l_squid = i_dc[kept], flux[kept], l_squid[kept]
+    f0 = omega0[kept] / (2 * math.pi)
     path = args.config
-    _require_finite(path, "sweep.current_to_flux", "flux / PHI0", flux_quanta, bias)
-    _require_finite(path, "squid", "SQUID inductance", columns["l_squid_H"], bias)
-    _require_finite(
-        path, config["l_r_field"], "resonance frequency", columns["f0_Hz"], bias
-    )
+    _require_finite(path, "sweep.current_to_flux", "flux / PHI0", flux / PHI0, bias)
+    _require_finite(path, "squid", "SQUID inductance", l_squid, bias)
+    _require_finite(path, config["l_r_field"], "resonance frequency", f0, bias)
+    columns = {
+        "i_dc_A": bias.tolist(),
+        "flux_wb": flux.tolist(),
+        "l_squid_H": l_squid.tolist(),
+        "f0_Hz": f0.tolist(),
+    }
     _write_output(args, _emit("circuit sweep", resolved, columns, args.format))
-    if clipped:
-        _log(args, f"{len(clipped)} samples clipped near half-quantum flux")
+    if clipped.any():
+        _log(args, f"{clipped.sum()} samples clipped near half-quantum flux")
     return EXIT_OK
 
 
+@np.errstate(all="ignore")  # an overflowing voltage is reported below by field
 def _cmd_circuit_iv(args) -> int:
     config = _load_circuit_config(args.config)
     if "junction" not in config:

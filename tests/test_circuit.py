@@ -1,11 +1,16 @@
 """Checks of the lumped-element circuit relations."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from jpotile import circuit
 from jpotile.circuit import (
+    FLUX_GUARD,
     PHI0,
     FluxSweepPoint,
     JunctionParams,
@@ -120,6 +125,59 @@ def test_flux_sweep_marks_divergent_points():
             assert math.isnan(p.l_squid) and math.isnan(p.omega0)
         else:
             assert p.omega0 == resonance_frequency(res, REFERENCE_SQUID, p.flux)
+
+
+@st.composite
+def sweep_grids(draw):
+    """A guard, a current_to_flux over many magnitudes and both signs, and
+    bias currents with negatives, +-0.0, exact half-integer flux and points
+    just inside and just outside the guard band."""
+    # no float lands exactly on the shipped 1e-6 boundary; a dyadic guard
+    # does, and pins the strict comparison there
+    guard = draw(st.sampled_from([FLUX_GUARD, 2.0**-20]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    current_to_flux = sign * draw(st.floats(1.0, 10.0)) * 10.0 ** draw(
+        st.integers(-25, 0)
+    )
+    currents = draw(
+        st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), max_size=20)
+    )
+    for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
+        for offset in (0.0, guard, -guard):
+            for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+                currents.append((k + 0.5 + offset * scale) * PHI0 / current_to_flux)
+    return guard, current_to_flux, currents
+
+
+# flux exactly 2**-20 past a half quantum: outside a strict 2**-20 guard
+EDGE = 0.5 + 2.0**-20
+
+
+@settings(deadline=None)
+@given(sweep_grids())
+@example((2.0**-20, 1.0, [EDGE * PHI0, -EDGE * PHI0, -0.5 * PHI0, -0.0]))
+def test_flux_sweep_matches_the_scalar_relations_bit_for_bit(grid):
+    guard, current_to_flux, currents = grid
+    omega_r = 2 * np.pi * 5e9
+    l_r = calibrate_resonator(2 * np.pi * 7.5e9, omega_r, REFERENCE_SQUID)
+    res = ResonatorParams(omega_r=omega_r, l_r=l_r, c_s=0.5e-12)
+    with mock.patch.object(circuit, "FLUX_GUARD", guard):
+        points = flux_sweep(res, REFERENCE_SQUID, current_to_flux, currents)
+        assert len(points) == len(currents)
+        for p, i_dc in zip(points, currents):
+            flux = current_to_flux * i_dc
+            try:
+                l_sq = squid_inductance(REFERENCE_SQUID, flux)
+            except DivergenceError:
+                assert p.clipped
+                assert math.isnan(p.l_squid) and math.isnan(p.omega0)
+                expected = (i_dc, flux)
+            else:
+                assert not p.clipped
+                omega0 = resonance_frequency(res, REFERENCE_SQUID, flux)
+                expected = (i_dc, flux, l_sq, omega0)
+            got = p[: len(expected)]
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_rsj_zero_temperature_backbone():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -293,7 +294,7 @@ def test_circuit_config_validation(tmp_path, capsys):
     assert code == 2
     assert "no 'sweep' section" in err
 
-    payload = json.loads(open(no_sweep).read())
+    payload = json.loads(Path(no_sweep).read_text())
     del payload["target_omega0"]
     missing = write_json(tmp_path, "missing.json", payload)
     code, _, err = run_cli(capsys, ["circuit", "sweep", "--config", missing])
