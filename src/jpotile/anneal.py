@@ -75,8 +75,10 @@ class AnnealSchedule:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if not (self.p_start < 1.0 < self.p_end):
-            raise ValueError("ramp must start below threshold (p=1) and end above")
+        if not self.p_start < 1.0:
+            raise ValueError("p_start must lie below threshold (p=1)")
+        if not self.p_end > 1.0:
+            raise ValueError("p_end must lie above threshold (p=1)")
         steps = self.duration / self.dt
         if not steps <= MAX_STEPS:
             raise ValueError(f"duration / dt must be at most {MAX_STEPS} steps")

@@ -11,6 +11,7 @@ relative --out paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -21,6 +22,7 @@ import sys
 import tempfile
 import time
 from itertools import chain, repeat
+from inspect import signature
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -65,7 +67,7 @@ EXIT_NUMERICAL = 3
 
 OUT_DIR_ENV = "JPOTILE_OUT_DIR"
 # largest grid a circuit config may ask for: `circuit sweep --format json`
-# at this many points peaks at ~555 MB resident, near `lhz map` at its n cap
+# at this many points peaks at ~400 MB resident, below `lhz map` at its n cap
 MAX_GRID_POINTS = 500_000
 
 
@@ -106,9 +108,7 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 _SCALARS = {str, int, float, bool, type(None)}
-_UNQUOTED = _SCALARS - {str}
 
 
 def _json_text(value, level: int = 0) -> str:
@@ -117,12 +117,13 @@ def _json_text(value, level: int = 0) -> str:
 
     json.dumps runs its pure-Python encoder whenever indent is set. Here the
     C encoder formats a whole list in one call when it holds only scalars,
-    only non-empty rows of non-string scalars, or only non-empty objects of
-    scalars, and the text is re-indented with str.replace: the compact form
-    of such a list has no newline, and no comma or bracket inside a value.
+    or only non-empty rows of scalars, every row a list or every row an
+    object: its item separator carries the newline and the indent. A string
+    holds no raw newline, so in a row table "<close>,<deeper><open>" can
+    only be a row break, and those are the only places left to re-indent.
     """
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return _compact_json(value)
+        return json.dumps(value)
     close = "\n" + "  " * level
     inner = close + "  "
     if isinstance(value, dict):
@@ -131,30 +132,24 @@ def _json_text(value, level: int = 0) -> str:
             for key, v in value.items()
         )
         return "{" + inner + ("," + inner).join(items) + close + "}"
-    deeper = inner + "  "
     types = set(map(type, value))
-    if types <= _UNQUOTED or types <= {list, tuple}:
-        text = _compact_json(value)
-        rows = text.count("[") - 1
-        if rows == 0:
-            return "[" + inner + text[1:-1].replace(",", "," + inner) + close + "]"
-        if rows == len(value) and '"' not in text and "[]" not in text:
-            # "|" marks the row breaks: no number, null, true or false holds it
-            body = (
-                text[1:-1].replace("],[", "]|[").replace(",", "," + deeper)
-                .replace("[", "[" + deeper).replace("]", inner + "]")
-                .replace("|", "," + inner)
+    if types <= _SCALARS:
+        text = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        return "".join(("[", inner, text, close, "]"))
+    brackets = "[]{" if types <= {list, tuple} else "{}[" if types == {dict} else ""
+    if brackets and all(value):
+        start, end, other = brackets
+        deeper = inner + "  "
+        text = json.dumps(value, separators=("," + deeper, ": "))
+        # each row opens once past the leading "[", and the other kind of
+        # bracket appears nowhere: no row nests a list or an object, and no
+        # string holds a bracket that could pass for one
+        if text.count(start, 1) == len(value) and text.find(other, 1) < 0:
+            text = text.replace(
+                end + "," + deeper + start, inner + end + "," + inner + start + deeper
             )
-            return "[" + inner + body + close + "]"
-    elif types == {dict} and all(value):
-        if set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS:
-            # one separator for object items and rows; "},<deeper>{" can only
-            # be a row break, since a string holds no raw newline
-            text = json.dumps(value, separators=("," + deeper, ": "))
-            body = text[2:-2].replace(
-                "}," + deeper + "{", inner + "}," + inner + "{" + deeper
-            )
-            return "[" + inner + "{" + deeper + body + inner + "}" + close + "]"
+            text = text[2:-2]  # rebound at each step: at most two copies live
+            return "".join(("[", inner, start, deeper, text, inner, end, close, "]"))
     items = (_json_text(v, level + 1) for v in value)
     return "[" + inner + ("," + inner).join(items) + close + "]"
 
@@ -187,15 +182,15 @@ def _emit(
         compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
         lines.append(f"# {name}={compact}")
     lines.append(",".join(columns))
-    # column-wise formatting: builtin maps only, no per-cell dispatch
-    cells = [
-        map(format, map(float, v), repeat(".12g"))
-        if v and isinstance(v[0], float)
-        else map(str, v)
-        for v in columns.values()
-    ]
-    lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    # the whole table in one %-format call: "%.12g" % x is format(x, ".12g")
+    # and "%s" % x is str(x); a column's first value sets its format
+    row = ",".join(
+        "%.12g" if v and isinstance(v[0], float) else "%s" for v in columns.values()
+    )
+    cells = tuple(chain.from_iterable(zip(*columns.values())))
+    # every row ends in a newline, so one join ends every line with one
+    lines.append((row + "\n") * (len(cells) // len(columns)) % cells)
+    return "\n".join(lines)
 
 
 def _write_output(args, text: str) -> None:
@@ -274,36 +269,35 @@ def _load_tile_params(path: str) -> tuple[TileParams, Optional[tuple[int, int]]]
     return params, clamp
 
 
-def _load_quantum_params(path: str) -> dict:
+def _load_quantum_params(path: str) -> tuple[dict, NoiseSpec]:
+    """The parameters in the order the config echo prints them, and the
+    noise model they describe, without its seed."""
     data = JsonObject.load(path)
+    j = data.numbers("j", 4, None)
+    noise = data.section("noise") or JsonObject({}, path, "noise.")
     out = {
+        "j": j,
         "j_a": data.number("j_a"),
         "j_c": data.number("j_c"),
-        "j": data.numbers("j", 4, None),
-        "sweep": data.flag("sweep", False),
-        "thermal_coefficient": 0.0,
-        "distribution": "uniform",
+        "sweep": data.flag("sweep", False) or j is None,
+        "thermal_coefficient": noise.number("thermal_coefficient", 0.0) or 0.0,
+        "distribution": noise.get("distribution", "uniform"),
     }
-    noise = data.section("noise")
-    if noise is not None:
-        out["thermal_coefficient"] = noise.number("thermal_coefficient", 0.0) or 0.0
-        out["distribution"] = noise.get("distribution", "uniform")
-        if out["distribution"] not in ("uniform", "normal"):
-            raise noise.error("distribution", "must be 'uniform' or 'normal'")
-    if out["j"] is None:
-        out["sweep"] = True
-    return out
+    with _field_errors(noise, NoiseSpec):
+        spec = NoiseSpec(out["thermal_coefficient"], out["distribution"])
+    return out, spec
 
 
 def _load_circuit_config(path: str) -> dict:
     data = JsonObject.load(path)
     sq = data.section("squid", required=True)
-    squid = SquidParams(
-        l1=sq.number("l1"),
-        l2=sq.number("l2"),
-        i_c1=sq.number("i_c1"),
-        i_c2=sq.number("i_c2"),
-    )
+    with _field_errors(sq, SquidParams):
+        squid = SquidParams(
+            l1=sq.number("l1"),
+            l2=sq.number("l2"),
+            i_c1=sq.number("i_c1"),
+            i_c2=sq.number("i_c2"),
+        )
     rs = data.section("resonator", required=True)
     omega_r = rs.number("omega_r")
     c_s = rs.number("c_s")
@@ -316,11 +310,13 @@ def _load_circuit_config(path: str) -> dict:
             raise ParseError(
                 f"{path}: provide either 'resonator.l_r' or 'target_omega0'"
             )
-        l_r = calibrate_resonator(target, omega_r, squid)
+        with _field_errors(rs, calibrate_resonator):
+            l_r = calibrate_resonator(target, omega_r, squid)
         if not math.isfinite(l_r):
             raise data.error("squid", "its inductance overflows the calibrated l_r")
         l_r_field = "target_omega0"
-    resonator = ResonatorParams(omega_r=omega_r, l_r=l_r, c_s=c_s)
+    with _field_errors(rs, ResonatorParams):
+        resonator = ResonatorParams(omega_r=omega_r, l_r=l_r, c_s=c_s)
     config = {
         "squid": squid, "resonator": resonator, "target_omega0": target,
         "l_r_field": l_r_field,
@@ -335,9 +331,10 @@ def _load_circuit_config(path: str) -> dict:
         i_c = junction.number("i_c")
         if not math.isfinite(i_c * i_c):
             raise junction.error("i_c", f"i_c**2 overflows, got {i_c!r}")
-        config["junction"] = JunctionParams(
-            i_c=i_c, r_shunt=junction.number("r_shunt")
-        )
+        with _field_errors(junction, JunctionParams):
+            config["junction"] = JunctionParams(
+                i_c=i_c, r_shunt=junction.number("r_shunt")
+            )
         config["iv_i"] = _sample_grid(iv)
         config["dt_eff"] = iv.number("dt_eff", 1e-12)
     return config
@@ -354,6 +351,37 @@ def _sample_grid(section: JsonObject) -> np.ndarray:
             "points", f"expected at most {MAX_GRID_POINTS} points, got {points}"
         )
     return np.linspace(start, stop, points)
+
+
+@contextlib.contextmanager
+def _field_errors(section: JsonObject, model):
+    """Name the field behind a range error of model, a model class or
+    function called in the block: every model's own check raises a
+    ValueError that begins with the name of the parameter it rejects, and
+    that one is raised again naming the file and the dotted field."""
+    try:
+        yield
+    except ValueError as exc:
+        name = str(exc).split(" ", 1)[0]
+        if isinstance(exc, ParseError) or name not in signature(model).parameters:
+            raise
+        raise section.error(name, str(exc)) from exc
+
+
+@contextlib.contextmanager
+def _overflow_errors(path: str, quantity: str, terms: dict):
+    """Trap numpy overflows and invalid results in the block. One is an
+    input error naming the field of the file at path that holds the largest
+    magnitude among terms, the fields' values (numbers or lists of them)
+    that quantity is built from."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        field = max(terms, key=lambda name: np.abs(terms[name]).max())
+        raise JsonObject({}, path).error(
+            field, f"{quantity} overflows the float range"
+        ) from None
 
 
 def _require_finite(path: str, field: str, quantity: str, values, bias) -> None:
@@ -376,19 +404,26 @@ def _load_program(path: str) -> dict:
         j_max_ancilla=data.number("j_max_ancilla", None),
         c_cnst=data.number("c_cnst", 0.0),
     )
-    sched = data.section("schedule") or JsonObject({}, path)
-    schedule = AnnealSchedule(
-        duration=sched.number("duration", 50.0),
-        dt=sched.number("dt", 1e-2),
-        p_start=sched.number("p_start", 0.5),
-        p_end=sched.number("p_end", 2.0),
-    )
+    sched = data.section("schedule") or JsonObject({}, path, "schedule.")
+    with _field_errors(sched, AnnealSchedule):
+        schedule = AnnealSchedule(
+            duration=sched.number("duration", 50.0),
+            dt=sched.number("dt", 1e-2),
+            p_start=sched.number("p_start", 0.5),
+            p_end=sched.number("p_end", 2.0),
+        )
+    kappa = data.number("kappa", None)
+    wall_clock_s = None
+    if kappa is not None:
+        with _field_errors(data, wall_clock_seconds):
+            wall_clock_s = wall_clock_seconds(schedule, kappa)
     return {
         "program": program,
         "schedule": schedule,
         "eta": data.number("eta", DEFAULT_ETA),
         "beta": data.number("beta", DEFAULT_BETA),
-        "kappa": data.number("kappa", None),
+        "kappa": kappa,
+        "wall_clock_s": wall_clock_s,
     }
 
 
@@ -403,44 +438,48 @@ def _cmd_lhz_map(args) -> int:
             f"--n {args.n} does not match the problem file (n={problem.n})"
         )
     layout = build_layout(args.n)
-    j_fields = map_couplings(problem)
-    doc = layout_to_dict(layout, j_fields)
+    doc = layout_to_dict(layout, map_couplings(problem))
     resolved = {
         "n": args.n,
         "problem": os.path.basename(args.problem),
         "format": args.format,
     }
-    columns = {
-        "k": list(range(layout.k_physical)),
-        "i": layout.pair_ends[0].tolist(),
-        "j": layout.pair_ends[1].tolist(),
-        "j_k": doc["j_fields"],
-    }
-    layout_keys = ("rows", "row_members", "fixed_row", "tiles")
-    header = {"layout": {k: doc[k] for k in layout_keys}}
-    _write_output(args, _emit("lhz map", resolved, columns, args.format, header, doc))
+    if args.format == "json":
+        text = _emit("lhz map", resolved, {}, "json", body=doc)
+    else:
+        del doc["pairs"]  # the table's i and j columns carry them
+        columns = {
+            "k": list(range(layout.k_physical)),
+            "i": layout.pair_ends[0].tolist(),
+            "j": layout.pair_ends[1].tolist(),
+            "j_k": doc["j_fields"],
+        }
+        layout_keys = ("rows", "row_members", "fixed_row", "tiles")
+        header = {"layout": {k: doc[k] for k in layout_keys}}
+        text = _emit("lhz map", resolved, columns, "csv", header)
+    _write_output(args, text)
     return EXIT_OK
 
 
 def _cmd_tile_enumerate(args) -> int:
     params, clamp = _load_tile_params(args.params)
-    e_min, ground = ground_set(params, clamp_ancilla=clamp)
+    rows = all_configs(6)
+    if clamp:
+        rows = rows[np.all(rows[:, 4:] == clamp, axis=1)]
+    fields = dataclasses.asdict(params)
+    with _overflow_errors(args.params, "the tile energy", fields):
+        e_min, ground = ground_set(params, clamp_ancilla=clamp)
+        energies = tile_energies(params, rows)
     ground_labels = sorted(g.label for g in ground)
     resolved = {
-        "j": list(params.j),
-        "j_a1": params.j_a1,
-        "j_a2": params.j_a2,
-        "c_cnst": params.c_cnst,
-        "clamp_ancilla": list(clamp) if clamp else None,
+        **fields,
+        "clamp_ancilla": clamp,
         "format": args.format,
         "ground_energy": e_min,
         "ground_states": ground_labels,
     }
-    rows = all_configs(6)
-    if clamp:
-        rows = rows[np.all(rows[:, 4:] == clamp, axis=1)]
     columns = dict(zip(("s1", "s2", "s3", "s4", "a1", "a2"), rows.T.tolist()))
-    columns["energy"] = tile_energies(params, rows).tolist()
+    columns["energy"] = energies.tolist()
     columns["parity"] = np.prod(rows[:, :4], axis=1).tolist()
     _write_output(args, _emit("tile enumerate", resolved, columns, args.format))
     _log(args, f"ground energy {e_min:.12g} with {len(ground_labels)} states")
@@ -448,29 +487,28 @@ def _cmd_tile_enumerate(args) -> int:
 
 
 def _cmd_tile_quantum(args) -> int:
-    loaded = _load_quantum_params(args.params)
+    loaded, noise = _load_quantum_params(args.params)
     _check_trials(args.trials)
     seed = _resolve_seed(args)
-    noise = NoiseSpec(
-        thermal_coefficient=loaded["thermal_coefficient"],
-        distribution=loaded["distribution"],
-        seed=seed,
-    )
-    if loaded["sweep"]:
-        dist = sweep_distribution(
-            loaded["j_a"], loaded["j_c"], noise=noise, trials=args.trials
-        )
-    else:
-        dist = logical_distribution(
-            loaded["j"], loaded["j_a"], loaded["j_c"], noise=noise, trials=args.trials
-        )
-    resolved = {
-        "j": list(loaded["j"]) if loaded["j"] is not None else None,
+    noise = dataclasses.replace(noise, seed=seed)
+    terms = {
+        "j": loaded["j"] or 0.0,
         "j_a": loaded["j_a"],
         "j_c": loaded["j_c"],
-        "sweep": loaded["sweep"],
-        "thermal_coefficient": loaded["thermal_coefficient"],
-        "distribution": loaded["distribution"],
+        "noise.thermal_coefficient": noise.thermal_coefficient,
+    }
+    with _overflow_errors(args.params, "the tile spectrum", terms):
+        if loaded["sweep"]:
+            dist = sweep_distribution(
+                loaded["j_a"], loaded["j_c"], noise=noise, trials=args.trials
+            )
+        else:
+            dist = logical_distribution(
+                loaded["j"], loaded["j_a"], loaded["j_c"], noise=noise,
+                trials=args.trials,
+            )
+    resolved = {
+        **loaded,
         "trials": args.trials,
         "seed": seed,
         "format": args.format,
@@ -527,13 +565,14 @@ def _cmd_circuit_iv(args) -> int:
     if not (args.temp >= 0 and math.isfinite(args.temp)):
         raise ValueError(f"--temp must be >= 0 and finite, got {args.temp}")
     seed = _resolve_seed(args)
-    i, v = rsj_iv_curve(
-        config["junction"],
-        args.temp,
-        config["iv_i"],
-        seed=seed,
-        dt_eff=config["dt_eff"],
-    )
+    with _field_errors(JsonObject({}, args.config, "iv."), rsj_iv_curve):
+        i, v = rsj_iv_curve(
+            config["junction"],
+            args.temp,
+            config["iv_i"],
+            seed=seed,
+            dt_eff=config["dt_eff"],
+        )
     if not np.isfinite(v).all():
         # without noise |V| grows with |I|, so an overflow reaches an end of the
         # bias range; if neither end overflows alone, the thermal walk did it
@@ -571,14 +610,10 @@ def _cmd_anneal(args) -> int:
         canonical=args.canonical,
     )
     program = loaded["program"]
-    schedule = loaded["schedule"]
     resolved = {
-        "pump_phase": list(program.pump_phase),
-        "coupler_offset_phase": program.coupler_offset_phase,
-        "j_max": program.j_max,
+        **dataclasses.asdict(program),
         "j_max_ancilla": program.ancilla_scale,
-        "c_cnst": program.c_cnst,
-        "schedule": dataclasses.asdict(schedule),
+        "schedule": dataclasses.asdict(loaded["schedule"]),
         "eta": loaded["eta"],
         "beta": loaded["beta"],
         "trials": args.trials,
@@ -591,7 +626,7 @@ def _cmd_anneal(args) -> int:
     }
     if loaded["kappa"] is not None:
         resolved["kappa"] = loaded["kappa"]
-        resolved["wall_clock_s"] = wall_clock_seconds(schedule, loaded["kappa"])
+        resolved["wall_clock_s"] = loaded["wall_clock_s"]
     text = emit_histogram(hist, args.format, args.dense, "anneal", resolved)
     _write_output(args, text)
     _log(

@@ -551,6 +551,56 @@ SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
             ANNEAL_ARGS, program_file, {"schedule": []}, "schedule",
             id="anneal schedule as a list",
         ),
+        pytest.param(
+            ENUMERATE_ARGS, tile_file, {"j": [1e308] * 4}, "j",
+            id="tile enumerate field energy overflows",
+        ),
+        pytest.param(
+            ENUMERATE_ARGS, tile_file, {"j_a1": 1e308, "j_a2": 1e308, "c_cnst": 1e308},
+            "j_a1", id="tile enumerate parity bracket overflows",
+        ),
+        pytest.param(
+            QUANTUM_ARGS + ["--trials", "2"], quantum_file,
+            {"noise": {"thermal_coefficient": 1e308}}, "noise.thermal_coefficient",
+            id="tile quantum disorder overflows the spectrum",
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"schedule": {"duration": 20.0, "dt": -0.01}},
+            "schedule.dt", id="anneal dt negative",
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"kappa": 0}, "kappa", id="anneal kappa zero"
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file,
+            {"schedule": {"duration": 20.0, "dt": 0.01, "p_end": 0.9}},
+            "schedule.p_end", id="anneal p_end below threshold",
+        ),
+        pytest.param(
+            QUANTUM_ARGS, quantum_file, {"noise": {"thermal_coefficient": -1}},
+            "noise.thermal_coefficient", id="tile quantum thermal negative",
+        ),
+        pytest.param(
+            QUANTUM_ARGS, quantum_file, {"noise": {"distribution": "cauchy"}},
+            "noise.distribution", id="tile quantum distribution unknown",
+        ),
+        pytest.param(
+            SWEEP_ARGS, circuit_file,
+            {
+                "squid": {"l1": -1, "l2": 7.5e-12, "i_c1": 80e-6, "i_c2": 80e-6},
+                "sweep": SWEEP_SECTION,
+            },
+            "squid.l1", id="circuit sweep l1 negative",
+        ),
+        pytest.param(
+            IV_ARGS + ["0"], circuit_file,
+            {"iv": {**IV_SECTION, "junction": {"i_c": 160e-6, "r_shunt": 0}}},
+            "iv.junction.r_shunt", id="circuit iv r_shunt zero",
+        ),
+        pytest.param(
+            IV_ARGS + ["0"], circuit_file, {"iv": {**IV_SECTION, "dt_eff": 0}},
+            "iv.dt_eff", id="circuit iv dt_eff zero",
+        ),
     ],
 )
 def test_malformed_input_exits_two_naming_the_field(

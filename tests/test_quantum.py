@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jpotile.quantum as quantum
@@ -194,6 +194,11 @@ PARAMETER = st.one_of(
     st.sampled_from(["uniform", "normal"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# a subnormal j_c puts the ground level a subnormal separation below the rest
+@example(
+    params=[0.0, 0.0, 0.0, 0.0, 0.0, 2.225073858507e-311],
+    coefficient=0.0, distribution="uniform", seed=0,
+)
 def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed):
     j, j_a, j_c = params[:4], params[4], params[5]
     noise = NoiseSpec(coefficient, distribution, seed=seed)
@@ -204,8 +209,11 @@ def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed
 
     e_min, weights = ground_states(h)
     assert abs(e_min - e_dense) <= 1e-12
-    # either solver's eigenvectors are only fixed to ~eps * |H| / separation
-    assert np.max(np.abs(weights - w_dense)) <= 1e-12 * max(1.0, 1.0 / separation)
+    # either solver's eigenvectors are only fixed to ~eps * |H| / separation;
+    # the bound err <= 1e-12 * max(1, 1 / separation), multiplied out so a
+    # subnormal separation does not overflow 1 / separation
+    error = np.max(np.abs(weights - w_dense))
+    assert error * min(1.0, separation) <= 1e-12
     assert set(np.flatnonzero(weights > SUPPORT_TOL)) == set(
         np.flatnonzero(w_dense > SUPPORT_TOL)
     )
