@@ -48,7 +48,7 @@ from .circuit import (
     flux_sweep,
     rsj_iv_curve,
 )
-from .errors import ParseError
+from .errors import CalibrationError, ParseError
 from .lhz import build_layout, layout_to_dict, map_couplings
 from .quantum import (
     NoiseSpec,
@@ -311,7 +311,10 @@ def _load_circuit_config(path: str) -> dict:
                 f"{path}: provide either 'resonator.l_r' or 'target_omega0'"
             )
         with _field_errors(rs, calibrate_resonator):
-            l_r = calibrate_resonator(target, omega_r, squid)
+            try:
+                l_r = calibrate_resonator(target, omega_r, squid)
+            except CalibrationError as exc:
+                raise data.error("target_omega0", str(exc)) from exc
         if not math.isfinite(l_r):
             raise data.error("squid", "its inductance overflows the calibrated l_r")
         l_r_field = "target_omega0"

@@ -79,8 +79,10 @@ def _ground_mask(evals: np.ndarray) -> np.ndarray:
     """Which of the (..., 16, 4) block eigenvalues lie above their stack's
     minimum by at most RELATIVE_DEGENERACY_TOL of its 64-level range."""
     lo = evals.min(axis=(-2, -1), keepdims=True)
-    hi = evals.max(axis=(-2, -1), keepdims=True)
-    return evals <= lo + RELATIVE_DEGENERACY_TOL * (hi - lo)
+    span = evals.max(axis=(-2, -1), keepdims=True) - lo
+    if not np.isfinite(span).all():
+        raise ValueError("the tile spectrum's range is not finite")
+    return evals <= lo + RELATIVE_DEGENERACY_TOL * span
 
 
 def ground_states(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -141,11 +143,13 @@ class NoiseSpec:
             return self.seed
         return np.random.SeedSequence(self.seed)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, trials: int) -> np.ndarray:
+        """(trials, DIM) disorder. Draws that follow one another from one
+        rng concatenate, so the rows do not depend on how trials are split."""
         if self.distribution == "uniform":
-            raw = rng.uniform(-1.0, 1.0, DIM)
+            raw = rng.uniform(-1.0, 1.0, (trials, DIM))
         else:
-            raw = rng.standard_normal(DIM)
+            raw = rng.standard_normal((trials, DIM))
         return self.thermal_coefficient * raw
 
 
@@ -191,8 +195,8 @@ def logical_distribution(
     """Trial-averaged ground-subspace distribution over the logical states.
 
     Each trial adds one draw of the diagonal disorder to the blocks of H and
-    takes the ground-subspace weight of each logical state. Per-trial RNG
-    streams are split from the seed by index and the weights are summed in
+    takes the ground-subspace weight of each logical state. Trials draw in
+    order from one stream seeded by noise and their weights are summed in
     trial order, so the result does not depend on how trials are batched.
     """
     if trials < 1:
@@ -201,16 +205,11 @@ def logical_distribution(
     blocks = _tile_blocks(j, j_a, j_c)
     if noise.thermal_coefficient == 0.0:
         return StateDistribution(_logical_weights(blocks))
-    # one child per trial as it runs: spawn continues the child counter, so
-    # these are the streams spawn(trials) would give, without holding them all
-    root = noise.seed_sequence()
-    draws = np.empty((min(trials, _TRIAL_CHUNK), DIM))
+    rng = np.random.default_rng(noise.seed_sequence())
     acc = np.zeros((1, 16))
     for start in range(0, trials, _TRIAL_CHUNK):
         m = min(_TRIAL_CHUNK, trials - start)
-        for row in draws[:m]:
-            row[:] = noise.draw(np.random.default_rng(root.spawn(1)[0]))
-        noisy = blocks + draws[:m].reshape(m, 16, 4, 1) * np.eye(4)
+        noisy = blocks + noise.draw(rng, m).reshape(m, 16, 4, 1) * np.eye(4)
         acc = np.concatenate((acc, _logical_weights(noisy))).cumsum(axis=0)[-1:]
     return StateDistribution(acc[0] / trials)
 

@@ -593,6 +593,10 @@ SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
             "squid.l1", id="circuit sweep l1 negative",
         ),
         pytest.param(
+            SWEEP_ARGS, circuit_file, {"target_omega0": 1e10, "sweep": SWEEP_SECTION},
+            "target_omega0", id="circuit sweep target below omega_r",
+        ),
+        pytest.param(
             IV_ARGS + ["0"], circuit_file,
             {"iv": {**IV_SECTION, "junction": {"i_c": 160e-6, "r_shunt": 0}}},
             "iv.junction.r_shunt", id="circuit iv r_shunt zero",

@@ -128,17 +128,17 @@ DIGESTS = {
     "tile-enumerate-clamped/json":
         "8c20ebffaf326deb3d5e269fcf2cc231476e9b4d7e36feb60242b3dc2fe8d15a",
     "tile-quantum-sweep/csv":
-        "63de8003c2d094e09b7409960b3f685fc65b63f97437a92a327886bfc3a0df64",
+        "d8aefd6b1232523a1b9fb5eac96903997e1fa89a750f3d34f90916571e5b0671",
     "tile-quantum-sweep/json":
-        "7f491fc3fe4d95b7bb042e32e6d671582ece2f97de1a4798dfc7c29192bea516",
+        "ee54f18bebbe462b2c1dabfdd662a9f4e3bcaa39df70f92b3c305f62c3e5d977",
     "tile-quantum-fixed/csv":
-        "2bd7525f3362a5688f2de3fc0b5e71f534976fbb80eeb530effadc66c89ac123",
+        "d9b99efdd68b259454fe0afaabebc644cbb87c537b865235f508b7ccfa307b55",
     "tile-quantum-fixed/json":
-        "c566a2a0c6dc78c1cacfc603e804522bcf3d6e92fa753fa5ded4836ed60283ef",
+        "68292f27fe2ac75314367c92b6ec0af753d7e36cb01b63e07084eb7a12a95263",
     "tile-quantum-dense/csv":
-        "392659d0306823763f5f72fb60624562557ae459a27cae8469f99f0fde464740",
+        "d3a480554f92c9fa30a4f57692b0a4efaa8c94e4117e4d3588cbd597edffcbf7",
     "tile-quantum-dense/json":
-        "c45e723ed0acbd8a2593932f9528201336e475bd7118c481282ea767ae43ef3a",
+        "2f8fd7fecdf7fd6c31874c234af509131e97213d35ef359753f7b82d9a41e3ef",
     "circuit-sweep/csv":
         "6026460430f920a37ea686e128979a01c0c5606b31292f637cf7db38569b0fec",
     "circuit-sweep/json":

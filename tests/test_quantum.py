@@ -203,7 +203,7 @@ def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed
     j, j_a, j_c = params[:4], params[4], params[5]
     noise = NoiseSpec(coefficient, distribution, seed=seed)
     # the disorder logical_distribution adds in its first trial
-    draw = noise.draw(np.random.default_rng(noise.seed_sequence().spawn(1)[0]))
+    draw = noise.draw(np.random.default_rng(noise.seed_sequence()), 1)[0]
     h = build_hamiltonian(j, j_a, j_c) + np.diag(draw)
     e_dense, w_dense, gap_dense, separation = _dense_ground(h)
 
@@ -251,15 +251,15 @@ def test_noise_spec_validation_and_draws():
         spec.thermal_coefficient = 1.0
 
     spec = NoiseSpec(0.25, "uniform", seed=9)
-    draw = spec.draw(np.random.default_rng(spec.seed_sequence()))
-    assert draw.shape == (DIM,)
+    draw = spec.draw(np.random.default_rng(spec.seed_sequence()), 3)
+    assert draw.shape == (3, DIM)
     assert np.all(np.abs(draw) <= 0.25)
-    again = spec.draw(np.random.default_rng(spec.seed_sequence()))
+    again = spec.draw(np.random.default_rng(spec.seed_sequence()), 3)
     assert np.array_equal(draw, again)
 
     normal = NoiseSpec(1.0, "normal", seed=9)
     assert not np.array_equal(
-        normal.draw(np.random.default_rng(normal.seed_sequence())), draw
+        normal.draw(np.random.default_rng(normal.seed_sequence()), 3), draw
     )
 
 
@@ -312,12 +312,30 @@ def test_small_noise_keeps_even_support():
     assert float(dist.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("distribution", ["uniform", "normal"])
+def test_logical_distribution_averages_one_stream_in_trial_order(distribution):
+    # trial t takes row t of one draw of all trials from the noise's stream
+    noise = NoiseSpec(0.4, distribution, seed=29)
+    args = ((0.2, -0.1, 0.0, 0.3), 0.6, 0.9)
+    rows = noise.draw(np.random.default_rng(noise.seed_sequence()), 9)
+    acc = np.zeros(16)
+    for row in rows:
+        blocks = quantum._tile_blocks(*args) + row.reshape(16, 4, 1) * np.eye(4)
+        acc = acc + quantum._logical_weights(blocks)
+    dist = logical_distribution(*args, noise=noise, trials=9)
+    assert dist.probabilities.tobytes() == (acc / 9).tobytes()
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_logical_distribution_does_not_depend_on_the_chunk(monkeypatch, chunk):
+@pytest.mark.parametrize("distribution", ["uniform", "normal"])
+def test_logical_distribution_does_not_depend_on_the_chunk(
+    monkeypatch, distribution, chunk
+):
     # three logical states tie at the ground level and the disorder is near
     # the degeneracy tolerance, so trials weigh them 1/3, 1/2 or 1: a sum in
-    # any order other than trial order changes the last bits
-    noise = NoiseSpec(1e-8, "normal", seed=13)
+    # any order other than trial order changes the last bits, and so does a
+    # stream restarted at each chunk
+    noise = NoiseSpec(2e-8, distribution, seed=13)
     args = ((-1.0, -1.0, -1.0, -2.0), 1.0, -2.0)
     default = logical_distribution(*args, noise=noise, trials=25)
     monkeypatch.setattr(quantum, "_TRIAL_CHUNK", chunk)
@@ -339,6 +357,14 @@ def test_logical_distribution_memory_does_not_grow_with_trials():
     # the 0-3 KB of small-object residue that varies from run to run
     assert peaks[2] <= peaks[1] + 16 * 1024
     assert peaks[2] < 8 * 2**20
+
+
+def test_overflowing_spectrum_range_raises_instead_of_a_uniform_table():
+    # disorder near the float maximum: the 64-level range overflows, which
+    # would make every level count as ground
+    noise = NoiseSpec(1e308, "uniform", seed=1)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        logical_distribution((0.0,) * 4, 1.0, 1.0, noise=noise, trials=3)
 
 
 def test_noise_runs_are_reproducible():
