@@ -243,23 +243,22 @@ def _integrate_batch(
     trial draws 7 initial amplitudes, then its noise NOISE_BLOCK steps at a
     time into one reused buffer: the numbers of one (n_steps, 7) draw. The
     (7, m) state and scratch are bound once; a step is ~25 in-place numpy
-    calls in a fixed order. The dE/dc_ref row stays a BLAS gemv on an (m, 4)
-    C-ordered copy: for m > 1 J @ x[:4] or a sum rounds differently, and the
-    digests pin these bits. Returns the (m, 7) final states and, if record,
-    trial 0's (n_steps + 1, 7) trajectory."""
+    calls in a fixed order, the dE/dc_ref row a left-to-right sum that no
+    BLAS kernel or batch size rounds differently. Returns the (m, 7) final
+    states and, if record, trial 0's (n_steps + 1, 7) trajectory."""
     rngs = [np.random.default_rng(s) for s in seeds]
     dt, n_steps, c_sat, m = schedule.dt, schedule.n_steps, schedule.c_sat, len(rngs)
     x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
     noise = np.empty((m, min(NOISE_BLOCK, n_steps), N_OSC)).transpose(1, 2, 0)
     trajectory = np.tile(x[:, 0], (n_steps + 1, 1)) if record else None
-    j, j_anc = np.asarray(params.j), -np.array([[params.j_a1], [params.j_a2]])
+    j, j_anc = np.asarray(params.j)[:, None], -np.array([[params.j_a1], [params.j_a2]])
     drift, grad = np.empty((2, N_OSC, m))
     g_logical, g_anc, g_ref = grad[:4].reshape(2, 2, m), grad[4:6], grad[6]
-    c13, c24, c5, c6, c_ref, x_logical = x[0:4:2], x[1:4:2], *x[4:], x[:4].T
+    c13, c24, c5, c6, c_ref, logical = x[0:4:2], x[1:4:2], *x[4:], x[:4]
     pairs, (bracket, prod4) = np.empty((2, 2, m))
     p12, p34 = pairs
-    partners, other_pair = x[:4].reshape(2, 2, m)[:, ::-1], pairs[::-1, None]
-    others, logical, j_pairs = np.empty((2, 2, m)), np.empty((m, 4)), j.reshape(2, 2, 1)
+    partners, other_pair = logical.reshape(2, 2, m)[:, ::-1], pairs[::-1, None]
+    others, ref_terms, j_pairs = np.empty((2, 2, m)), np.empty((4, m)), j.reshape(2, 2, 1)
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
         block = noise[: stop - start]  # step k as a (7, m) array
@@ -278,8 +277,8 @@ def _integrate_batch(
             others *= bracket
             g_logical -= others
             np.multiply(j_anc, np.multiply(p12, p34, out=prod4), out=g_anc)
-            np.copyto(logical, x_logical)
-            np.matmul(logical, j, out=g_ref)
+            np.multiply(logical, j, out=ref_terms)
+            np.add.reduce(ref_terms, axis=0, out=g_ref)
             np.multiply(x, x, out=drift)
             np.subtract(gain, drift, out=drift)
             drift *= x

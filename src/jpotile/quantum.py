@@ -100,8 +100,9 @@ def ground_states(h: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def spectral_gap(h: np.ndarray) -> float:
-    """Distance from the ground level to the next distinct eigenvalue."""
-    evals = _solve(_blocks_of(h))
+    """Distance from the ground level to the next distinct eigenvalue, over
+    the levels of the one eigh solve whose ground set ground_states uses."""
+    evals, _ = _solve(_blocks_of(h), vectors=True)
     above = evals[~_ground_mask(evals)]
     return float(above.min() - evals.min()) if above.size else 0.0
 
@@ -123,10 +124,9 @@ def closed_form_ground_energy(j: Sequence[float], j_a: float, j_c: float) -> flo
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Random diagonal disorder: coefficient times i.i.d. draws per basis state.
-
-    seed accepts an int, None, or a numpy SeedSequence.
-    """
+    """Random diagonal disorder: coefficient times i.i.d. draws per basis
+    state. seed is an int, None or a numpy SeedSequence; seed_sequence hands
+    out a fresh copy of the latter, so spawning never advances the caller's."""
 
     thermal_coefficient: float = 0.0
     distribution: str = "uniform"
@@ -140,7 +140,7 @@ class NoiseSpec:
 
     def seed_sequence(self) -> np.random.SeedSequence:
         if isinstance(self.seed, np.random.SeedSequence):
-            return self.seed
+            return np.random.SeedSequence(**dict(self.seed.state, n_children_spawned=0))
         return np.random.SeedSequence(self.seed)
 
     def draw(self, rng: np.random.Generator, trials: int) -> np.ndarray:

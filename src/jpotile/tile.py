@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spins import as_spins, enumerate_ground_states
+from .spins import enumerate_ground_states
 
 
 @dataclass(frozen=True)

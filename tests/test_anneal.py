@@ -189,8 +189,8 @@ def test_trajectory_digest_is_pinned():
 
 def test_batch_digest_is_pinned():
     # run_trials digests see only labels, which hide last-bit drift in the
-    # batched arithmetic (at m > 1 the reference row goes through BLAS
-    # gemv); this pins the raw states of a 37-trial batch
+    # batched arithmetic; this pins the raw states of a 37-trial batch, whose
+    # reference row is an ordered elementwise sum on any BLAS kernel
     schedule = AnnealSchedule(duration=7.77)
     assert schedule.n_steps % NOISE_BLOCK != 0
     phases = tuple(np.random.default_rng(37).uniform(0.0, 2 * math.pi, 6))
@@ -216,8 +216,25 @@ def test_batch_digest_is_pinned():
         digest.update(finals.tobytes())
         digest.update(trajectory.tobytes())
     assert digest.hexdigest() == (
-        "d055de40a48bb9fbbeec4de2276ce37c5dc19e687a9e35732cecac07d1563169"
+        "0e695c4af6b7086a71c98f6aea6a8844823c3b6bfec7a694573d28130af1abd3"
     )
+
+
+def test_batch_rows_equal_single_trial_runs_bit_for_bit():
+    # every step is elementwise along the batch, so a trial's states do not
+    # depend on the trials it is batched with; all four fields are nonzero
+    phases = tuple(np.random.default_rng(5).uniform(0.0, 2 * math.pi, 6))
+    params = effective_tile_couplings(
+        CouplingProgram(pump_phase=phases, j_max=2.0, c_cnst=2.0)
+    )
+    schedule = AnnealSchedule(duration=3.0)  # 300 steps, two noise blocks
+    seeds = np.random.SeedSequence(5).spawn(9)
+    batch, _ = _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, seeds)
+    singles = [
+        _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, [s])[0][0]
+        for s in seeds
+    ]
+    assert batch.tobytes() == np.array(singles).tobytes()
 
 
 def test_unsettled_trials_are_reported_not_classified():

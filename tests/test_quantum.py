@@ -199,6 +199,11 @@ PARAMETER = st.one_of(
     params=[0.0, 0.0, 0.0, 0.0, 0.0, 2.225073858507e-311],
     coefficient=0.0, distribution="uniform", seed=0,
 )
+# j_a = 1e-9 puts an ancilla level within an ulp of the degeneracy threshold
+@example(
+    params=[0.0, 0.5, 0.5, 0.5, 1e-9, 0.5],
+    coefficient=0.0, distribution="uniform", seed=0,
+)
 def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed):
     j, j_a, j_c = params[:4], params[4], params[5]
     noise = NoiseSpec(coefficient, distribution, seed=seed)
@@ -223,6 +228,30 @@ def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed
     dist = logical_distribution(j, j_a, j_c, noise=noise, trials=1)
     assert np.max(np.abs(dist.probabilities - marginal)) <= 1e-12
     assert dist.support() == set(code_labels(np.flatnonzero(marginal > SUPPORT_TOL), 4))
+
+
+GRID = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(GRID, min_size=4, max_size=4),
+    st.sampled_from([5e-10, 1e-9, 2e-9, 1e-8]),
+    GRID,
+)
+@example(j=[0.0, 0.5, 0.5, 0.5], j_a=1e-9, j_c=0.5)
+def test_spectral_gap_sits_above_the_ground_set_of_ground_states(j, j_a, j_c):
+    # j_a near 1e-9 puts ancilla levels 4 j_a above the minimum, within an
+    # ulp of the degeneracy threshold, where two eigensolvers can classify
+    # them apart. The levels below e_min + gap must be the ground_states set:
+    # each block's share of the weights is its share of those levels.
+    h = build_hamiltonian(j, j_a, j_c)
+    e_min, weights = ground_states(h)
+    gap = spectral_gap(h)
+    levels = np.linalg.eigh(quantum._blocks_of(h))[0]
+    counts = ((levels - e_min < gap) | (gap == 0.0)).sum(axis=1)
+    shares = weights.reshape(16, 4).sum(axis=1)
+    assert np.max(np.abs(shares - counts / counts.sum())) <= 1e-12
 
 
 def test_closed_form_matches_eigensolver():
@@ -373,6 +402,17 @@ def test_noise_runs_are_reproducible():
     a = logical_distribution((0.1, 0.0, 0.0, 0.0), 1.0, 1.0, noise=noise_a, trials=6)
     b = logical_distribution((0.1, 0.0, 0.0, 0.0), 1.0, 1.0, noise=noise_b, trials=6)
     assert np.array_equal(a.probabilities, b.probabilities)
+
+
+def test_sweep_distribution_leaves_a_seed_sequence_as_it_found_it():
+    seed = np.random.SeedSequence(21)
+    noise = NoiseSpec(0.3, "normal", seed=seed)
+    a = sweep_distribution(1.0, 1.0, noise=noise, trials=4)
+    b = sweep_distribution(1.0, 1.0, noise=noise, trials=4)
+    by_int = sweep_distribution(1.0, 1.0, noise=NoiseSpec(0.3, "normal", 21), trials=4)
+    assert a.probabilities.tobytes() == b.probabilities.tobytes()
+    assert a.probabilities.tobytes() == by_int.probabilities.tobytes()
+    assert seed.n_children_spawned == 0
 
 
 def test_default_sweep_grid():
