@@ -603,15 +603,16 @@ def _cmd_anneal(args) -> int:
     loaded = _load_program(args.program)
     _check_trials(args.trials)
     seed = _resolve_seed(args)
-    hist = run_trials(
-        loaded["program"],
-        trials=args.trials,
-        seed=seed,
-        schedule=loaded["schedule"],
-        eta=loaded["eta"],
-        beta=loaded["beta"],
-        canonical=args.canonical,
-    )
+    with _field_errors(JsonObject({}, args.program), run_trials):  # eta, beta
+        hist = run_trials(
+            loaded["program"],
+            trials=args.trials,
+            seed=seed,
+            schedule=loaded["schedule"],
+            eta=loaded["eta"],
+            beta=loaded["beta"],
+            canonical=args.canonical,
+        )
     program = loaded["program"]
     resolved = {
         **dataclasses.asdict(program),

@@ -6,12 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jpotile import anneal
 from jpotile.anneal import (
     DEFAULT_BETA,
     DEFAULT_ETA,
+    NARROW_BATCH,
     NOISE_BLOCK,
     AnnealSchedule,
     CouplingProgram,
@@ -220,21 +222,35 @@ def test_batch_digest_is_pinned():
     )
 
 
-def test_batch_rows_equal_single_trial_runs_bit_for_bit():
-    # every step is elementwise along the batch, so a trial's states do not
-    # depend on the trials it is batched with; all four fields are nonzero
-    phases = tuple(np.random.default_rng(5).uniform(0.0, 2 * math.pi, 6))
-    params = effective_tile_couplings(
-        CouplingProgram(pump_phase=phases, j_max=2.0, c_cnst=2.0)
-    )
-    schedule = AnnealSchedule(duration=3.0)  # 300 steps, two noise blocks
-    seeds = np.random.SeedSequence(5).spawn(9)
-    batch, _ = _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, seeds)
+@settings(deadline=None, max_examples=25)
+@given(
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=6, max_size=6),
+    j_max=st.floats(0.0, 4.0),
+    c_cnst=st.floats(-10.0, 10.0),
+    eta=st.floats(0.0, 2.0),
+    beta=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(phases=[0.5, 1.5, 2.5, 3.5, 4.5, 5.5], j_max=2.0, c_cnst=2.0,
+         eta=DEFAULT_ETA, beta=DEFAULT_BETA, seed=5)
+def test_batch_rows_equal_single_trial_runs_bit_for_bit(
+    phases, j_max, c_cnst, eta, beta, seed
+):
+    # a batch of NARROW_BATCH trials takes the numpy step and a single trial
+    # the step on Python floats; both round the same operations in one order,
+    # so a trial's states do not depend on the trials it is batched with
+    program = CouplingProgram(pump_phase=tuple(phases), j_max=j_max, c_cnst=c_cnst)
+    params = effective_tile_couplings(program)
+    schedule = AnnealSchedule(duration=3.0)  # 300 steps, a partial last noise block
+    assert schedule.n_steps % NOISE_BLOCK != 0
+    seeds = np.random.SeedSequence(seed).spawn(NARROW_BATCH)
+    batch, path = _integrate_batch(params, schedule, eta, beta, seeds, record=True)
     singles = [
-        _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, [s])[0][0]
-        for s in seeds
+        _integrate_batch(params, schedule, eta, beta, [s], record=k == 0)
+        for k, s in enumerate(seeds)
     ]
-    assert batch.tobytes() == np.array(singles).tobytes()
+    assert batch.tobytes() == np.concatenate([final for final, _ in singles]).tobytes()
+    assert path.tobytes() == singles[0][1].tobytes()
 
 
 def test_unsettled_trials_are_reported_not_classified():
@@ -330,18 +346,19 @@ def test_histogram_is_invariant_under_any_chunking(data):
     assert chunked.unsettled == reference.unsettled
 
 
-def test_run_trials_memory_does_not_grow_with_schedule_length():
+@pytest.mark.parametrize("trials", [1, NARROW_BATCH], ids=["narrow", "wide"])
+def test_run_trials_memory_does_not_grow_with_schedule_length(trials):
     program = even_parity_program()
     # warm up first, so lazy imports inside numpy are not counted
-    run_trials(program, 2, seed=1, schedule=AnnealSchedule(duration=0.1))
+    run_trials(program, trials, seed=1, schedule=AnnealSchedule(duration=0.1))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run_trials(program, 2, seed=1, schedule=AnnealSchedule(duration=200.0))
+        run_trials(program, trials, seed=1, schedule=AnnealSchedule(duration=200.0))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 20 000 steps: noise held for the whole schedule would take 2.24 MB
+    # 20 000 steps: noise held for the whole schedule would take 1.12 MB a trial
     assert peak < 1_000_000
 
 
@@ -352,6 +369,13 @@ def test_run_trials_validation():
         run_trials(even_parity_program(), trials=10, n_bits=5)
     with pytest.raises(ValueError):
         run_trials(even_parity_program(), trials=10, chunk_size=0)
+    # a negative noise strength or feedback gain has no meaning in the model
+    for kwargs in ({"eta": -0.05}, {"beta": -0.2}, {"eta": math.nan}):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            run_trials(even_parity_program(), trials=10, **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            simulate_trial(even_parity_program(), **kwargs)
 
 
 def test_deterministic_part_converges_at_first_order():
@@ -382,7 +406,7 @@ def test_deterministic_part_converges_at_first_order():
     assert 1.8 < errors[1e-2] / errors[5e-3] < 4.5
 
 
-def test_integration_blowup_is_reported():
+def test_integration_blowup_is_reported(monkeypatch):
     hot = CouplingProgram(pump_phase=(0.0,) * 6, j_max=1.0, c_cnst=1e308)
     schedule = AnnealSchedule(duration=1.0, dt=0.1)
     with pytest.raises(IntegrationBlowupError) as err:
@@ -390,10 +414,30 @@ def test_integration_blowup_is_reported():
     assert err.value.dt == 0.1
     assert err.value.t == pytest.approx(0.2, rel=1e-12)
     assert "non-finite" in str(err.value)
-    # a batch reports the same step as a single trial
-    with pytest.raises(IntegrationBlowupError) as err:
-        run_trials(hot, trials=3, schedule=schedule, seed=0)
-    assert err.value.t == pytest.approx(0.2, rel=1e-12)
+    # batches on both sides of NARROW_BATCH report the same step as a single
+    # trial, for an overflow in the step and for infinite noise
+    for program, eta, t in ((hot, DEFAULT_ETA, 0.2), (even_parity_program(), math.inf, 0.1)):
+        for trials in (1, 3, NARROW_BATCH):
+            with pytest.raises(IntegrationBlowupError) as err:
+                run_trials(program, trials=trials, schedule=schedule, seed=0, eta=eta)
+            assert err.value.t == pytest.approx(t, rel=1e-12)
+    # noise at the edge of the float range overflows at a different step in
+    # each trial; either path reports the batch's first
+    params = effective_tile_couplings(even_parity_program())
+    coarse = AnnealSchedule(duration=20.0, dt=1.0)
+    seeds = np.random.SeedSequence(3).spawn(5)
+
+    def blowup_time(seeds):
+        with pytest.raises(IntegrationBlowupError) as err:
+            _integrate_batch(params, coarse, 1e308, DEFAULT_BETA, seeds)
+        return err.value.t
+
+    singles = [blowup_time([s]) for s in seeds]
+    assert len(set(singles)) > 1
+    assert blowup_time(seeds) == min(singles)
+    monkeypatch.setattr(anneal, "NARROW_BATCH", 1)
+    assert blowup_time(seeds) == min(singles)
+    assert blowup_time(seeds[:1]) == singles[0]
 
 
 def test_wall_clock_report():

@@ -466,6 +466,12 @@ SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
             ANNEAL_ARGS, program_file, {"eta": math.nan}, "eta", id="anneal eta NaN"
         ),
         pytest.param(
+            ANNEAL_ARGS, program_file, {"eta": -0.05}, "eta", id="anneal eta negative"
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"beta": -0.2}, "beta", id="anneal beta negative"
+        ),
+        pytest.param(
             ENUMERATE_ARGS, tile_file, {"j": [math.nan, 0, 0, 0]}, "j entry 0",
             id="tile enumerate j NaN",
         ),
