@@ -73,10 +73,10 @@ class AnnealSchedule:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if not self.p_start < 1.0:
-            raise ValueError("p_start must lie below threshold (p=1)")
-        if not self.p_end > 1.0:
-            raise ValueError("p_end must lie above threshold (p=1)")
+        if not -math.inf < self.p_start < 1.0:
+            raise ValueError("p_start must be finite and below threshold (p=1)")
+        if not 1.0 < self.p_end < math.inf:
+            raise ValueError("p_end must be finite and above threshold (p=1)")
         steps = self.duration / self.dt
         if not steps <= MAX_STEPS:
             raise ValueError(f"duration / dt must be at most {MAX_STEPS} steps")
@@ -123,6 +123,9 @@ class CouplingProgram:
         if len(phases) != 6:
             raise ValueError("pump_phase must hold exactly 6 phases")
         object.__setattr__(self, "pump_phase", phases)
+        if not math.isfinite(self.ancilla_scale):
+            name = "j_max" if self.j_max_ancilla is None else "j_max_ancilla"
+            raise ValueError(f"{name} must give a finite ancilla coupling")
 
     @property
     def ancilla_scale(self) -> float:

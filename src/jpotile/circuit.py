@@ -36,6 +36,8 @@ class JunctionParams:
     def __post_init__(self):
         if not self.i_c > 0:
             raise ValueError("i_c must be > 0")
+        if not self.i_c * self.i_c < np.inf:
+            raise ValueError(f"i_c too large: i_c**2 overflows, got {self.i_c!r}")
         if not self.r_shunt > 0:
             raise ValueError("r_shunt must be > 0")
 
@@ -177,8 +179,8 @@ def rsj_iv_curve(
     dt_eff is an artificial walk timestep, not a physical sweep rate. At
     T = 0 the output equals the backbone exactly.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0 <= temperature < np.inf:
+        raise ValueError("temperature must be >= 0 and finite")
     if not dt_eff > 0:
         raise ValueError("dt_eff must be > 0")
     i = np.asarray(i_values, dtype=float).copy()

@@ -22,7 +22,6 @@ import sys
 import tempfile
 import time
 from itertools import chain, repeat
-from inspect import signature
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -253,22 +252,6 @@ def emit_distribution(
 # subcommand loaders
 
 
-def _load_tile_params(path: str) -> tuple[TileParams, Optional[tuple[int, int]]]:
-    data = JsonObject.load(path)
-    params = TileParams(
-        j=data.numbers("j", 4),
-        j_a1=data.number("j_a1"),
-        j_a2=data.number("j_a2"),
-        c_cnst=data.number("c_cnst"),
-    )
-    clamp = data.numbers("clamp_ancilla", 2, None)
-    if clamp is not None:
-        if any(v not in (-1.0, 1.0) for v in clamp):
-            raise data.error("clamp_ancilla", "entries must be -1 or +1")
-        clamp = (int(clamp[0]), int(clamp[1]))
-    return params, clamp
-
-
 def _load_quantum_params(path: str) -> tuple[dict, NoiseSpec]:
     """The parameters in the order the config echo prints them, and the
     noise model they describe, without its seed."""
@@ -283,24 +266,15 @@ def _load_quantum_params(path: str) -> tuple[dict, NoiseSpec]:
         "thermal_coefficient": noise.number("thermal_coefficient", 0.0) or 0.0,
         "distribution": noise.get("distribution", "uniform"),
     }
-    with _field_errors(noise, NoiseSpec):
+    with noise.naming(NoiseSpec):
         spec = NoiseSpec(out["thermal_coefficient"], out["distribution"])
     return out, spec
 
 
 def _load_circuit_config(path: str) -> dict:
     data = JsonObject.load(path)
-    sq = data.section("squid", required=True)
-    with _field_errors(sq, SquidParams):
-        squid = SquidParams(
-            l1=sq.number("l1"),
-            l2=sq.number("l2"),
-            i_c1=sq.number("i_c1"),
-            i_c2=sq.number("i_c2"),
-        )
+    squid = data.section("squid", required=True).model(SquidParams)
     rs = data.section("resonator", required=True)
-    omega_r = rs.number("omega_r")
-    c_s = rs.number("c_s")
     l_r = rs.number("l_r", None)
     target = data.number("target_omega0", None)
     # the field that sets l_r, named when the resonance frequency overflows
@@ -310,19 +284,17 @@ def _load_circuit_config(path: str) -> dict:
             raise ParseError(
                 f"{path}: provide either 'resonator.l_r' or 'target_omega0'"
             )
-        with _field_errors(rs, calibrate_resonator):
+        with rs.naming(calibrate_resonator):
             try:
-                l_r = calibrate_resonator(target, omega_r, squid)
+                l_r = calibrate_resonator(target, rs.number("omega_r"), squid)
             except CalibrationError as exc:
                 raise data.error("target_omega0", str(exc)) from exc
         if not math.isfinite(l_r):
             raise data.error("squid", "its inductance overflows the calibrated l_r")
         l_r_field = "target_omega0"
-    with _field_errors(rs, ResonatorParams):
-        resonator = ResonatorParams(omega_r=omega_r, l_r=l_r, c_s=c_s)
     config = {
-        "squid": squid, "resonator": resonator, "target_omega0": target,
-        "l_r_field": l_r_field,
+        "squid": squid, "resonator": rs.model(ResonatorParams, l_r=l_r),
+        "target_omega0": target, "l_r_field": l_r_field,
     }
     sweep = data.section("sweep")
     if sweep is not None:
@@ -330,14 +302,7 @@ def _load_circuit_config(path: str) -> dict:
         config["sweep_i"] = _sample_grid(sweep)
     iv = data.section("iv")
     if iv is not None:
-        junction = iv.section("junction", required=True)
-        i_c = junction.number("i_c")
-        if not math.isfinite(i_c * i_c):
-            raise junction.error("i_c", f"i_c**2 overflows, got {i_c!r}")
-        with _field_errors(junction, JunctionParams):
-            config["junction"] = JunctionParams(
-                i_c=i_c, r_shunt=junction.number("r_shunt")
-            )
+        config["junction"] = iv.section("junction", required=True).model(JunctionParams)
         config["iv_i"] = _sample_grid(iv)
         config["dt_eff"] = iv.number("dt_eff", 1e-12)
     return config
@@ -354,21 +319,6 @@ def _sample_grid(section: JsonObject) -> np.ndarray:
             "points", f"expected at most {MAX_GRID_POINTS} points, got {points}"
         )
     return np.linspace(start, stop, points)
-
-
-@contextlib.contextmanager
-def _field_errors(section: JsonObject, model):
-    """Name the field behind a range error of model, a model class or
-    function called in the block: every model's own check raises a
-    ValueError that begins with the name of the parameter it rejects, and
-    that one is raised again naming the file and the dotted field."""
-    try:
-        yield
-    except ValueError as exc:
-        name = str(exc).split(" ", 1)[0]
-        if isinstance(exc, ParseError) or name not in signature(model).parameters:
-            raise
-        raise section.error(name, str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -396,38 +346,6 @@ def _require_finite(path: str, field: str, quantity: str, values, bias) -> None:
         raise JsonObject({}, path).error(
             field, f"{quantity} overflows at bias current {bias[bad[0]]:g} A"
         )
-
-
-def _load_program(path: str) -> dict:
-    data = JsonObject.load(path)
-    program = CouplingProgram(
-        pump_phase=data.numbers("pump_phase", 6),
-        coupler_offset_phase=data.number("coupler_offset_phase", 0.0),
-        j_max=data.number("j_max", 1.0),
-        j_max_ancilla=data.number("j_max_ancilla", None),
-        c_cnst=data.number("c_cnst", 0.0),
-    )
-    sched = data.section("schedule") or JsonObject({}, path, "schedule.")
-    with _field_errors(sched, AnnealSchedule):
-        schedule = AnnealSchedule(
-            duration=sched.number("duration", 50.0),
-            dt=sched.number("dt", 1e-2),
-            p_start=sched.number("p_start", 0.5),
-            p_end=sched.number("p_end", 2.0),
-        )
-    kappa = data.number("kappa", None)
-    wall_clock_s = None
-    if kappa is not None:
-        with _field_errors(data, wall_clock_seconds):
-            wall_clock_s = wall_clock_seconds(schedule, kappa)
-    return {
-        "program": program,
-        "schedule": schedule,
-        "eta": data.number("eta", DEFAULT_ETA),
-        "beta": data.number("beta", DEFAULT_BETA),
-        "kappa": kappa,
-        "wall_clock_s": wall_clock_s,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +383,21 @@ def _cmd_lhz_map(args) -> int:
 
 
 def _cmd_tile_enumerate(args) -> int:
-    params, clamp = _load_tile_params(args.params)
+    data = JsonObject.load(args.params)
+    params = data.model(TileParams, j=data.numbers("j", 4))
+    clamp = data.numbers("clamp_ancilla", 2, None)
     rows = all_configs(6)
     if clamp:
         rows = rows[np.all(rows[:, 4:] == clamp, axis=1)]
     fields = dataclasses.asdict(params)
-    with _overflow_errors(args.params, "the tile energy", fields):
-        e_min, ground = ground_set(params, clamp_ancilla=clamp)
-        energies = tile_energies(params, rows)
+    with data.naming(ground_set):  # clamp_ancilla
+        with _overflow_errors(args.params, "the tile energy", fields):
+            e_min, ground = ground_set(params, clamp_ancilla=clamp)
+            energies = tile_energies(params, rows)
     ground_labels = sorted(g.label for g in ground)
     resolved = {
         **fields,
-        "clamp_ancilla": clamp,
+        "clamp_ancilla": clamp and [int(v) for v in clamp],
         "format": args.format,
         "ground_energy": e_min,
         "ground_states": ground_labels,
@@ -568,7 +489,7 @@ def _cmd_circuit_iv(args) -> int:
     if not (args.temp >= 0 and math.isfinite(args.temp)):
         raise ValueError(f"--temp must be >= 0 and finite, got {args.temp}")
     seed = _resolve_seed(args)
-    with _field_errors(JsonObject({}, args.config, "iv."), rsj_iv_curve):
+    with JsonObject({}, args.config, "iv.").naming(rsj_iv_curve):
         i, v = rsj_iv_curve(
             config["junction"],
             args.temp,
@@ -600,26 +521,34 @@ def _cmd_circuit_iv(args) -> int:
 
 
 def _cmd_anneal(args) -> int:
-    loaded = _load_program(args.program)
+    data = JsonObject.load(args.program)
+    program = data.model(CouplingProgram, pump_phase=data.numbers("pump_phase", 6))
+    sched = data.section("schedule") or JsonObject({}, args.program, "schedule.")
+    schedule = sched.model(AnnealSchedule)
+    kappa = data.number("kappa", None)
+    if kappa is not None:
+        with data.naming(wall_clock_seconds):
+            wall_clock_s = wall_clock_seconds(schedule, kappa)
+    eta = data.number("eta", DEFAULT_ETA)
+    beta = data.number("beta", DEFAULT_BETA)
     _check_trials(args.trials)
     seed = _resolve_seed(args)
-    with _field_errors(JsonObject({}, args.program), run_trials):  # eta, beta
+    with data.naming(run_trials):  # eta, beta
         hist = run_trials(
-            loaded["program"],
+            program,
             trials=args.trials,
             seed=seed,
-            schedule=loaded["schedule"],
-            eta=loaded["eta"],
-            beta=loaded["beta"],
+            schedule=schedule,
+            eta=eta,
+            beta=beta,
             canonical=args.canonical,
         )
-    program = loaded["program"]
     resolved = {
         **dataclasses.asdict(program),
         "j_max_ancilla": program.ancilla_scale,
-        "schedule": dataclasses.asdict(loaded["schedule"]),
-        "eta": loaded["eta"],
-        "beta": loaded["beta"],
+        "schedule": dataclasses.asdict(schedule),
+        "eta": eta,
+        "beta": beta,
         "trials": args.trials,
         "seed": seed,
         "canonical": args.canonical,
@@ -628,9 +557,9 @@ def _cmd_anneal(args) -> int:
         "settled": hist.trials - hist.unsettled,
         "unsettled": hist.unsettled,
     }
-    if loaded["kappa"] is not None:
-        resolved["kappa"] = loaded["kappa"]
-        resolved["wall_clock_s"] = loaded["wall_clock_s"]
+    if kappa is not None:
+        resolved["kappa"] = kappa
+        resolved["wall_clock_s"] = wall_clock_s
     text = emit_histogram(hist, args.format, args.dense, "anneal", resolved)
     _write_output(args, text)
     _log(

@@ -13,9 +13,12 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from inspect import signature
 from itertools import chain
 from typing import Any, Callable, Optional, Sequence
 
@@ -171,7 +174,9 @@ def enumerate_ground_states(
     return best, set(map(tuple, indices_to_spins(kept, n).tolist()))
 
 
-_REQUIRED = object()
+# a field without a default: dataclasses' own marker, so model hands a
+# dataclass field's default on as it is
+_REQUIRED = dataclasses.MISSING
 
 
 def _finite_floats(values: list) -> Optional[list[float]]:
@@ -197,7 +202,8 @@ class JsonObject:
     must be true or false, and sub-objects must be objects. Every failure
     raises ParseError naming the file and the dotted field path. A field
     that is absent or null takes the accessor's default; without a default
-    it is required.
+    it is required. model builds an input dataclass from its own fields, so
+    its defaults and range rules live only in the dataclass.
     """
 
     def __init__(self, data: dict, path: str, prefix: str = ""):
@@ -280,6 +286,30 @@ class JsonObject:
         if not isinstance(value, dict):
             raise self.error(key, f"expected an object, got {value!r}")
         return JsonObject(value, self.path, f"{self.prefix}{key}.")
+
+    def model(self, cls, **given):
+        """cls built from the fields given and, for each other field, the
+        number of that name: the field's default when absent or null,
+        required when it has none. Its range errors name their field."""
+        for field in dataclasses.fields(cls):
+            if field.name not in given:
+                given[field.name] = self.number(field.name, field.default)
+        with self.naming(cls):
+            return cls(**given)
+
+    @contextlib.contextmanager
+    def naming(self, model):
+        """Name the field behind a range error of model, a model class or
+        function called in the block: every model's own check raises a
+        ValueError that begins with the name of the parameter it rejects, and
+        that one is raised again naming the file and the dotted field."""
+        try:
+            yield
+        except ValueError as exc:
+            name = str(exc).split(" ", 1)[0]
+            if isinstance(exc, ParseError) or name not in signature(model).parameters:
+                raise
+            raise self.error(name, str(exc)) from exc
 
 
 def load_ising_problem(path: str) -> IsingProblem:

@@ -106,9 +106,10 @@ def ground_set(
     """
     pinned: tuple[int, ...] = ()
     if clamp_ancilla is not None:
+        # checked before int() could truncate an entry such as 1.5 to a spin
+        if len(clamp_ancilla) != 2 or any(v not in (-1, 1) for v in clamp_ancilla):
+            raise ValueError("clamp_ancilla takes two spins: entries must be -1 or +1")
         pinned = tuple(int(v) for v in clamp_ancilla)
-        if len(pinned) != 2 or any(v not in (-1, 1) for v in pinned):
-            raise ValueError("clamp_ancilla must be two spins valued -1 or +1")
 
     def energies(configs: np.ndarray) -> np.ndarray:
         pins = np.tile(np.array(pinned, dtype=configs.dtype), (len(configs), 1))

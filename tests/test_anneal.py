@@ -89,6 +89,11 @@ def test_schedule_validation():
         AnnealSchedule(p_start=1.0)
     with pytest.raises(ValueError):
         AnnealSchedule(p_end=0.9)
+    # an infinite ramp end would make the first pump gain NaN (inf * 0)
+    with pytest.raises(ValueError, match="^p_start must be finite"):
+        AnnealSchedule(duration=1.0, dt=0.1, p_start=-math.inf)
+    with pytest.raises(ValueError, match="^p_end must be finite"):
+        AnnealSchedule(duration=1.0, dt=0.1, p_end=math.inf)
     with pytest.raises(ValueError):
         AnnealSchedule(duration=50.003, dt=1e-2)
     with pytest.raises(ValueError):
@@ -119,6 +124,13 @@ def test_program_to_tile_couplings():
 
     with pytest.raises(ValueError):
         CouplingProgram(pump_phase=(0.0,) * 5)
+    # the ancilla coupling defaults to 2 * j_max, which overflows above ~9e307
+    with pytest.raises(ValueError, match="^j_max must give a finite"):
+        CouplingProgram(pump_phase=(0.0,) * 6, j_max=1e308)
+    with pytest.raises(ValueError, match="^j_max_ancilla must give a finite"):
+        CouplingProgram(pump_phase=(0.0,) * 6, j_max=1e308, j_max_ancilla=math.inf)
+    capped = CouplingProgram((0.0,) * 6, j_max=1e308, j_max_ancilla=1.0)
+    assert capped.ancilla_scale == 1.0
 
 
 def test_oscillator_state_leaves_the_callers_array_alone():

@@ -105,6 +105,9 @@ def test_parameter_validation():
         JunctionParams(i_c=0.0, r_shunt=15.0)
     with pytest.raises(ValueError):
         JunctionParams(i_c=1e-6, r_shunt=-1.0)
+    # the backbone squares i_c, which overflows above ~1.3e154 A
+    with pytest.raises(ValueError, match=r"^i_c too large: i_c\*\*2 overflows"):
+        JunctionParams(i_c=1e200, r_shunt=15.0)
     with pytest.raises(ValueError):
         SquidParams(l1=0.0, l2=1e-12, i_c1=1e-6, i_c2=1e-6)
     with pytest.raises(ValueError):
@@ -209,6 +212,10 @@ def test_rsj_input_validation():
     junction = JunctionParams(i_c=160e-6, r_shunt=15.0)
     with pytest.raises(ValueError):
         rsj_iv_curve(junction, -1.0, [0.0])
+    # nan < 0 is false: NaN must be refused, not run as the noiseless backbone
+    for temperature in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^temperature must be >= 0 and finite"):
+            rsj_iv_curve(junction, temperature, [0.0])
     with pytest.raises(ValueError):
         rsj_iv_curve(junction, 0.0, [])
     with pytest.raises(ValueError):

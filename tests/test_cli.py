@@ -463,6 +463,12 @@ SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
             id="anneal j_max NaN",
         ),
         pytest.param(
+            ANNEAL_ARGS, program_file,
+            {"pump_phase": [0.0] * 6, "j_max": 1e308,
+             "schedule": {"duration": 1.0, "dt": 0.1}},
+            "j_max", id="anneal ancilla coupling overflows",
+        ),
+        pytest.param(
             ANNEAL_ARGS, program_file, {"eta": math.nan}, "eta", id="anneal eta NaN"
         ),
         pytest.param(
@@ -556,6 +562,10 @@ SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
         pytest.param(
             ANNEAL_ARGS, program_file, {"schedule": []}, "schedule",
             id="anneal schedule as a list",
+        ),
+        pytest.param(
+            ENUMERATE_ARGS, tile_file, {"clamp_ancilla": [1.5, -1]}, "clamp_ancilla",
+            id="tile enumerate clamp not a spin",
         ),
         pytest.param(
             ENUMERATE_ARGS, tile_file, {"j": [1e308] * 4}, "j",

@@ -154,6 +154,9 @@ def test_every_optional_parameter_is_set_outside_the_tests():
                 if not isinstance(call, ast.Call):
                     continue
                 name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name == "model" and call.args:  # <reader>.model(Cls): every field
+                    cls = getattr(call.args[0], "id", None)
+                    passed.update((cls, p) for p in signatures.get(cls, ((), ()))[0])
                 if name not in signatures:
                     continue
                 given = list(zip(signatures[name][0], call.args))

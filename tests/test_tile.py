@@ -129,6 +129,11 @@ def test_ground_set_with_clamped_ancillas():
         ground_set(params, clamp_ancilla=(0, 1))
     with pytest.raises(ValueError):
         ground_set(params, clamp_ancilla=(1, 1, 1))
+    # a non-spin entry is refused, not truncated to one by int()
+    for clamp in ((1.5, -1), (1, -1.5), (float("nan"), 1)):
+        with pytest.raises(ValueError, match="^clamp_ancilla .*entries must be -1 or"):
+            ground_set(params, clamp_ancilla=clamp)
+    assert ground_set(params, clamp_ancilla=(1.0, 1.0)) == ground_set(params, (1, 1))
 
 
 def test_zero_field_ground_floor_formula():
