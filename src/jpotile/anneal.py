@@ -39,8 +39,8 @@ N_OSC = 7                # four logical, two ancilla, one reference
 MAX_STEPS = 10**7        # longest accepted schedule, in Euler steps
 MAX_TRIALS = 10**7       # largest accepted ensemble
 NOISE_BLOCK = 256        # noise steps drawn per generator call
-NARROW_BATCH = 10        # narrower batches run on Python floats: 1.8-2.8 us a trial-step,
-                         # against 20-34 us a numpy step at m <= 16; even at m = 8 to 14
+NARROW_BATCH = 10        # narrower batches run on Python floats; per trial-step the two
+                         # steps tie at m = 10 (1.6-2.7 us), Python wins at m = 8, numpy at 12
 
 
 def coupling_from_phase(j_max: float, delta_theta: float) -> float:
@@ -50,10 +50,10 @@ def coupling_from_phase(j_max: float, delta_theta: float) -> float:
 
 def johnson_noise_amplitude(r: float, t: float) -> float:
     """Thermal current-noise scale sqrt(4 R T k_B) of a resistive shunt."""
-    if not r > 0:
-        raise ValueError("r must be > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be finite and > 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     return math.sqrt(4.0 * r * t * K_B)
 
 
@@ -243,11 +243,14 @@ def _integrate_batch(
     """Euler-Maruyama over one batch, one default_rng seed per trial, which
     draws 7 initial amplitudes, then the numbers of one (n_steps, 7) noise
     draw NOISE_BLOCK steps at a time. Batches narrower than NARROW_BATCH run
-    trial by trial on Python floats, wider ones as a (7, m) numpy state. Both
-    round the same operations in one order, the dE/dc_ref row a left-to-right
-    sum, so a trial's states have the same bits at any width, and both report
-    the batch's first non-finite step. Returns the (m, 7) final states and,
-    if record, trial 0's (n_steps + 1, 7) trajectory."""
+    trial by trial on Python floats, wider ones as a (7, m) numpy state whose
+    step is 29 ufunc calls on whole contiguous or 0-d operands. On a 2-vCPU
+    VM both take 1.6-2.7 us a trial-step at m = 10, and a numpy step takes
+    17-33 us at m = 32 and 32-46 us at m = 128, as the host's speed swings.
+    Both round the same operations in one order, the dE/dc_ref row a
+    left-to-right sum, so a trial's states have the same bits at any width,
+    and both report the batch's first non-finite step. Returns the (m, 7)
+    final states and, if record, trial 0's (n_steps + 1, 7) trajectory."""
     for name, value in (("eta", eta), ("beta", beta)):  # noise strength, feedback gain
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0")
@@ -270,14 +273,25 @@ def _integrate_batch(
     x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
     noise = np.empty((m, min(NOISE_BLOCK, n_steps), N_OSC)).transpose(1, 2, 0)
     trajectory = np.tile(x[:, 0], (n_steps + 1, 1)) if record else None
-    j, j_anc = np.asarray(params.j)[:, None], -np.array([[params.j_a1], [params.j_a2]])
+    # the step's operands are C-contiguous arrays, rows or 0-d arrays, which
+    # ufuncs take fastest: a Python float costs a conversion each call, a
+    # column or strided view the iterator's slow path, and a constant spread
+    # to (7, m) memory traffic at large m. Local names spare each call a
+    # module lookup
+    j, j_anc = (np.repeat(np.array(v, dtype=float)[:, None], m, axis=1)
+                for v in (params.j, (params.j_a1, params.j_a2)))
+    c_cnst, nja1, nja2, beta_0d, dt_0d, hi, lo, gain_0d = (
+        np.array(float(v))
+        for v in (params.c_cnst, -params.j_a1, -params.j_a2, beta, dt, c_sat, -c_sat, 0.0))
     drift, grad = np.empty((2, N_OSC, m))
-    g_logical, g_anc, g_ref = grad[:4].reshape(2, 2, m), grad[4:6], grad[6]
-    c13, c24, c5, c6, c_ref, logical = x[0:4:2], x[1:4:2], *x[4:], x[:4]
-    pairs, (bracket, prod4) = np.empty((2, 2, m))
-    p12, p34 = pairs
-    partners, other_pair = logical.reshape(2, 2, m)[:, ::-1], pairs[::-1, None]
-    others, ref_terms, j_pairs = np.empty((2, 2, m)), np.empty((4, m)), j.reshape(2, 2, 1)
+    logical, anc, (c1, c2, c3, c4, c5, c6, c_ref) = x[:4], x[4:6], x
+    g_logical, (g5, g6, g_ref) = grad[:4], grad[4:]
+    others, ref_terms = np.empty((2, 4, m))
+    (o1, o2, o3, o4), (t1, t2, t3, t4) = others, ref_terms
+    anc_terms, (p12, p34, p1234, bracket) = np.empty((2, m)), np.empty((4, m))
+    a5, a6 = anc_terms
+    multiply, add, subtract, minimum, maximum = (
+        np.multiply, np.add, np.subtract, np.minimum, np.maximum)
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
         block = noise[: stop - start]  # step k as a (7, m) array
@@ -294,26 +308,36 @@ def _integrate_batch(
             with np.errstate(over="raise", invalid="raise"):
                 for k, gain in enumerate(gains[: end - start].tolist(), start):
                     # E = c_ref sum_i J_i c_i - (J_a1 c_5 + J_a2 c_6 + C) c_1 c_2 c_3 c_4
-                    np.multiply(c13, c24, pairs)  # c_1 c_2, c_3 c_4
-                    np.multiply(partners, other_pair, others)  # the other three c_k
-                    np.multiply(c5, params.j_a1, bracket)
-                    bracket += np.multiply(c6, params.j_a2, prod4)
-                    bracket += params.c_cnst
-                    np.multiply(j_pairs, c_ref, g_logical)
-                    others *= bracket
-                    g_logical -= others
-                    np.multiply(j_anc, np.multiply(p12, p34, prod4), g_anc)
-                    np.multiply(logical, j, ref_terms)
-                    np.add.reduce(ref_terms, 0, None, g_ref)
-                    np.multiply(x, x, drift)
-                    np.subtract(gain, drift, drift)
-                    drift *= x
-                    grad *= beta
-                    drift -= grad
-                    drift *= dt
-                    drift += block[k - start]
-                    x += drift
-                    x.clip(-c_sat, c_sat, x)
+                    multiply(c1, c2, p12)
+                    multiply(c3, c4, p34)
+                    multiply(c2, p34, o1)  # the other three c_k of each logical c_i
+                    multiply(c1, p34, o2)
+                    multiply(c4, p12, o3)
+                    multiply(c3, p12, o4)
+                    multiply(anc, j_anc, anc_terms)
+                    add(a5, a6, bracket)
+                    add(bracket, c_cnst, bracket)
+                    multiply(j, c_ref, g_logical)  # one row over four: one call, not four
+                    multiply(others, bracket, others)
+                    subtract(g_logical, others, g_logical)
+                    multiply(p12, p34, p1234)
+                    multiply(nja1, p1234, g5)
+                    multiply(nja2, p1234, g6)
+                    multiply(logical, j, ref_terms)
+                    add(t1, t2, g_ref)  # left to right, as the Python-float step
+                    add(g_ref, t3, g_ref)
+                    add(g_ref, t4, g_ref)
+                    multiply(x, x, drift)
+                    gain_0d.fill(gain)
+                    subtract(gain_0d, drift, drift)
+                    multiply(drift, x, drift)
+                    multiply(grad, beta_0d, grad)
+                    subtract(drift, grad, drift)
+                    multiply(drift, dt_0d, drift)
+                    add(drift, block[k - start], drift)
+                    add(x, drift, x)
+                    minimum(x, hi, out=x)
+                    maximum(x, lo, out=x)
                     if record:
                         trajectory[k + 1] = x[:, 0]
         except FloatingPointError:
@@ -476,13 +500,16 @@ def dft_phase(
     """Phase of a carrier at f0 from a single-bin discrete Fourier sum.
 
     The window must cover at least 4 carrier periods; shorter windows raise
-    InsufficientDataError.
+    InsufficientDataError. Samples, dt and f0 must be finite.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a non-empty 1-D sequence")
-    if not dt > 0 or not f0 > 0:
-        raise ValueError("dt and f0 must be > 0")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
+    for name, value in (("dt", dt), ("f0", f0)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
     span = x.size * dt * f0
     if span < 4.0 - 1e-12:
         raise InsufficientDataError(
@@ -497,8 +524,10 @@ def classify_state(phase: float) -> int:
     """Map a carrier phase to a bit: 1 when nearer pi than 0 (mod 2 pi).
 
     Phases exactly midway (+-pi/2 within 1e-12) are refused rather than
-    silently rounded.
+    silently rounded; NaN and infinite phases raise ValueError.
     """
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
     wrapped = math.atan2(math.sin(phase), math.cos(phase))
     distance = abs(wrapped)
     if abs(distance - math.pi / 2) < 1e-12:

@@ -63,6 +63,10 @@ def test_johnson_noise_reference_value():
         johnson_noise_amplitude(0.0, 4.2)
     with pytest.raises(ValueError):
         johnson_noise_amplitude(15.0, -1.0)
+    # a NaN or infinite input gives a nan or inf amplitude, no noise scale
+    for r, t, field in ((15.0, math.nan, "t"), (15.0, math.inf, "t"), (math.inf, 4.2, "r")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            johnson_noise_amplitude(r, t)
 
 
 def test_schedule_defaults_and_derived_quantities():
@@ -242,20 +246,22 @@ def test_batch_digest_is_pinned():
     eta=st.floats(0.0, 2.0),
     beta=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([NARROW_BATCH, 37]),
 )
 @example(phases=[0.5, 1.5, 2.5, 3.5, 4.5, 5.5], j_max=2.0, c_cnst=2.0,
-         eta=DEFAULT_ETA, beta=DEFAULT_BETA, seed=5)
+         eta=DEFAULT_ETA, beta=DEFAULT_BETA, seed=5, width=NARROW_BATCH)
 def test_batch_rows_equal_single_trial_runs_bit_for_bit(
-    phases, j_max, c_cnst, eta, beta, seed
+    phases, j_max, c_cnst, eta, beta, seed, width
 ):
-    # a batch of NARROW_BATCH trials takes the numpy step and a single trial
-    # the step on Python floats; both round the same operations in one order,
-    # so a trial's states do not depend on the trials it is batched with
+    # a batch of width >= NARROW_BATCH trials takes the numpy step, with its
+    # constants spread over the width, and a single trial the step on Python
+    # floats; both round the same operations in one order, so a trial's
+    # states do not depend on the trials it is batched with
     program = CouplingProgram(pump_phase=tuple(phases), j_max=j_max, c_cnst=c_cnst)
     params = effective_tile_couplings(program)
     schedule = AnnealSchedule(duration=3.0)  # 300 steps, a partial last noise block
     assert schedule.n_steps % NOISE_BLOCK != 0
-    seeds = np.random.SeedSequence(seed).spawn(NARROW_BATCH)
+    seeds = np.random.SeedSequence(seed).spawn(width)
     batch, path = _integrate_batch(params, schedule, eta, beta, seeds, record=True)
     singles = [
         _integrate_batch(params, schedule, eta, beta, [s], record=k == 0)
@@ -487,6 +493,18 @@ def test_dft_phase_window_and_input_validation():
         dft_phase(carrier(0.0), dt=0.0, f0=5.0)
     with pytest.raises(ValueError):
         dft_phase(carrier(0.0), dt=0.01, f0=-5.0)
+    # one NaN sample makes the phase NaN (read out as 0), an infinite one -pi/4
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = carrier(0.0)
+        samples[7] = bad
+        with pytest.raises(ValueError, match="^samples must be finite"):
+            dft_phase(samples, dt=0.01, f0=5.0)
+        with pytest.raises(ValueError, match="^samples must be finite"):
+            readout_bit(samples, dt=0.01, f0=5.0)
+        with pytest.raises(ValueError, match="^dt must be finite"):
+            dft_phase(carrier(0.0), dt=abs(bad), f0=5.0)
+        with pytest.raises(ValueError, match="^f0 must be finite"):
+            dft_phase(carrier(0.0), dt=0.01, f0=abs(bad))
 
 
 def test_dft_phase_tolerates_noise():
@@ -506,6 +524,10 @@ def test_classification_boundaries():
     assert classify_state(0.6 * np.pi) == 1
     for phase in (np.pi / 2, -np.pi / 2):
         with pytest.raises(AmbiguousPhaseError):
+            classify_state(phase)
+    # a non-finite phase names no state: refused by name, never read out as 0
+    for phase in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^phase must be finite"):
             classify_state(phase)
 
 
