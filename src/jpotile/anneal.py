@@ -54,7 +54,10 @@ def johnson_noise_amplitude(r: float, t: float) -> float:
         raise ValueError("r must be finite and > 0")
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
-    return math.sqrt(4.0 * r * t * K_B)
+    power = 4.0 * r * t * K_B
+    if power == math.inf:
+        raise ValueError(f"4 r t k_B overflows the float range (r={r!r}, t={t!r})")
+    return math.sqrt(power)
 
 
 @dataclass(frozen=True)
@@ -242,22 +245,22 @@ def _integrate_batch(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Euler-Maruyama over one batch, one default_rng seed per trial, which
     draws 7 initial amplitudes, then the numbers of one (n_steps, 7) noise
-    draw NOISE_BLOCK steps at a time. Batches narrower than NARROW_BATCH run
-    trial by trial on Python floats, wider ones as a (7, m) numpy state whose
-    step is 29 ufunc calls on whole contiguous or 0-d operands. On a 2-vCPU
-    VM both take 1.6-2.7 us a trial-step at m = 10, and a numpy step takes
-    17-33 us at m = 32 and 32-46 us at m = 128, as the host's speed swings.
-    Both round the same operations in one order, the dE/dc_ref row a
-    left-to-right sum, so a trial's states have the same bits at any width,
-    and both report the batch's first non-finite step. Returns the (m, 7)
-    final states and, if record, trial 0's (n_steps + 1, 7) trajectory."""
+    draw NOISE_BLOCK steps at a time. Recorded batches and those narrower
+    than NARROW_BATCH run trial by trial on Python floats, the others as a
+    (7, m) numpy state whose step is 29 ufunc calls on whole contiguous or
+    0-d operands. On a 2-vCPU VM both take 1.6-2.7 us a trial-step at
+    m = 10, and a numpy step 17-33 us at m = 32 and 32-46 us at m = 128, as
+    the host's speed swings. Both round the same operations in one order,
+    the dE/dc_ref row a left-to-right sum, so a trial's states have the same
+    bits at any width, and both report the batch's first non-finite step.
+    Returns the (m, 7) final states and, if record, trial 0's trajectory."""
     for name, value in (("eta", eta), ("beta", beta)):  # noise strength, feedback gain
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0")
     dt, n_steps, c_sat = schedule.dt, schedule.n_steps, schedule.c_sat
     scale = eta * math.sqrt(dt)
     rngs = [np.random.default_rng(s) for s in seeds]
-    if len(rngs) < NARROW_BATCH:
+    if len(rngs) < NARROW_BATCH or record:
         trajectory = np.empty((n_steps + 1, N_OSC)) if record else None
         finals, blowups = [], []
         for rng, path in zip(rngs, [trajectory] + [None] * len(rngs)):
@@ -272,7 +275,6 @@ def _integrate_batch(
     finite = np.isfinite([*params.j, params.j_a1, params.j_a2, params.c_cnst, beta]).all()
     x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
     noise = np.empty((m, min(NOISE_BLOCK, n_steps), N_OSC)).transpose(1, 2, 0)
-    trajectory = np.tile(x[:, 0], (n_steps + 1, 1)) if record else None
     # the step's operands are C-contiguous arrays, rows or 0-d arrays, which
     # ufuncs take fastest: a Python float costs a conversion each call, a
     # column or strided view the iterator's slow path, and a constant spread
@@ -338,13 +340,11 @@ def _integrate_batch(
                     add(x, drift, x)
                     minimum(x, hi, out=x)
                     maximum(x, lo, out=x)
-                    if record:
-                        trajectory[k + 1] = x[:, 0]
         except FloatingPointError:
             raise IntegrationBlowupError(t=(k + 1) * dt, dt=dt) from None
         if end < stop:
             raise IntegrationBlowupError(t=(end + 1) * dt, dt=dt)
-    return x.T, trajectory
+    return x.T, None
 
 
 def _integrate_trial(params: TileParams, schedule: AnnealSchedule, scale: float,
@@ -511,6 +511,8 @@ def dft_phase(
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0")
     span = x.size * dt * f0
+    if 2 * math.pi * max(span, f0) == math.inf:  # the sum takes 2 pi f0 and 2 pi f0 t
+        raise ValueError(f"the carrier phase overflows the float range (dt={dt!r}, f0={f0!r})")
     if span < 4.0 - 1e-12:
         raise InsufficientDataError(
             f"window covers {span:g} periods of f0; at least 4 are required"

@@ -21,9 +21,9 @@ import secrets
 import sys
 import tempfile
 import time
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .circuit import (
     rsj_iv_curve,
 )
 from .errors import CalibrationError, ParseError
-from .lhz import build_layout, layout_to_dict, map_couplings
+from .lhz import build_layout, map_couplings, row_members
 from .quantum import (
     NoiseSpec,
     StateDistribution,
@@ -65,8 +65,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 OUT_DIR_ENV = "JPOTILE_OUT_DIR"
-# largest grid a circuit config may ask for: `circuit sweep --format json`
-# at this many points peaks at ~400 MB resident, below `lhz map` at its n cap
+# largest grid a circuit config may ask for: `circuit sweep` at this many
+# points peaks at ~190 MB resident, below `lhz map` at its n cap
 MAX_GRID_POINTS = 500_000
 
 
@@ -108,19 +108,19 @@ def _resolve_seed(args) -> int:
 
 
 _SCALARS = {str, int, float, bool, type(None)}
+_TABLE_ROWS = 1024  # rows per %-format call, which bounds the text held at once
+# the indents json.dumps(indent=2) gives a row of a top-level table, and its cells
+_ROW, _CELL = "\n    ", "\n      "
+# a document value written row by row: columns (lists or arrays) and the row
+# template, one %-slot per column
+_Table = NamedTuple("_Table", [("columns", list), ("row", str)])
 
 
 def _json_text(value, level: int = 0) -> str:
-    """json.dumps(value, indent=2), byte for byte, for a document whose keys
-    are strings.
-
-    json.dumps runs its pure-Python encoder whenever indent is set. Here the
-    C encoder formats a whole list in one call when it holds only scalars,
-    or only non-empty rows of scalars, every row a list or every row an
-    object: its item separator carries the newline and the indent. A string
-    holds no raw newline, so in a row table "<close>,<deeper><open>" can
-    only be a row break, and those are the only places left to re-indent.
-    """
+    """json.dumps(value, indent=2), byte for byte, for a value whose keys are
+    strings. json.dumps runs its pure-Python encoder whenever indent is set;
+    here the C encoder formats a list of scalars in one call, its item
+    separator carrying the newline and the indent."""
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     close = "\n" + "  " * level
@@ -131,71 +131,42 @@ def _json_text(value, level: int = 0) -> str:
             for key, v in value.items()
         )
         return "{" + inner + ("," + inner).join(items) + close + "}"
-    types = set(map(type, value))
-    if types <= _SCALARS:
+    if set(map(type, value)) <= _SCALARS:
         text = json.dumps(value, separators=("," + inner, ": "))[1:-1]
         return "".join(("[", inner, text, close, "]"))
-    brackets = "[]{" if types <= {list, tuple} else "{}[" if types == {dict} else ""
-    if brackets and all(value):
-        start, end, other = brackets
-        deeper = inner + "  "
-        text = json.dumps(value, separators=("," + deeper, ": "))
-        # each row opens once past the leading "[", and the other kind of
-        # bracket appears nowhere: no row nests a list or an object, and no
-        # string holds a bracket that could pass for one
-        if text.count(start, 1) == len(value) and text.find(other, 1) < 0:
-            text = text.replace(
-                end + "," + deeper + start, inner + end + "," + inner + start + deeper
-            )
-            text = text[2:-2]  # rebound at each step: at most two copies live
-            return "".join(("[", inner, start, deeper, text, inner, end, close, "]"))
     items = (_json_text(v, level + 1) for v in value)
     return "[" + inner + ("," + inner).join(items) + close + "]"
 
 
-def _emit(
-    command: str,
-    resolved: dict,
-    columns: dict[str, list],
-    fmt: str,
-    header: Optional[dict] = None,
-    body: Optional[dict] = None,
-) -> str:
-    """Render one result table with its metadata: the resolved config and seed.
-
-    columns maps each column name to its values. CSV starts with
-    '# jpotile <command>' and '# config=<compact JSON>' lines, one more
-    '# <name>=<compact JSON>' line per entry of header, then the table;
-    float columns print with 12 significant digits. JSON is one document
-    with the metadata and the table as "rows", or body in place of the rows.
-    """
-    if fmt == "json":
-        if body is None:
-            rows = map(zip, repeat(list(columns)), zip(*columns.values()))
-            body = {"rows": list(map(dict, rows))}
-        doc = {"metadata": {"command": command, "config": resolved}}
-        doc.update(body)
-        return _json_text(doc) + "\n"
-    lines = [f"# jpotile {command}"]
-    for name, value in {"config": resolved, **(header or {})}.items():
-        compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        lines.append(f"# {name}={compact}")
-    lines.append(",".join(columns))
-    # the whole table in one %-format call: "%.12g" % x is format(x, ".12g")
-    # and "%s" % x is str(x); a column's first value sets its format
-    row = ",".join(
-        "%.12g" if v and isinstance(v[0], float) else "%s" for v in columns.values()
-    )
-    cells = tuple(chain.from_iterable(zip(*columns.values())))
-    # every row ends in a newline, so one join ends every line with one
-    lines.append((row + "\n") * (len(cells) // len(columns)) % cells)
-    return "\n".join(lines)
+def _json_row(slots, brackets: str) -> str:
+    """A row template of a top-level JSON table: the slots in brackets."""
+    return brackets[0] + _CELL + ("," + _CELL).join(slots) + _ROW + brackets[1]
 
 
-def _write_output(args, text: str) -> None:
+def _json_cells(values: list) -> list:
+    """JSON's text for each value, from one encoder call: NUL separates
+    the items, as no JSON text holds a raw one."""
+    return json.dumps(values, separators=("\0", ":"))[1:-1].split("\0")
+
+
+def _write_rows(out, columns: list, row: str, sep: str, cells) -> None:
+    """Write a table: row, its %-slots filled from the columns, for each
+    row, and sep between rows, in one %-format call per _TABLE_ROWS rows.
+    cells maps a column's chunk, as a list, to the values its slot takes."""
+    for start in range(0, len(columns[0]), _TABLE_ROWS):
+        chunk = [c[start : start + _TABLE_ROWS] for c in columns]
+        chunk = [cells(c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
+        template = (sep + row) * len(chunk[0])  # no separator before the first row
+        out.write(template[0 if start else len(sep) :] % tuple(chain(*zip(*chunk))))
+
+
+@contextlib.contextmanager
+def _open_output(args):
+    """The stream a document is written to: stdout, or a temp file beside
+    --out that replaces it once the document is complete."""
     out = getattr(args, "out", None)
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not os.path.isabs(out):
@@ -205,7 +176,7 @@ def _write_output(args, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jpotile-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -214,38 +185,72 @@ def _write_output(args, text: str) -> None:
     _log(args, f"wrote {out}")
 
 
+def _emit(args, command: str, resolved: dict, columns: dict, header=None, body=None) -> None:
+    """Write one result table and its metadata, the resolved config and
+    seed, in args.format to --out or stdout. columns maps each column name
+    to its values, a list or an array.
+
+    CSV is '# jpotile <command>', '# config=<compact JSON>' and one
+    '# <name>=<compact JSON>' line per entry of header, then the table: a
+    column whose first value is a float in "%.12g" (format(x, ".12g")), any
+    other in "%s" (str(x)). JSON is one document of the metadata and the
+    table as "rows", one object per row, or of the metadata and body."""
+    with _open_output(args) as out:
+        if args.format == "json":
+            if body is None:
+                keys = (encode_basestring_ascii(k).replace("%", "%%") for k in columns)
+                row = _json_row([f"{key}: %s" for key in keys], "{}")
+                body = {"rows": _Table(list(columns.values()), row)}
+            doc = {"metadata": {"command": command, "config": resolved}, **body}
+            for n, (key, value) in enumerate(doc.items()):
+                out.write(("{" if n == 0 else ",") + "\n  " + encode_basestring_ascii(key) + ": ")
+                if not isinstance(value, _Table):
+                    out.write(_json_text(value, 1))
+                elif len(value.columns[0]):
+                    out.write("[" + _ROW)
+                    _write_rows(out, value.columns, value.row, "," + _ROW, _json_cells)
+                    out.write("\n  ]")
+                else:
+                    out.write("[]")
+            out.write("\n}\n")
+            return
+        out.write(f"# jpotile {command}\n")
+        for name, value in {"config": resolved, **(header or {})}.items():
+            compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            out.write(f"# {name}={compact}\n")
+        out.write(",".join(columns) + "\n")
+        # an array's first value is a numpy scalar: np.float64 is a float
+        row = ",".join("%.12g" if len(v) and isinstance(v[0], float) else "%s"
+                       for v in columns.values())
+        _write_rows(out, list(columns.values()), row + "\n", "", list)
+
+
 # ---------------------------------------------------------------------------
 # histogram and distribution emitters
 
 
-def emit_histogram(
-    hist: StateHistogram, fmt: str, dense: bool, command: str, resolved: dict
-) -> str:
-    """Render a state histogram. Zero-count states are omitted unless dense.
+def emit_histogram(args, hist: StateHistogram, command: str, resolved: dict) -> None:
+    """Write a state histogram in args.format. Zero-count states are
+    omitted unless args.dense.
 
     Rows are sorted by state label; probabilities carry 6 significant
     digits. The JSON form round-trips the same counts.
     """
     labels = sorted(hist.counts)
-    if dense:
+    if args.dense:
         labels = code_labels(range(2**hist.n_bits), hist.n_bits)
     counts = [hist.counts.get(label, 0) for label in labels]
     probabilities = [_round_prob(count / hist.trials) for count in counts]
     columns = {"state": labels, "count": counts, "probability": probabilities}
-    return _emit(command, resolved, columns, fmt)
+    _emit(args, command, resolved, columns)
 
 
-def emit_distribution(
-    dist: StateDistribution, fmt: str, dense: bool, command: str, resolved: dict
-) -> str:
-    """Render a probability distribution over the 16 logical states."""
+def emit_distribution(args, dist: StateDistribution, command: str, resolved: dict) -> None:
+    """Write a probability distribution over the 16 logical states."""
     p = dist.probabilities
-    kept = np.arange(16) if dense else np.flatnonzero(p > SUPPORT_TOL)
-    columns = {
-        "state": code_labels(kept, 4),
-        "probability": [_round_prob(v) for v in p[kept].tolist()],
-    }
-    return _emit(command, resolved, columns, fmt)
+    kept = np.arange(16) if args.dense else np.flatnonzero(p > SUPPORT_TOL)
+    probabilities = [_round_prob(v) for v in p[kept].tolist()]
+    _emit(args, command, resolved, {"state": code_labels(kept, 4), "probability": probabilities})
 
 
 # ---------------------------------------------------------------------------
@@ -355,30 +360,30 @@ def _require_finite(path: str, field: str, quantity: str, values, bias) -> None:
 def _cmd_lhz_map(args) -> int:
     problem = load_ising_problem(args.problem)
     if problem.n != args.n:
-        raise ValueError(
-            f"--n {args.n} does not match the problem file (n={problem.n})"
-        )
+        raise ValueError(f"--n {args.n} does not match the problem file (n={problem.n})")
     layout = build_layout(args.n)
-    doc = layout_to_dict(layout, map_couplings(problem))
-    resolved = {
-        "n": args.n,
-        "problem": os.path.basename(args.problem),
-        "format": args.format,
+    fields = map_couplings(problem)
+    resolved = {"n": args.n, "problem": os.path.basename(args.problem), "format": args.format}
+    # layout_to_dict's keys, the tables written from the layout's arrays, and
+    # None in each fixed tile slot
+    tiles = np.where(layout.tiles == layout.k_physical, None, layout.tiles)
+    shape = {
+        "rows": list(layout.rows),
+        "row_members": [list(r) for r in row_members(layout)],
+        "fixed_row": layout.fixed_row,
     }
-    if args.format == "json":
-        text = _emit("lhz map", resolved, {}, "json", body=doc)
-    else:
-        del doc["pairs"]  # the table's i and j columns carry them
-        columns = {
-            "k": list(range(layout.k_physical)),
-            "i": layout.pair_ends[0].tolist(),
-            "j": layout.pair_ends[1].tolist(),
-            "j_k": doc["j_fields"],
-        }
-        layout_keys = ("rows", "row_members", "fixed_row", "tiles")
-        header = {"layout": {k: doc[k] for k in layout_keys}}
-        text = _emit("lhz map", resolved, columns, "csv", header)
-    _write_output(args, text)
+    i, j = layout.pair_ends
+    columns = {"k": np.arange(layout.k_physical), "i": i, "j": j, "j_k": fields}
+    if args.format == "csv":  # the table's i and j columns carry the pairs
+        _emit(args, "lhz map", resolved, columns, {"layout": {**shape, "tiles": tiles.tolist()}})
+        return EXIT_OK
+    body = {
+        "n_logical": layout.n_logical, "k_physical": layout.k_physical, **shape,
+        "pairs": _Table([i, j], _json_row(["%s"] * 2, "[]")),
+        "tiles": _Table(list(tiles.T), _json_row(["%s"] * 4, "[]")),
+        "j_fields": _Table([fields], "%s"),
+    }
+    _emit(args, "lhz map", resolved, columns, body=body)
     return EXIT_OK
 
 
@@ -405,7 +410,7 @@ def _cmd_tile_enumerate(args) -> int:
     columns = dict(zip(("s1", "s2", "s3", "s4", "a1", "a2"), rows.T.tolist()))
     columns["energy"] = energies.tolist()
     columns["parity"] = np.prod(rows[:, :4], axis=1).tolist()
-    _write_output(args, _emit("tile enumerate", resolved, columns, args.format))
+    _emit(args, "tile enumerate", resolved, columns)
     _log(args, f"ground energy {e_min:.12g} with {len(ground_labels)} states")
     return EXIT_OK
 
@@ -438,8 +443,7 @@ def _cmd_tile_quantum(args) -> int:
         "format": args.format,
         "dense": args.dense,
     }
-    text = emit_distribution(dist, args.format, args.dense, "tile quantum", resolved)
-    _write_output(args, text)
+    emit_distribution(args, dist, "tile quantum", resolved)
     return EXIT_OK
 
 
@@ -469,13 +473,8 @@ def _cmd_circuit_sweep(args) -> int:
     _require_finite(path, "sweep.current_to_flux", "flux / PHI0", flux / PHI0, bias)
     _require_finite(path, "squid", "SQUID inductance", l_squid, bias)
     _require_finite(path, config["l_r_field"], "resonance frequency", f0, bias)
-    columns = {
-        "i_dc_A": bias.tolist(),
-        "flux_wb": flux.tolist(),
-        "l_squid_H": l_squid.tolist(),
-        "f0_Hz": f0.tolist(),
-    }
-    _write_output(args, _emit("circuit sweep", resolved, columns, args.format))
+    columns = {"i_dc_A": bias, "flux_wb": flux, "l_squid_H": l_squid, "f0_Hz": f0}
+    _emit(args, "circuit sweep", resolved, columns)
     if clipped.any():
         _log(args, f"{clipped.sum()} samples clipped near half-quantum flux")
     return EXIT_OK
@@ -515,8 +514,7 @@ def _cmd_circuit_iv(args) -> int:
         "seed": seed,
         "format": args.format,
     }
-    columns = {"i_A": i.tolist(), "v_V": v.tolist()}
-    _write_output(args, _emit("circuit iv", resolved, columns, args.format))
+    _emit(args, "circuit iv", resolved, {"i_A": i, "v_V": v})
     return EXIT_OK
 
 
@@ -560,8 +558,7 @@ def _cmd_anneal(args) -> int:
     if kappa is not None:
         resolved["kappa"] = kappa
         resolved["wall_clock_s"] = wall_clock_s
-    text = emit_histogram(hist, args.format, args.dense, "anneal", resolved)
-    _write_output(args, text)
+    emit_histogram(args, hist, "anneal", resolved)
     _log(
         args,
         f"{hist.trials - hist.unsettled}/{hist.trials} trials settled, "

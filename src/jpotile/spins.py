@@ -30,7 +30,7 @@ ENUMERATION_LIMIT = 24
 DEGENERACY_TOL = 1e-9
 _ENUMERATION_CHUNK = 1 << 16  # configurations per energy_fn batch
 # largest n a problem file may declare: `lhz map` at n = 1000 peaks at
-# ~460 MB resident (JSON output) and its memory grows as n**2
+# ~290 MB resident (CSV output) and its memory grows as n**2
 MAX_PROBLEM_SPINS = 1000
 
 

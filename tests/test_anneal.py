@@ -69,6 +69,12 @@ def test_johnson_noise_reference_value():
             johnson_noise_amplitude(r, t)
 
 
+def test_johnson_noise_refuses_an_overflowing_power():
+    # finite r and t whose product 4 r t k_B leaves the float range
+    with pytest.raises(ValueError, match="^4 r t k_B overflows"):
+        johnson_noise_amplitude(1e200, 1e200)
+
+
 def test_schedule_defaults_and_derived_quantities():
     sched = AnnealSchedule()
     assert sched.duration == 50.0
@@ -218,14 +224,13 @@ def test_batch_digest_is_pinned():
     )
     digest = hashlib.sha256()
     for program in programs:
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(37).spawn(37)]
-        finals, trajectory = _integrate_batch(
-            effective_tile_couplings(program),
-            schedule,
-            DEFAULT_ETA,
-            DEFAULT_BETA,
-            rngs,
-            record=True,
+        params = effective_tile_couplings(program)
+        seeds = np.random.SeedSequence(37).spawn(37)
+        finals, _ = _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, seeds)
+        # only a single-trial run records; trial 0's path is the batch's own,
+        # as a batch row equals the single-trial run of its seed
+        _, trajectory = _integrate_batch(
+            params, schedule, DEFAULT_ETA, DEFAULT_BETA, seeds[:1], record=True
         )
         assert finals.shape == (37, 7)
         assert trajectory.shape == (schedule.n_steps + 1, 7)
@@ -262,13 +267,9 @@ def test_batch_rows_equal_single_trial_runs_bit_for_bit(
     schedule = AnnealSchedule(duration=3.0)  # 300 steps, a partial last noise block
     assert schedule.n_steps % NOISE_BLOCK != 0
     seeds = np.random.SeedSequence(seed).spawn(width)
-    batch, path = _integrate_batch(params, schedule, eta, beta, seeds, record=True)
-    singles = [
-        _integrate_batch(params, schedule, eta, beta, [s], record=k == 0)
-        for k, s in enumerate(seeds)
-    ]
+    batch, _ = _integrate_batch(params, schedule, eta, beta, seeds)
+    singles = [_integrate_batch(params, schedule, eta, beta, [s]) for s in seeds]
     assert batch.tobytes() == np.concatenate([final for final, _ in singles]).tobytes()
-    assert path.tobytes() == singles[0][1].tobytes()
 
 
 def test_unsettled_trials_are_reported_not_classified():
@@ -505,6 +506,17 @@ def test_dft_phase_window_and_input_validation():
             dft_phase(carrier(0.0), dt=abs(bad), f0=5.0)
         with pytest.raises(ValueError, match="^f0 must be finite"):
             dft_phase(carrier(0.0), dt=0.01, f0=abs(bad))
+
+
+def test_dft_phase_refuses_a_window_whose_phase_overflows():
+    # finite dt and f0 whose window span len(samples) * dt * f0 overflows,
+    # and an f0 whose 2 pi f0 does
+    samples = np.cos(np.arange(100) * 0.5)
+    for dt, f0 in ((1e200, 1e200), (1e-300, 1e308)):
+        with pytest.raises(ValueError, match=r"dt=.*, f0="):
+            dft_phase(samples, dt, f0)
+        with pytest.raises(ValueError, match="carrier phase overflows"):
+            readout_bit(samples, dt, f0)
 
 
 def test_dft_phase_tolerates_noise():

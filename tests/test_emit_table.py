@@ -1,10 +1,16 @@
-"""The CLI's table writer: the CSV table against per-cell formatting, and
-the JSON writer's one-call paths for bulk lists."""
+"""The CLI's table writer: the CSV table against per-cell formatting, every
+subcommand's bytes at any number of rows per format call, and the memory and
+format calls a table costs as it grows."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,37 +55,33 @@ def per_cell_csv(columns):
     return "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
+def written(columns, fmt="csv"):
+    """What the writer puts on stdout for one table of a command "t"."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(argparse.Namespace(format=fmt, out=None), "t", {}, columns)
+    return out.getvalue()
+
+
 @settings(deadline=None)
-@given(tables())
-def test_csv_table_matches_per_cell_formatting(columns):
+@given(tables(), st.sampled_from([1, 2, 5, 4096]))
+def test_csv_table_matches_per_cell_formatting(columns, rows_per_call):
     head = f"# jpotile t\n# config={{}}\n{','.join(columns)}\n"
-    assert cli._emit("t", {}, columns, "csv") == head + per_cell_csv(columns)
+    with mock.patch.object(cli, "_TABLE_ROWS", rows_per_call):
+        assert written(columns) == head + per_cell_csv(columns)
 
 
 def test_csv_special_values():
     columns = {"x": SPECIAL_FLOATS, "n": list(range(len(SPECIAL_FLOATS)))}
-    rows = cli._emit("t", {}, columns, "csv").splitlines()[3:]
-    assert [r.split(",")[0] for r in rows] == [
+    expected = [
         "0", "-0", "inf", "-inf", "nan", "4.94065645841e-324", "-4.94065645841e-324",
         "1e+300", "-1e+300",
     ]
-    assert cli._emit("t", {}, {"x": [], "y": []}, "csv").endswith("\nx,y\n")
-
-
-RENDER = cli._json_text
-
-
-def _json_calls(monkeypatch, capsys, argv):
-    """Stdout of a JSON run, and how many times _json_text ran for it."""
-    calls = []
-
-    def counted(value, level=0):
-        calls.append(value)
-        return RENDER(value, level)
-
-    monkeypatch.setattr(cli, "_json_text", counted)
-    assert cli.main(argv + ["--format", "json", "--quiet"]) == 0
-    return capsys.readouterr().out, len(calls)
+    # an array column takes the rule of the list it holds
+    for table in (columns, {k: np.array(v) for k, v in columns.items()}):
+        rows = written(table).splitlines()[3:]
+        assert [r.split(",") for r in rows] == [[x, str(n)] for n, x in enumerate(expected)]
+    assert written({"x": [], "y": []}).endswith("\nx,y\n")
 
 
 def _problem(tmp_path, n):
@@ -96,50 +98,141 @@ def _tile(tmp_path, clamp):
     return ["tile", "enumerate", "--params", str(path)]
 
 
-def _sweep(tmp_path, points):
+def _circuit(tmp_path, points):
     path = tmp_path / f"circuit{points}.json"
     path.write_text(json.dumps({
         "squid": {"l1": 7.5e-12, "l2": 7.5e-12, "i_c1": 80e-6, "i_c2": 80e-6},
         "resonator": {"omega_r": 3.1e10, "c_s": 5e-13, "l_r": 1e-9},
-        "sweep": {"current_to_flux": 2e-15, "i_start": 0.0, "i_stop": 1e-3, "points": points},
+        # one flux quantum per ampere: an odd point count puts a point at half of one
+        "sweep": {"current_to_flux": 2.067833848e-15, "i_start": 0.0, "i_stop": 1.0,
+                  "points": points},
+        "iv": {"junction": {"i_c": 2e-6, "r_shunt": 15.0}, "i_start": -6e-6, "i_stop": 6e-6,
+               "points": points},
     }))
-    return ["circuit", "sweep", "--config", str(path)]
+    return str(path)
+
+
+def _sweep(tmp_path, points):
+    return ["circuit", "sweep", "--config", _circuit(tmp_path, points)]
+
+
+def _quantum(tmp_path):
+    path = tmp_path / "quantum.json"
+    path.write_text(json.dumps({"j_a": 1.0, "j_c": 1.0, "noise": {"thermal_coefficient": 0.2}}))
+    return ["tile", "quantum", "--params", str(path), "--trials", "3", "--seed", "4"]
+
+
+def _anneal(tmp_path):
+    path = tmp_path / "program.json"
+    program = {"pump_phase": [0.3, 1.1, 2.0, 0.0, 0.5, 1.7], "schedule": {"duration": 3.0}}
+    path.write_text(json.dumps(program))
+    return ["anneal", "--program", str(path), "--trials", "24", "--seed", "8", "--canonical"]
+
+
+EVERY_SUBCOMMAND = {
+    "lhz map": lambda p: _problem(p, 7),
+    "tile enumerate": lambda p: _tile(p, None),
+    "tile enumerate clamped": lambda p: _tile(p, [1, -1]),
+    "tile quantum": _quantum,
+    "tile quantum dense": lambda p: _quantum(p) + ["--dense"],
+    # 201 points, one of them clipped at half a flux quantum
+    "circuit sweep": lambda p: _sweep(p, 201),
+    "circuit iv": lambda p: ["circuit", "iv", "--config", _circuit(p, 30), "--temp", "4.2",
+                             "--seed", "3"],
+    "anneal": _anneal,
+    "anneal dense": lambda p: _anneal(p) + ["--dense"],
+}
+
+
+def _stdout(capsys, argv):
+    assert cli.main(argv + ["--quiet"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(EVERY_SUBCOMMAND))
+def test_rows_per_call_leaves_every_byte(tmp_path, monkeypatch, capsys, command, fmt):
+    argv = EVERY_SUBCOMMAND[command](tmp_path) + ["--format", fmt]
+    whole = _stdout(capsys, argv)
+    if fmt == "json":
+        assert whole == json.dumps(json.loads(whole), indent=2) + "\n"
+    for rows_per_call in (1, 2, 7):
+        monkeypatch.setattr(cli, "_TABLE_ROWS", rows_per_call)
+        assert _stdout(capsys, argv) == whole
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _writes(argv):
+    """How many writes a JSON run makes, and its document."""
+    stream = _CountingStream()
+    with contextlib.redirect_stdout(stream):
+        assert cli.main(argv + ["--format", "json", "--quiet"]) == 0
+    return stream.writes, json.loads(stream.getvalue())
+
+
+def _chunks(rows, per_call):
+    return -(-rows // per_call)
 
 
 @pytest.mark.parametrize(
-    "small, large",
+    "small, large, tables",
     [
-        # pairs, tiles and row_members: 6, 3 and 3 rows against 780, 741 and 39
-        (lambda p: _problem(p, 4), lambda p: _problem(p, 40)),
+        # pairs, tiles and j_fields: K, K - n + 1 and K rows
+        (lambda p: _problem(p, 4), lambda p: _problem(p, 40),
+         lambda doc: [doc["k_physical"], len(doc["tiles"]), doc["k_physical"]]),
         # 16 row objects against 64
-        (lambda p: _tile(p, [1, -1]), lambda p: _tile(p, None)),
-        (lambda p: _sweep(p, 2), lambda p: _sweep(p, 300)),
+        (lambda p: _tile(p, [1, -1]), lambda p: _tile(p, None), lambda doc: [len(doc["rows"])]),
+        (lambda p: _sweep(p, 2), lambda p: _sweep(p, 300), lambda doc: [len(doc["rows"])]),
     ],
     ids=["lhz map", "tile enumerate", "circuit sweep"],
 )
-def test_bulk_lists_take_one_encoder_call(tmp_path, monkeypatch, capsys, small, large):
-    # a list that falls back to one call per item renders the same bytes, so
-    # only the number of calls shows it: it must not grow with the table
-    calls = []
+def test_format_calls_grow_as_rows_over_rows_per_call(tmp_path, monkeypatch, small, large, tables):
+    # each chunk of rows is one %-format call and one write, so the writes
+    # a table adds are its rows over the rows per call, rounded up
+    per_call = 7
+    counts = []
     for argv in (small(tmp_path), large(tmp_path)):
-        out, count = _json_calls(monkeypatch, capsys, argv)
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        calls.append(count)
-    assert calls[0] == calls[1]
+        monkeypatch.setattr(cli, "_TABLE_ROWS", per_call)
+        writes, doc = _writes(argv)
+        counts.append((writes, sum(_chunks(rows, per_call) for rows in tables(doc))))
+    (few, few_chunks), (many, many_chunks) = counts
+    assert many_chunks > few_chunks
+    assert many - few == many_chunks - few_chunks
 
 
-def test_row_table_keeps_at_most_two_copies_of_its_text():
-    rows = [
-        {"i_dc_A": k * 1e-7, "flux_wb": -k / 3, "l_squid_H": 1e-12 * k, "f0_Hz": 7.5e9 + k}
-        for k in range(20_000)
-    ]
-    doc = {"metadata": {"command": "circuit sweep", "config": {}}, "rows": rows}
+def _peak_bytes(path, rows, fmt):
+    """tracemalloc's peak, above what is live before, while a table of that
+    many four-float rows is written to path."""
+    columns = {
+        name: np.linspace(start, start + 1.0, rows)
+        for name, start in (("a", 0.1), ("b", -2.0 / 3.0), ("c", 1e-12), ("d", 7.5e9))
+    }
+    args = argparse.Namespace(format=fmt, out=str(path), quiet=True)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        text = cli._json_text(doc)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        cli._emit(args, "t", {}, columns)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert text == json.dumps(doc, indent=2)
-    assert peak < 2.2 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writing_a_table_to_a_file_takes_memory_bounded_in_its_rows(tmp_path, monkeypatch, fmt):
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    path = tmp_path / f"table.{fmt}"
+    short = _peak_bytes(path, 2 * cli._TABLE_ROWS, fmt)
+    long = _peak_bytes(path, 200_000, fmt)
+    # what the writer holds at once is one chunk of rows, however many rows
+    # the table has, and a small share of the 200,000 rows' text
+    assert long < 1.2 * short + 100_000
+    assert long < path.stat().st_size / 5
