@@ -5,7 +5,7 @@ from jpotile import TileConfig, TileParams, ground_set, tile_energy, uniform_til
 
 def show(title, params, clamp=None):
     energy, configs = ground_set(params, clamp_ancilla=clamp)
-    print(f"{title}: E0 = {energy:+.4f}, {len(configs)} states")
+    print(f"{title}: E0 = {energy:+.4g}, {len(configs)} states")
     for cfg in configs:
         print(f"   logical {cfg.logical} ancilla {cfg.ancilla} parity {cfg.logical_parity:+d}")
     print()
@@ -19,6 +19,17 @@ show("uniform J_b=1, J_C=1", uniform_tile_params(1.0, 1.0))
 # a tiny symmetry breaking field picks one state out of the even sector
 eps = 0.05
 show("small field eps=0.05", TileParams((-eps, -eps, -eps, -eps), 1.0, 1.0, 1.0))
+
+# the same tile at O(1) couplings and in joules (h * 1 GHz ~ 6.6e-25 J):
+# degeneracy is judged relative to the energy range, so the units do not
+# change the ground set
+tile = TileParams((0.3, -0.2, 0.1, 0.05), 1.0, 1.0, 1.0)
+show("fields (0.3, -0.2, 0.1, 0.05), J_a=1, C=1", tile)
+h_ghz = 6.6e-25
+show(
+    "the same tile in joules",
+    TileParams(tuple(v * h_ghz for v in tile.j), h_ghz, h_ghz, h_ghz),
+)
 
 show(
     "ancillas clamped down",

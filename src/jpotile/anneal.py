@@ -55,8 +55,8 @@ def johnson_noise_amplitude(r: float, t: float) -> float:
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
     power = 4.0 * r * t * K_B
-    if power == math.inf:
-        raise ValueError(f"4 r t k_B overflows the float range (r={r!r}, t={t!r})")
+    if power == math.inf:  # its root stays below ~1.3e297 for any finite r, t
+        return 2.0 * math.sqrt(r) * math.sqrt(t * K_B)
     return math.sqrt(power)
 
 
@@ -511,14 +511,18 @@ def dft_phase(
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0")
     span = x.size * dt * f0
-    if 2 * math.pi * max(span, f0) == math.inf:  # the sum takes 2 pi f0 and 2 pi f0 t
+    if 2 * math.pi * span == math.inf:
         raise ValueError(f"the carrier phase overflows the float range (dt={dt!r}, f0={f0!r})")
     if span < 4.0 - 1e-12:
         raise InsufficientDataError(
             f"window covers {span:g} periods of f0; at least 4 are required"
         )
     t = np.arange(x.size) * dt
-    bin_value = np.sum(x * np.exp(-2j * np.pi * f0 * t))
+    if 2 * math.pi * f0 < math.inf:
+        phase = -2j * np.pi * f0 * t
+    else:  # 2 pi f0 overflows, but no 2 pi f0 t within the window does
+        phase = -2j * np.pi * (f0 * t)
+    bin_value = np.sum(x * np.exp(phase))
     return float(np.angle(bin_value))
 
 

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EigensolverError
-from .spins import all_configs, code_labels, indices_to_spins
+from .spins import all_configs, code_labels, ground_mask, indices_to_spins
 
 DIM = 64
-RELATIVE_DEGENERACY_TOL = 1e-9
 SUPPORT_TOL = 1e-12
 _TRIAL_CHUNK = 512  # disorder trials per batched eigensolve
 
@@ -75,26 +74,16 @@ def _solve(blocks: np.ndarray, vectors: bool = False):
         raise EigensolverError(f"symmetric block eigensolver failed: {exc}") from exc
 
 
-def _ground_mask(evals: np.ndarray) -> np.ndarray:
-    """Which of the (..., 16, 4) block eigenvalues lie above their stack's
-    minimum by at most RELATIVE_DEGENERACY_TOL of its 64-level range."""
-    lo = evals.min(axis=(-2, -1), keepdims=True)
-    span = evals.max(axis=(-2, -1), keepdims=True) - lo
-    if not np.isfinite(span).all():
-        raise ValueError("the tile spectrum's range is not finite")
-    return evals <= lo + RELATIVE_DEGENERACY_TOL * span
-
-
 def ground_states(h: np.ndarray) -> tuple[float, np.ndarray]:
     """Ground energy and per-basis-state weight of the ground subspace.
 
-    Weights come from an orthonormal basis of the degenerate subspace
-    (eigenvalues within 1e-9 of the spectral range above the minimum) and
-    are invariant under rotations inside it. They sum to 1.
+    Weights come from an orthonormal basis of the degenerate subspace (the
+    eigenvalues spins.ground_mask counts as degenerate with the minimum)
+    and are invariant under rotations inside it. They sum to 1.
     h must not couple logical states (ValueError otherwise).
     """
     evals, evecs = _solve(_blocks_of(h), vectors=True)
-    ground = _ground_mask(evals)
+    ground = ground_mask(evals, axis=(-2, -1))
     weights = (evecs**2 * ground[:, None, :]).sum(axis=2).ravel() / ground.sum()
     return float(evals.min()), weights
 
@@ -103,7 +92,7 @@ def spectral_gap(h: np.ndarray) -> float:
     """Distance from the ground level to the next distinct eigenvalue, over
     the levels of the one eigh solve whose ground set ground_states uses."""
     evals, _ = _solve(_blocks_of(h), vectors=True)
-    above = evals[~_ground_mask(evals)]
+    above = evals[~ground_mask(evals, axis=(-2, -1))]
     return float(above.min() - evals.min()) if above.size else 0.0
 
 
@@ -181,7 +170,7 @@ def _logical_weights(blocks: np.ndarray) -> np.ndarray:
     """Ground-subspace weight of each logical state, per stack of blocks:
     eigenvectors stay inside their block and are normalised, so it is the
     block's count of ground-level eigenvalues over the total count."""
-    counts = _ground_mask(_solve(blocks)).sum(axis=-1)
+    counts = ground_mask(_solve(blocks), axis=(-2, -1)).sum(axis=-1)
     return counts / counts.sum(axis=-1, keepdims=True)
 
 

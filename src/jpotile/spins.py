@@ -27,6 +27,8 @@ import numpy as np
 from .errors import CapacityError, ParseError
 
 ENUMERATION_LIMIT = 24
+# an energy is degenerate with the minimum when it lies within this share
+# of the energy range above it (ground_mask), whatever the energies' units
 DEGENERACY_TOL = 1e-9
 _ENUMERATION_CHUNK = 1 << 16  # configurations per energy_fn batch
 # largest n a problem file may declare: `lhz map` at n = 1000 peaks at
@@ -133,45 +135,44 @@ def ising_energy(problem: IsingProblem, config: Sequence[int] | np.ndarray) -> f
     return float((-h).dot(sigma)) - float((0.5 * sigma).dot(j).dot(sigma))
 
 
+def ground_mask(energies: np.ndarray, axis=None) -> np.ndarray:
+    """Which energies are degenerate with the minimum over axis: those at
+    most DEGENERACY_TOL of the energy range above it. The rule does not
+    depend on the energies' units; a range that is not finite raises
+    ValueError."""
+    lo = energies.min(axis=axis, keepdims=True)
+    span = energies.max(axis=axis, keepdims=True) - lo
+    if not np.isfinite(span).all():
+        raise ValueError("the energy range is not finite")
+    return energies <= lo + DEGENERACY_TOL * span
+
+
 def enumerate_ground_states(
-    energy_fn: Callable[[np.ndarray], float],
-    n: int,
-    vectorized: bool = False,
+    energy_fn: Callable[[np.ndarray], float], n: int
 ) -> tuple[float, set[tuple[int, ...]]]:
     """Exhaustive minimum of energy_fn over all 2**n configurations.
 
-    Returns the minimum energy and the set of configurations within
-    DEGENERACY_TOL (absolute) of it. Enumeration is chunked; the result is
-    independent of the chunk size. With vectorized=True, energy_fn must
-    accept an (m, n) array and return m energies.
+    Returns the minimum energy and the set of configurations that
+    ground_mask counts as degenerate with it. Configurations are evaluated
+    in chunks into one float64 array of 8 * 2**n bytes; the result is
+    independent of the chunk size.
 
-    Raises CapacityError above n = 24 (2**24 is about 17M evaluations), and
-    ValueError naming the first configuration whose energy is NaN.
+    Raises CapacityError above n = 24 (2**24 is about 17M evaluations),
+    ValueError naming the first configuration whose energy is NaN, and
+    ValueError when the energy range is not finite.
     """
     _check_enumerable(n)
     total, chunk = 1 << n, _ENUMERATION_CHUNK
-    best = np.inf
-    # (energy, index) candidates within DEGENERACY_TOL of the running minimum
-    candidates: list[tuple[float, int]] = []
+    energies = np.empty(total)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        configs = indices_to_spins(idx, n)
-        if vectorized:
-            energies = np.asarray(energy_fn(configs), dtype=float)
-        else:
-            energies = np.array([energy_fn(c) for c in configs], dtype=float)
-        chunk_min = float(energies.min())
-        if math.isnan(chunk_min):  # min passes on a NaN
-            first = np.flatnonzero(np.isnan(energies))[0]
-            config = tuple(configs[first].tolist())
+        configs = indices_to_spins(np.arange(start, min(start + chunk, total)), n)
+        block = energies[start:start + len(configs)]
+        block[:] = [energy_fn(c) for c in configs]
+        if math.isnan(block.min()):  # min passes on a NaN
+            config = tuple(configs[np.flatnonzero(np.isnan(block))[0]].tolist())
             raise ValueError(f"energy is NaN at configuration {config}")
-        if chunk_min < best:
-            best = chunk_min
-            candidates = [(e, i) for e, i in candidates if e <= best + DEGENERACY_TOL]
-        keep = np.nonzero(energies <= best + DEGENERACY_TOL)[0]
-        candidates.extend((float(energies[k]), int(idx[k])) for k in keep)
-    kept = [i for e, i in candidates if e <= best + DEGENERACY_TOL]
-    return best, set(map(tuple, indices_to_spins(kept, n).tolist()))
+    ground = np.flatnonzero(ground_mask(energies))
+    return float(energies.min()), set(map(tuple, indices_to_spins(ground, n).tolist()))
 
 
 # a field without a default: dataclasses' own marker, so model hands a

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spins import enumerate_ground_states
+from .spins import all_configs, ground_mask
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,10 @@ class TileConfig:
         return "".join("1" if v == 1 else "0" for v in self.spins)
 
 
+# every assignment, logical spins first, row r labelled by r's binary digits
+_CONFIGS = all_configs(6)
+
+
 def tile_energy(params: TileParams, config: TileConfig) -> float:
     """Energy of one tile assignment."""
     pi = config.logical_parity
@@ -99,24 +103,22 @@ def tile_energies(params: TileParams, spins: np.ndarray) -> np.ndarray:
 def ground_set(
     params: TileParams, clamp_ancilla: Optional[tuple[int, int]] = None
 ) -> tuple[float, set[TileConfig]]:
-    """Exhaustive minimum over the 64 tile assignments.
+    """Exhaustive minimum over the 64 tile assignments, and the assignments
+    spins.ground_mask counts as degenerate with it.
 
     With clamp_ancilla the two ancilla spins are pinned and only the 16
-    logical assignments are enumerated.
+    logical assignments are searched. An energy range beyond the float
+    range raises ValueError.
     """
-    pinned: tuple[int, ...] = ()
+    rows = _CONFIGS
     if clamp_ancilla is not None:
-        # checked before int() could truncate an entry such as 1.5 to a spin
+        # an entry such as 1.5 would match no row, so it is refused here
         if len(clamp_ancilla) != 2 or any(v not in (-1, 1) for v in clamp_ancilla):
             raise ValueError("clamp_ancilla takes two spins: entries must be -1 or +1")
-        pinned = tuple(int(v) for v in clamp_ancilla)
-
-    def energies(configs: np.ndarray) -> np.ndarray:
-        pins = np.tile(np.array(pinned, dtype=configs.dtype), (len(configs), 1))
-        return tile_energies(params, np.hstack([configs, pins]))
-
-    e_min, raw = enumerate_ground_states(energies, 6 - len(pinned), vectorized=True)
-    return e_min, {TileConfig(logical=s[:4], ancilla=s[4:] + pinned) for s in raw}
+        rows = rows[np.all(rows[:, 4:] == clamp_ancilla, axis=1)]
+    energies = tile_energies(params, rows)
+    ground = rows[ground_mask(energies)].tolist()
+    return float(energies.min()), {TileConfig(s[:4], s[4:]) for s in ground}
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from jpotile.anneal import (
     wall_clock_seconds,
 )
 from jpotile.anneal import _integrate_batch
+from jpotile.circuit import K_B
 from jpotile.errors import (
     AmbiguousPhaseError,
     InsufficientDataError,
@@ -69,10 +71,11 @@ def test_johnson_noise_reference_value():
             johnson_noise_amplitude(r, t)
 
 
-def test_johnson_noise_refuses_an_overflowing_power():
-    # finite r and t whose product 4 r t k_B leaves the float range
-    with pytest.raises(ValueError, match="^4 r t k_B overflows"):
-        johnson_noise_amplitude(1e200, 1e200)
+def test_johnson_noise_of_an_overflowing_power_is_its_root():
+    # 4 r t k_B leaves the float range, but its root does not
+    amp = johnson_noise_amplitude(1e200, 1e200)
+    assert amp == pytest.approx(2e200 * math.sqrt(K_B), rel=1e-15)
+    assert johnson_noise_amplitude(sys.float_info.max, sys.float_info.max) < 1.4e297
 
 
 def test_schedule_defaults_and_derived_quantities():
@@ -509,14 +512,19 @@ def test_dft_phase_window_and_input_validation():
 
 
 def test_dft_phase_refuses_a_window_whose_phase_overflows():
-    # finite dt and f0 whose window span len(samples) * dt * f0 overflows,
-    # and an f0 whose 2 pi f0 does
+    # finite dt and f0 whose window span len(samples) * dt * f0 overflows
     samples = np.cos(np.arange(100) * 0.5)
-    for dt, f0 in ((1e200, 1e200), (1e-300, 1e308)):
-        with pytest.raises(ValueError, match=r"dt=.*, f0="):
-            dft_phase(samples, dt, f0)
-        with pytest.raises(ValueError, match="carrier phase overflows"):
-            readout_bit(samples, dt, f0)
+    with pytest.raises(ValueError, match=r"dt=.*, f0="):
+        dft_phase(samples, 1e200, 1e200)
+    with pytest.raises(ValueError, match="carrier phase overflows"):
+        readout_bit(samples, 1e200, 1e200)
+    # 2 pi f0 overflows, but no phase 2 pi f0 t in the window does: a
+    # carrier at a quarter cycle per sample past 1e8 whole cycles
+    dt, f0 = 1e-300, 1.0000000025e308
+    phase = 0.7
+    x = np.cos(2 * np.pi * (f0 * (np.arange(100) * dt)) + phase)
+    assert abs(dft_phase(x, dt, f0) - phase) < 1e-3
+    assert readout_bit(x, dt, f0) == 0
 
 
 def test_dft_phase_tolerates_noise():

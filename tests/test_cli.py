@@ -203,6 +203,16 @@ def test_tile_enumerate_clamped(tmp_path, capsys):
     assert "entries must be -1 or +1" in err
 
 
+def test_tile_enumerate_ground_states_do_not_depend_on_the_units(tmp_path, capsys):
+    # couplings of ~1e-10 once listed all 64 assignments, odd parity included
+    for j, j_a in (([3e-11, -2e-11, 1e-11, 5e-12], 1e-10), ([3, -2, 1, 0.5], 10)):
+        path = tile_file(tmp_path, j=j, j_a1=j_a, j_a2=j_a, c_cnst=j_a)
+        code, out, _ = run_cli(capsys, ["tile", "enumerate", "--params", path, "--quiet"])
+        assert code == 0
+        config = json.loads(out.splitlines()[1].removeprefix("# config="))
+        assert config["ground_states"] == ["010111"]
+
+
 def test_tile_quantum_sweep_default(tmp_path, capsys):
     args = [
         "tile", "quantum", "--params", quantum_file(tmp_path),
@@ -574,6 +584,11 @@ SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
         pytest.param(
             ENUMERATE_ARGS, tile_file, {"j_a1": 1e308, "j_a2": 1e308, "c_cnst": 1e308},
             "j_a1", id="tile enumerate parity bracket overflows",
+        ),
+        pytest.param(
+            ENUMERATE_ARGS, tile_file,
+            {"j": [1e308, 0, 0, 0], "j_a1": 0, "j_a2": 0, "c_cnst": 0}, "j",
+            id="tile enumerate energy range overflows",
         ),
         pytest.param(
             QUANTUM_ARGS + ["--trials", "2"], quantum_file,

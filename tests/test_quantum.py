@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import jpotile.quantum as quantum
 from jpotile.quantum import (
     DIM,
-    RELATIVE_DEGENERACY_TOL,
     SUPPORT_TOL,
     NoiseSpec,
     StateDistribution,
@@ -23,7 +22,8 @@ from jpotile.quantum import (
     spectral_gap,
     sweep_distribution,
 )
-from jpotile.spins import code_labels, indices_to_spins
+from jpotile.spins import DEGENERACY_TOL, code_labels, indices_to_spins
+from jpotile.tile import TileParams, ground_set
 
 EVEN_LABELS = {"0000", "0011", "0101", "0110", "1001", "1010", "1100", "1111"}
 
@@ -172,7 +172,7 @@ def _dense_ground(h):
     """Ground energy, basis weights, gap and the separation between the
     ground level's members and the rest, from one dense 64 x 64 eigh."""
     evals, evecs = np.linalg.eigh(h)
-    tol = RELATIVE_DEGENERACY_TOL * (evals[-1] - evals[0])
+    tol = DEGENERACY_TOL * (evals[-1] - evals[0])
     members = evals <= evals[0] + tol
     weights = (evecs[:, members] ** 2).sum(axis=1) / members.sum()
     above = evals[~members]
@@ -228,6 +228,25 @@ def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed
     dist = logical_distribution(j, j_a, j_c, noise=noise, trials=1)
     assert np.max(np.abs(dist.probabilities - marginal)) <= 1e-12
     assert dist.support() == set(code_labels(np.flatnonzero(marginal > SUPPORT_TOL), 4))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(PARAMETER, min_size=5, max_size=5),
+    st.floats(min_value=1e-12, max_value=1e12),
+)
+# couplings of ~1e-10 once made every classical assignment a ground state
+@example(params=[0.3, -0.2, 0.1, 0.05, 1.0], scale=1e-10)
+def test_classical_ground_set_is_the_quantum_support_without_ancilla_drive(
+    params, scale
+):
+    # with j_a = 0 both models hold the same 64 diagonal energies, so one
+    # degeneracy rule must give one ground set at every scale
+    j, j_c = [v * scale for v in params[:4]], params[4] * scale
+    _, ground = ground_set(TileParams(j, 0.0, 0.0, j_c))
+    weights = ground_states(build_hamiltonian(j, 0.0, j_c))[1]
+    codes = sorted(int(g.label, 2) for g in ground)
+    assert codes == np.flatnonzero(weights > SUPPORT_TOL).tolist()
 
 
 GRID = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0])

@@ -140,9 +140,7 @@ def test_enumerate_two_spin_bond():
     assert ground == {(1, 1), (-1, -1)}
 
 
-def test_enumerate_chunking_and_vectorized_agree(monkeypatch):
-    # integer couplings keep both energy callables exact, so the scalar
-    # and vectorized paths must agree to the bit
+def test_enumerate_is_chunk_invariant(monkeypatch):
     rng = np.random.default_rng(17)
     j = rng.integers(-4, 5, size=(8, 8)).astype(float)
     j = j + j.T
@@ -152,15 +150,10 @@ def test_enumerate_chunking_and_vectorized_agree(monkeypatch):
         v = np.asarray(s, dtype=float)
         return float(-0.5 * v @ j @ v)
 
-    def batch_energy(batch):
-        v = np.asarray(batch, dtype=float)
-        return -0.5 * np.einsum("mi,ij,mj->m", v, j, v)
-
     ref = enumerate_ground_states(scalar_energy, 8)
     for chunk in (1, 3, 64, 1 << 16):
         monkeypatch.setattr(spins, "_ENUMERATION_CHUNK", chunk)
         assert enumerate_ground_states(scalar_energy, 8) == ref
-    assert enumerate_ground_states(batch_energy, 8, vectorized=True) == ref
 
 
 def test_enumerate_ground_closed_under_flip_when_symmetric():
@@ -174,10 +167,25 @@ def test_enumerate_ground_closed_under_flip_when_symmetric():
         return float(-0.5 * v @ j @ v)
 
     e, ground = enumerate_ground_states(energy, 5)
+    energies = [energy(c) for c in all_configs(5)]
+    tol = DEGENERACY_TOL * (max(energies) - e)
     for g in ground:
         flipped = tuple(-v for v in g)
         assert flipped in ground
-        assert abs(energy(np.array(flipped)) - e) <= DEGENERACY_TOL
+        assert abs(energy(np.array(flipped)) - e) <= tol
+
+
+def test_enumerate_ground_set_does_not_depend_on_the_units():
+    # an absolute tolerance made every configuration a ground state of
+    # energies this small
+    def energy(s):
+        return -float(s[0] * s[1]) - 0.5 * float(s[2])
+
+    assert enumerate_ground_states(energy, 3)[1] == {(1, 1, 1), (-1, -1, 1)}
+    tiny = enumerate_ground_states(lambda s: 1e-25 * energy(s), 3)
+    assert tiny[1] == {(1, 1, 1), (-1, -1, 1)}
+    with pytest.raises(ValueError, match="range is not finite"):
+        enumerate_ground_states(lambda s: math.inf * float(s[0]), 2)
 
 
 def test_enumerate_capacity_and_validation():
@@ -200,15 +208,6 @@ def test_enumerate_names_the_first_nan_energy(monkeypatch):
             enumerate_ground_states(
                 lambda s: math.nan if s[0] > 0 and s[2] > 0 else 0.0, 3
             )
-
-    def batch(configs):
-        return np.where(configs[:, 1] > 0, np.nan, -1.0)
-
-    with pytest.raises(ValueError, match=r"NaN at configuration \(-1, 1, -1\)$"):
-        enumerate_ground_states(batch, 3, vectorized=True)
-    monkeypatch.setattr(spins, "_ENUMERATION_CHUNK", 1)
-    with pytest.raises(ValueError, match=r"NaN at configuration \(-1, 1, -1\)$"):
-        enumerate_ground_states(batch, 3, vectorized=True)
 
 
 def _bits(x):

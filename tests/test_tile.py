@@ -224,11 +224,11 @@ COUPLING = st.one_of(
 )
 
 
+CLAMP = st.sampled_from([None, (1, 1), (1, -1), (-1, 1), (-1, -1)])
+
+
 @settings(deadline=None)
-@given(
-    st.lists(COUPLING, min_size=7, max_size=7),
-    st.sampled_from([None, (1, 1), (1, -1), (-1, 1), (-1, -1)]),
-)
+@given(st.lists(COUPLING, min_size=7, max_size=7), CLAMP)
 def test_ground_set_equals_brute_force_oracle(vals, clamp):
     params = TileParams(j=vals[:4], j_a1=vals[4], j_a2=vals[5], c_cnst=vals[6])
     candidates = [
@@ -236,7 +236,34 @@ def test_ground_set_equals_brute_force_oracle(vals, clamp):
     ]
     energies = [tile_energy(params, c) for c in candidates]
     floor = min(energies)
-    oracle = {c for c, e in zip(candidates, energies) if e <= floor + DEGENERACY_TOL}
+    tol = DEGENERACY_TOL * (max(energies) - floor)
+    oracle = {c for c, e in zip(candidates, energies) if e <= floor + tol}
     e_min, ground = ground_set(params, clamp_ancilla=clamp)
     assert e_min == floor
     assert ground == oracle
+
+
+# magnitudes of at least 1e-200 keep every sum and difference of the scaled
+# energies a normal float, so scaling them by 2**k is exact
+SCALABLE = COUPLING.filter(lambda v: v == 0 or abs(v) >= 1e-200)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(SCALABLE, min_size=7, max_size=7),
+    st.integers(min_value=-80, max_value=80),
+    CLAMP,
+)
+def test_ground_set_does_not_depend_on_the_couplings_units(vals, k, clamp):
+    def labels(scale):
+        v = [x * scale for x in vals]
+        params = TileParams(j=v[:4], j_a1=v[4], j_a2=v[5], c_cnst=v[6])
+        return sorted(g.label for g in ground_set(params, clamp_ancilla=clamp)[1])
+
+    assert labels(2.0**k) == labels(1.0)
+
+
+def test_ground_set_refuses_an_energy_range_beyond_the_float_range():
+    params = TileParams((1e308, 0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        ground_set(params)
