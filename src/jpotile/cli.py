@@ -48,7 +48,7 @@ from .circuit import (
     rsj_iv_curve,
 )
 from .errors import CalibrationError, ParseError
-from .lhz import build_layout, map_couplings, row_members
+from .lhz import build_layout, layout_document, map_couplings
 from .quantum import (
     NoiseSpec,
     StateDistribution,
@@ -56,8 +56,8 @@ from .quantum import (
     logical_distribution,
     sweep_distribution,
 )
-from .spins import JsonObject, all_configs, code_labels, load_ising_problem
-from .tile import TileParams, ground_set, tile_energies
+from .spins import JsonObject, code_labels, ground_mask, indices_to_spins, load_ising_problem
+from .tile import TileParams, tile_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,10 +191,12 @@ def _emit(args, command: str, resolved: dict, columns: dict, header=None, body=N
     to its values, a list or an array.
 
     CSV is '# jpotile <command>', '# config=<compact JSON>' and one
-    '# <name>=<compact JSON>' line per entry of header, then the table: a
-    column whose first value is a float in "%.12g" (format(x, ".12g")), any
-    other in "%s" (str(x)). JSON is one document of the metadata and the
-    table as "rows", one object per row, or of the metadata and body."""
+    '# <name>=<compact JSON>' line per entry of header, its arrays as lists,
+    then the table: a column whose first value is a float in "%.12g"
+    (format(x, ".12g")), any other in "%s" (str(x)). JSON is one document of
+    the metadata and the table as "rows", one object per row, or of the
+    metadata and body, each of whose arrays is a table of one value (1-D) or
+    one list (2-D) per row."""
     with _open_output(args) as out:
         if args.format == "json":
             if body is None:
@@ -204,6 +206,9 @@ def _emit(args, command: str, resolved: dict, columns: dict, header=None, body=N
             doc = {"metadata": {"command": command, "config": resolved}, **body}
             for n, (key, value) in enumerate(doc.items()):
                 out.write(("{" if n == 0 else ",") + "\n  " + encode_basestring_ascii(key) + ": ")
+                if isinstance(value, np.ndarray):  # one value (1-D) or list (2-D) per row
+                    row = _json_row(["%s"] * len(value.T), "[]") if value.ndim == 2 else "%s"
+                    value = _Table(list(value.reshape(len(value), -1).T), row)
                 if not isinstance(value, _Table):
                     out.write(_json_text(value, 1))
                 elif len(value.columns[0]):
@@ -216,7 +221,8 @@ def _emit(args, command: str, resolved: dict, columns: dict, header=None, body=N
             return
         out.write(f"# jpotile {command}\n")
         for name, value in {"config": resolved, **(header or {})}.items():
-            compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            compact = json.dumps(value, sort_keys=True, separators=(",", ":"),
+                                 default=np.ndarray.tolist)
             out.write(f"# {name}={compact}\n")
         out.write(",".join(columns) + "\n")
         # an array's first value is a numpy scalar: np.float64 is a float
@@ -364,26 +370,13 @@ def _cmd_lhz_map(args) -> int:
     layout = build_layout(args.n)
     fields = map_couplings(problem)
     resolved = {"n": args.n, "problem": os.path.basename(args.problem), "format": args.format}
-    # layout_to_dict's keys, the tables written from the layout's arrays, and
-    # None in each fixed tile slot
-    tiles = np.where(layout.tiles == layout.k_physical, None, layout.tiles)
-    shape = {
-        "rows": list(layout.rows),
-        "row_members": [list(r) for r in row_members(layout)],
-        "fixed_row": layout.fixed_row,
-    }
-    i, j = layout.pair_ends
-    columns = {"k": np.arange(layout.k_physical), "i": i, "j": j, "j_k": fields}
-    if args.format == "csv":  # the table's i and j columns carry the pairs
-        _emit(args, "lhz map", resolved, columns, {"layout": {**shape, "tiles": tiles.tolist()}})
-        return EXIT_OK
-    body = {
-        "n_logical": layout.n_logical, "k_physical": layout.k_physical, **shape,
-        "pairs": _Table([i, j], _json_row(["%s"] * 2, "[]")),
-        "tiles": _Table(list(tiles.T), _json_row(["%s"] * 4, "[]")),
-        "j_fields": _Table([fields], "%s"),
-    }
-    _emit(args, "lhz map", resolved, columns, body=body)
+    doc = layout_document(layout, fields)
+    # JSON writes the document; CSV's table carries the pairs and fields, and
+    # its layout line the rest
+    i, j = doc["pairs"].T
+    columns = {"k": np.arange(layout.k_physical), "i": i, "j": j, "j_k": doc["j_fields"]}
+    shape = {key: doc[key] for key in ("rows", "row_members", "fixed_row", "tiles")}
+    _emit(args, "lhz map", resolved, columns, {"layout": shape}, body=doc)
     return EXIT_OK
 
 
@@ -391,27 +384,25 @@ def _cmd_tile_enumerate(args) -> int:
     data = JsonObject.load(args.params)
     params = data.model(TileParams, j=data.numbers("j", 4))
     clamp = data.numbers("clamp_ancilla", 2, None)
-    rows = all_configs(6)
-    if clamp:
-        rows = rows[np.all(rows[:, 4:] == clamp, axis=1)]
     fields = dataclasses.asdict(params)
-    with data.naming(ground_set):  # clamp_ancilla
+    with data.naming(tile_table):  # clamp_ancilla
         with _overflow_errors(args.params, "the tile energy", fields):
-            e_min, ground = ground_set(params, clamp_ancilla=clamp)
-            energies = tile_energies(params, rows)
-    ground_labels = sorted(g.label for g in ground)
+            codes, energies = tile_table(params, clamp_ancilla=clamp)
+    with _overflow_errors(args.params, "the tile energy range", fields):
+        ground_labels = code_labels(codes[ground_mask(energies)], 6)
     resolved = {
         **fields,
         "clamp_ancilla": clamp and [int(v) for v in clamp],
         "format": args.format,
-        "ground_energy": e_min,
+        "ground_energy": float(energies.min()),
         "ground_states": ground_labels,
     }
+    rows = indices_to_spins(codes, 6)
     columns = dict(zip(("s1", "s2", "s3", "s4", "a1", "a2"), rows.T.tolist()))
     columns["energy"] = energies.tolist()
     columns["parity"] = np.prod(rows[:, :4], axis=1).tolist()
     _emit(args, "tile enumerate", resolved, columns)
-    _log(args, f"ground energy {e_min:.12g} with {len(ground_labels)} states")
+    _log(args, f"ground energy {energies.min():.12g} with {len(ground_labels)} states")
     return EXIT_OK
 
 
@@ -656,7 +647,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _log(args, f"jpotile {args.command} started {started}")
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    _log(args, f"jpotile {command} started {started}")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -203,9 +203,9 @@ def lhz_energy(
     return float(problem.j_fields @ sigma.astype(float) - problem.c_penalty * penalty)
 
 
-def _members(layout: LhzLayout, tiles: np.ndarray) -> list:
-    """Tile slots as Python lists, None in each fixed slot."""
-    return np.where(tiles == layout.k_physical, None, tiles).tolist()
+def _members(layout: LhzLayout, tiles: np.ndarray) -> np.ndarray:
+    """Tile slots as an object array, None in each fixed slot."""
+    return np.where(tiles == layout.k_physical, None, tiles)
 
 
 def decode_readout(
@@ -222,7 +222,7 @@ def decode_readout(
     products = _tile_parity(layout, sigma)
     first = int(products.argmin())  # argmin returns the first -1
     if products[first] != 1:
-        members = _members(layout, layout.tiles[first])
+        members = _members(layout, layout.tiles[first]).tolist()
         raise DecodeError(
             first,
             f"parity tile {first} violated (members "
@@ -242,19 +242,25 @@ def penalty_too_weak(j_fields: np.ndarray | Sequence[float], c_penalty: float) -
     return bool(c_penalty <= np.max(np.abs(j))) if j.size else False
 
 
-def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dict:
-    """JSON-ready description: rows, the k <-> (i, j) table, and "tiles", the
-    (T, 4) rows of physical indices (north, east, south, west), with None in
-    each fixed slot."""
+def layout_document(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dict:
+    """The layout as a document: its rows, "pairs", the (K, 2) array of each
+    bit's logical pair (i, j), "tiles", the (T, 4) array of physical indices
+    (north, east, south, west) with None in each fixed slot, and j_fields."""
     doc = {
         "n_logical": layout.n_logical,
         "k_physical": layout.k_physical,
         "rows": list(layout.rows),
         "row_members": [list(r) for r in row_members(layout)],
         "fixed_row": layout.fixed_row,
-        "pairs": layout.pair_ends.T.tolist(),
+        "pairs": layout.pair_ends.T,
         "tiles": _members(layout, layout.tiles),
     }
     if j_fields is not None:
-        doc["j_fields"] = np.asarray(j_fields, dtype=float).tolist()
+        doc["j_fields"] = np.asarray(j_fields, dtype=float)
     return doc
+
+
+def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dict:
+    """JSON-ready layout_document: each of its arrays as nested lists."""
+    doc = layout_document(layout, j_fields)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}

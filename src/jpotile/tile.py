@@ -100,24 +100,29 @@ def tile_energies(params: TileParams, spins: np.ndarray) -> np.ndarray:
     return field - bracket * (s1 * s2 * s3 * s4)
 
 
-def ground_set(
+def tile_table(
     params: TileParams, clamp_ancilla: Optional[tuple[int, int]] = None
-) -> tuple[float, set[TileConfig]]:
-    """Exhaustive minimum over the 64 tile assignments, and the assignments
-    spins.ground_mask counts as degenerate with it.
-
-    With clamp_ancilla the two ancilla spins are pinned and only the 16
-    logical assignments are searched. An energy range beyond the float
-    range raises ValueError.
-    """
-    rows = _CONFIGS
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state codes, ascending, of the 64 tile assignments, or of the 16
+    that clamp_ancilla pins, and their tile_energies. Code c's six binary
+    digits are its spins, logical spins first."""
+    codes = np.arange(64)
     if clamp_ancilla is not None:
         # an entry such as 1.5 would match no row, so it is refused here
         if len(clamp_ancilla) != 2 or any(v not in (-1, 1) for v in clamp_ancilla):
             raise ValueError("clamp_ancilla takes two spins: entries must be -1 or +1")
-        rows = rows[np.all(rows[:, 4:] == clamp_ancilla, axis=1)]
-    energies = tile_energies(params, rows)
-    ground = rows[ground_mask(energies)].tolist()
+        codes = np.flatnonzero(np.all(_CONFIGS[:, 4:] == clamp_ancilla, axis=1))
+    return codes, tile_energies(params, _CONFIGS[codes])
+
+
+def ground_set(
+    params: TileParams, clamp_ancilla: Optional[tuple[int, int]] = None
+) -> tuple[float, set[TileConfig]]:
+    """Exhaustive minimum over tile_table's assignments, and the assignments
+    spins.ground_mask counts as degenerate with it. An energy range beyond
+    the float range raises ValueError."""
+    codes, energies = tile_table(params, clamp_ancilla)
+    ground = _CONFIGS[codes[ground_mask(energies)]].tolist()
     return float(energies.min()), {TileConfig(s[:4], s[4:]) for s in ground}
 
 

@@ -3,14 +3,18 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jpotile import __version__
 from jpotile.anneal import MAX_TRIALS
 from jpotile.cli import MAX_GRID_POINTS, main
 from jpotile.spins import MAX_PROBLEM_SPINS
+from jpotile.tile import TileConfig, TileParams, ground_set, tile_energy
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -211,6 +215,49 @@ def test_tile_enumerate_ground_states_do_not_depend_on_the_units(tmp_path, capsy
         assert code == 0
         config = json.loads(out.splitlines()[1].removeprefix("# config="))
         assert config["ground_states"] == ["010111"]
+
+
+# multiples of 1/64 below 64 in magnitude: every tile energy has at most 12
+# significant digits, so the CSV's "%.12g" prints it exactly
+DYADIC = st.integers(min_value=-(2**12), max_value=2**12).map(lambda k: k / 64)
+CLAMPS = st.sampled_from([None, (1, 1), (1, -1), (-1, 1), (-1, -1)])
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(DYADIC, min_size=7, max_size=7), CLAMPS)
+def test_tile_enumerate_rows_are_the_tile_model(tmp_path, capsys, values, clamp):
+    params = TileParams(values[:4], *values[4:])
+    payload = {"j": values[:4], "j_a1": values[4], "j_a2": values[5], "c_cnst": values[6]}
+    if clamp is not None:
+        payload["clamp_ancilla"] = list(clamp)
+    path = write_json(tmp_path, "tile.json", payload)
+    code, out, _ = run_cli(capsys, ["tile", "enumerate", "--params", path, "--quiet"])
+    assert code == 0
+    lines = out.splitlines()
+    rows = [line.split(",") for line in lines[3:]]
+    assert len(rows) == (64 if clamp is None else 16)
+    for row in rows:
+        config = TileConfig([int(v) for v in row[:4]], [int(v) for v in row[4:6]])
+        assert clamp is None or config.ancilla == clamp
+        assert float(row[6]) == tile_energy(params, config)
+        assert int(row[7]) == config.logical_parity
+    e_min, ground = ground_set(params, clamp_ancilla=clamp)
+    resolved = json.loads(lines[1].removeprefix("# config="))
+    assert resolved["ground_energy"] == e_min
+    assert resolved["ground_states"] == sorted(g.label for g in ground)
+
+
+@pytest.mark.parametrize(
+    "j, quantity",
+    [([1e308] * 4, "the tile energy"), ([1e308, 0, 0, 0], "the tile energy range")],
+    ids=["energy", "energy range"],
+)
+def test_tile_enumerate_names_the_quantity_that_overflows(tmp_path, capsys, j, quantity):
+    # each energy of the second tile is finite; only their range is not
+    path = tile_file(tmp_path, j=j, j_a1=0, j_a2=0, c_cnst=0)
+    code, _, err = run_cli(capsys, ["tile", "enumerate", "--params", path])
+    assert code == 2
+    assert f"field 'j': {quantity} overflows the float range" in err
 
 
 def test_tile_quantum_sweep_default(tmp_path, capsys):
@@ -459,6 +506,27 @@ ENUMERATE_ARGS = ["tile", "enumerate", "--params", "{path}"]
 QUANTUM_ARGS = ["tile", "quantum", "--params", "{path}", "--seed", "1"]
 IV_ARGS = ["circuit", "iv", "--config", "{path}", "--seed", "1", "--temp"]
 SWEEP_ARGS = ["circuit", "sweep", "--config", "{path}"]
+
+
+@pytest.mark.parametrize(
+    "command, argv, make_file, overrides",
+    [
+        ("lhz map", LHZ_ARGS, problem_file, {}),
+        ("tile enumerate", ENUMERATE_ARGS, tile_file, {}),
+        ("tile quantum", QUANTUM_ARGS, quantum_file, {}),
+        ("circuit sweep", SWEEP_ARGS, circuit_file, {"sweep": SWEEP_SECTION}),
+        ("circuit iv", IV_ARGS + ["0"], circuit_file, {"iv": IV_SECTION}),
+        ("anneal", ANNEAL_ARGS, program_file, {}),
+    ],
+)
+def test_start_line_names_the_subcommand(
+    tmp_path, capsys, command, argv, make_file, overrides
+):
+    path = make_file(tmp_path, **overrides)
+    code, _, err = run_cli(capsys, [path if a == "{path}" else a for a in argv])
+    assert code == 0
+    first = err.splitlines()[0]
+    assert re.fullmatch(rf"jpotile {command} started \d{{4}}-\d\d-\d\dT[\d:]{{8}}", first)
 
 
 @pytest.mark.parametrize(

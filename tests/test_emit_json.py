@@ -30,8 +30,9 @@ def same_as_stdlib(doc):
 
 
 def test_layout_documents(tmp_path, capsys):
-    # lhz map writes its tables from the layout's arrays; the document is
-    # the one layout_to_dict's lists give
+    # lhz map writes its tables from the layout's arrays; the JSON document
+    # is the one layout_to_dict's lists give, and the CSV layout line its
+    # row shape and tiles
     for n in range(3, 41):
         # couplings on about half the pairs, zero, tiny and huge ones among them
         rng = np.random.default_rng(n)
@@ -47,6 +48,11 @@ def test_layout_documents(tmp_path, capsys):
         fields = map_couplings(load_ising_problem(str(path)))
         doc.update(layout_to_dict(build_layout(n), fields))
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n", n
+        argv[-1] = "csv"
+        assert cli.main(argv + ["--quiet"]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        shape = {key: doc[key] for key in ("rows", "row_members", "fixed_row", "tiles")}
+        assert json.loads(line.removeprefix("# layout=")) == shape, n
 
 
 @st.composite
