@@ -41,6 +41,13 @@ MAX_TRIALS = 10**7       # largest accepted ensemble
 NOISE_BLOCK = 256        # noise steps drawn per generator call
 NARROW_BATCH = 10        # narrower batches run on Python floats; per trial-step the two
                          # steps tie at m = 10 (1.6-2.7 us), Python wins at m = 8, numpy at 12
+# default trials per run_trials batch. Per trial-step in us, best of 3 interleaved
+# runs of 4,681 trials on a 2-vCPU VM (the narrower the batch, the less of its
+# working set leaves cache; 4,681 fills 64 MB of noise buffer):
+#   batch        512    768  1,024  1,536  2,048  3,072  4,681
+#   1,000 steps 0.220  0.237  0.238  0.252  0.244  0.252  0.261
+#   5,000 steps 0.228  0.245  0.244  0.261  0.245  0.263  0.250
+TRIAL_CHUNK = 512
 
 
 def coupling_from_phase(j_max: float, delta_theta: float) -> float:
@@ -452,15 +459,15 @@ def run_trials(
 
     Every trial draws from its own RNG stream, split from the seed by trial
     index, so the histogram is identical for any chunk_size (trials per
-    batch, by default up to 64 MB of noise buffer) or execution order.
+    batch, by default up to TRIAL_CHUNK) or execution order.
     Unsettled trials are counted separately and excluded.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_bits not in (4, 6):
         raise ValueError("n_bits must be 4 (logical) or 6 (full tile)")
-    if chunk_size is None:  # as many trials as 64 MB of noise buffer holds
-        chunk_size = min(trials, (64 << 20) // (8 * N_OSC * NOISE_BLOCK))
+    if chunk_size is None:
+        chunk_size = min(trials, TRIAL_CHUNK)
     elif chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     schedule = schedule or AnnealSchedule()

@@ -9,17 +9,22 @@ Basis index bits follow the package convention bit 1 <-> spin +1, so the
 single-site z operator is diag(-1, +1). Thermal disorder enters as a
 random diagonal operator added to H before diagonalization. H, disorder
 included, commutes with Z_1..Z_4, so it is solved as 16 blocks of 4 x 4.
+Per disorder trial, logical_distribution solves only the blocks whose
+Weyl bounds let them reach the trial's ground or top level, about 5 of 16
+on a signed field vector; the others cannot change a count, so the result
+is the one a solve of all 16 gives, byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import EigensolverError
-from .spins import all_configs, code_labels, ground_mask, indices_to_spins
+from .spins import DEGENERACY_TOL, all_configs, code_labels, ground_mask, indices_to_spins
 
 DIM = 64
 SUPPORT_TOL = 1e-12
@@ -122,8 +127,8 @@ class NoiseSpec:
     seed: Optional[int | np.random.SeedSequence] = None
 
     def __post_init__(self):
-        if self.thermal_coefficient < 0:
-            raise ValueError("thermal_coefficient must be >= 0")
+        if not 0 <= self.thermal_coefficient < math.inf:  # NaN fails too
+            raise ValueError("thermal_coefficient must be >= 0 and finite")
         if self.distribution not in ("uniform", "normal"):
             raise ValueError("distribution must be 'uniform' or 'normal'")
 
@@ -169,8 +174,40 @@ class StateDistribution:
 def _logical_weights(blocks: np.ndarray) -> np.ndarray:
     """Ground-subspace weight of each logical state, per stack of blocks:
     eigenvectors stay inside their block and are normalised, so it is the
-    block's count of ground-level eigenvalues over the total count."""
-    counts = ground_mask(_solve(blocks), axis=(-2, -1)).sum(axis=-1)
+    block's count of ground-level eigenvalues over the total count.
+
+    Only the blocks that can hold a stack's lowest or highest level are
+    solved. A block is diag(d) - s F with s = +-j_a, and the ancilla-flip
+    matrix F has levels -2, 0, 0, 2, so by Weyl's inequality the block's
+    lowest level lies in [min d - 2|s|, max d - 2|s|] and its highest in
+    [min d + 2|s|, max d + 2|s|]. A block is skipped when its lowest level
+    must lie above the largest threshold the stack's levels allow and its
+    highest below the smallest top level they allow, each by a margin of
+    1e-12 times the largest entry plus 2|s|, far beyond the solver's
+    backward error and the rounding of the bounds. A skipped block's levels
+    are set to the stack's solved top level. Its true levels lie strictly
+    between the threshold and the top level, so the minimum, the range and
+    every count that ground_mask gives are those of solving every block.
+    """
+    reach = 2.0 * np.abs(blocks[..., 0, 1])  # 2|s|, the norm of s F
+    # (4, ..., 16) and contiguous: a min over the leading axis runs ~4x faster
+    # than one over a strided trailing axis of 4
+    diag = np.moveaxis(np.diagonal(blocks, axis1=-2, axis2=-1), -1, 0).copy()
+    low, high = diag.min(axis=0), diag.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per stack: lo is at most lo_cap, hi at least hi_floor
+        lo_cap = (high - reach).min(axis=-1, keepdims=True)
+        hi_floor = (low + reach).max(axis=-1, keepdims=True)
+        top = high + reach
+        threshold_cap = lo_cap + DEGENERACY_TOL * (top.max(axis=-1, keepdims=True) - lo_cap)
+        scale = np.abs(blocks).max(axis=(-3, -2, -1)) + reach.max(axis=-1)
+        margin = 1e-12 * scale[..., None]
+        # a NaN bound compares False and keeps its block solved
+        skip = (low - reach > threshold_cap + margin) & (top < hi_floor - margin)
+    levels = np.full(blocks.shape[:-1], -np.inf)
+    levels[~skip] = _solve(blocks[~skip])
+    np.copyto(levels, levels.max(axis=(-2, -1), keepdims=True), where=skip[..., None])
+    counts = ground_mask(levels, axis=(-2, -1)).sum(axis=-1)
     return counts / counts.sum(axis=-1, keepdims=True)
 
 

@@ -1,6 +1,7 @@
 """Spectral checks of the 64-dimensional tile Hamiltonian."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from jpotile.quantum import (
     spectral_gap,
     sweep_distribution,
 )
-from jpotile.spins import DEGENERACY_TOL, code_labels, indices_to_spins
+from jpotile.spins import DEGENERACY_TOL, code_labels, ground_mask, indices_to_spins
 from jpotile.tile import TileParams, ground_set
 
 EVEN_LABELS = {"0000", "0011", "0101", "0110", "1001", "1010", "1100", "1111"}
@@ -273,6 +274,60 @@ def test_spectral_gap_sits_above_the_ground_set_of_ground_states(j, j_a, j_c):
     assert np.max(np.abs(shares - counts / counts.sum())) <= 1e-12
 
 
+def _all_block_weights(blocks):
+    """_logical_weights' result from a solve of every block."""
+    counts = ground_mask(np.linalg.eigvalsh(blocks), axis=(-2, -1)).sum(axis=-1)
+    return counts / counts.sum(axis=-1, keepdims=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(PARAMETER, min_size=6, max_size=6),
+    st.one_of(st.just(0.0), st.floats(min_value=-14.0, max_value=2.0).map(lambda e: 10.0**e)),
+    st.sampled_from(["uniform", "normal"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(
+    params=[0.0, 0.0, 0.0, 0.0, 0.0, 2.225073858507e-311],
+    coefficient=0.0, distribution="uniform", seed=0,
+)
+@example(
+    params=[0.0, 0.5, 0.5, 0.5, 1e-9, 0.5],
+    coefficient=0.0, distribution="uniform", seed=0,
+)
+@example(params=[0.0, 0.5, 0.5, 0.5, 1e-9, 0.5], coefficient=1e-9, distribution="normal", seed=1)
+@example(params=[0.0, 0.0, 0.0, 0.0, 1.0, 1.0], coefficient=0.1, distribution="uniform", seed=2)
+@example(params=[0.5, -0.5, 0.5, 0.5, 0.0, 1.0], coefficient=1e-3, distribution="normal", seed=3)
+def test_pruned_block_solve_counts_as_a_solve_of_every_block(
+    params, coefficient, distribution, seed
+):
+    # the skipped blocks must never hold a ground or top level, whatever the
+    # disorder's scale against the tile's, in a trial stack or without noise
+    j, j_a, j_c = params[:4], params[4], params[5]
+    blocks = quantum._tile_blocks(j, j_a, j_c)
+    noise = NoiseSpec(coefficient, distribution, seed=seed)
+    disorder = noise.draw(np.random.default_rng(noise.seed_sequence()), 8)
+    for stack in (blocks, blocks + disorder.reshape(8, 16, 4, 1) * np.eye(4)):
+        expected = _all_block_weights(stack)
+        assert quantum._logical_weights(stack).tobytes() == expected.tobytes()
+
+
+def test_a_signed_field_vector_solves_few_blocks_per_trial(monkeypatch):
+    gap = spectral_gap(build_hamiltonian((0.0,) * 4, 1.0, 1.0))
+    rows = []
+    solve = quantum._solve
+
+    def counting(blocks, vectors=False):
+        rows.append(len(blocks))
+        return solve(blocks, vectors)
+
+    monkeypatch.setattr(quantum, "_solve", counting)
+    noise = NoiseSpec(0.1 * gap, "uniform", seed=3)
+    logical_distribution(default_field_sweep(1.0)[6], 1.0, 1.0, noise=noise, trials=200)
+    # about 5 of the 16 blocks can reach a trial's ground or top level
+    assert sum(rows) / 200 < 6
+
+
 def test_closed_form_matches_eigensolver():
     rng = np.random.default_rng(11)
     for _ in range(120):
@@ -309,6 +364,13 @@ def test_noise_spec_validation_and_draws():
     assert not np.array_equal(
         normal.draw(np.random.default_rng(normal.seed_sequence()), 3), draw
     )
+
+
+@pytest.mark.parametrize("coefficient", [math.nan, math.inf, -0.1])
+def test_noise_spec_names_a_coefficient_that_is_not_finite_and_nonnegative(coefficient):
+    # the field name leads, so the input loader can name the field
+    with pytest.raises(ValueError, match="^thermal_coefficient must be >= 0 and finite"):
+        NoiseSpec(coefficient)
 
 
 def test_state_distribution_validation_and_views():
