@@ -496,9 +496,12 @@ def wall_clock_seconds(schedule: AnnealSchedule, kappa: float) -> float:
 
     Reporting aid only; the dynamics never use it.
     """
-    if not kappa > 0:
-        raise ValueError("kappa must be > 0")
-    return schedule.duration / kappa
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be > 0 and finite")
+    seconds = schedule.duration / kappa
+    if seconds == math.inf:
+        raise ValueError(f"kappa too small: duration / kappa overflows, got {kappa!r}")
+    return seconds
 
 
 def dft_phase(

@@ -38,8 +38,8 @@ class JunctionParams:
             raise ValueError("i_c must be > 0")
         if not self.i_c * self.i_c < np.inf:
             raise ValueError(f"i_c too large: i_c**2 overflows, got {self.i_c!r}")
-        if not self.r_shunt > 0:
-            raise ValueError("r_shunt must be > 0")
+        if not 0 < self.r_shunt < np.inf:
+            raise ValueError("r_shunt must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class SquidParams:
 
     def __post_init__(self):
         for name in ("l1", "l2", "i_c1", "i_c2"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
 
     @property
     def i_c_total(self) -> float:
@@ -71,8 +71,8 @@ class ResonatorParams:
 
     def __post_init__(self):
         for name in ("omega_r", "l_r", "c_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
 
 
 def jj_inductance(i_c: float) -> float:
@@ -139,13 +139,14 @@ class FluxSweepPoint(NamedTuple):
     clipped: bool
 
 
-def flux_sweep(
+def flux_table(
     res: ResonatorParams,
     squid: SquidParams,
     current_to_flux: float,
     i_dc_values: Sequence[float] | np.ndarray,
-) -> list[FluxSweepPoint]:
-    """Frequency versus bias current, flux = current_to_flux * i_dc.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Frequency versus bias current, flux = current_to_flux * i_dc, as the
+    columns (i_dc, flux, l_squid, omega0, clipped).
 
     Points too close to a half-quantum flux are flagged clipped and carry
     NaN inductance and frequency instead of aborting the sweep. The grid is
@@ -159,7 +160,17 @@ def flux_sweep(
     l_sq = jj_inductance(squid.i_c_total) / np.abs(np.cos(np.pi * frac))
     l_sq[clipped] = np.nan
     omega0 = res.omega_r * (1.0 + (l_sq + squid.l1 / 2.0) / res.l_r)
-    columns = (i_dc, flux, l_sq, omega0, clipped)
+    return i_dc, flux, l_sq, omega0, clipped
+
+
+def flux_sweep(
+    res: ResonatorParams,
+    squid: SquidParams,
+    current_to_flux: float,
+    i_dc_values: Sequence[float] | np.ndarray,
+) -> list[FluxSweepPoint]:
+    """flux_table's columns as one FluxSweepPoint per point."""
+    columns = flux_table(res, squid, current_to_flux, i_dc_values)
     return list(map(FluxSweepPoint._make, zip(*(a.tolist() for a in columns))))
 
 

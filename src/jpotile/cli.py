@@ -44,7 +44,7 @@ from .circuit import (
     ResonatorParams,
     SquidParams,
     calibrate_resonator,
-    flux_sweep,
+    flux_table,
     rsj_iv_curve,
 )
 from .errors import CalibrationError, ParseError
@@ -66,7 +66,7 @@ EXIT_NUMERICAL = 3
 
 OUT_DIR_ENV = "JPOTILE_OUT_DIR"
 # largest grid a circuit config may ask for: `circuit sweep` at this many
-# points peaks at ~190 MB resident, below `lhz map` at its n cap
+# points peaks at ~63 MB resident in either format, below `lhz map` at its n cap
 MAX_GRID_POINTS = 500_000
 
 
@@ -443,10 +443,10 @@ def _cmd_circuit_sweep(args) -> int:
     config = _load_circuit_config(args.config)
     if "sweep_i" not in config:
         raise ValueError(f"{args.config}: no 'sweep' section configured")
-    i_dc, flux, l_squid, omega0, clipped = map(np.array, zip(*flux_sweep(
+    i_dc, flux, l_squid, omega0, clipped = flux_table(
         config["resonator"], config["squid"], config["current_to_flux"],
         config["sweep_i"],
-    )))
+    )
     resolved = {
         "squid": dataclasses.asdict(config["squid"]),
         "resonator": dataclasses.asdict(config["resonator"]),

@@ -466,6 +466,12 @@ def test_wall_clock_report():
     assert wall_clock_seconds(AnnealSchedule(), kappa=2e7) == 2.5e-6
     with pytest.raises(ValueError):
         wall_clock_seconds(AnnealSchedule(), kappa=0.0)
+    # the report is a finite duration: an infinite kappa, or one so small
+    # that the quotient overflows, is refused naming kappa
+    for kappa in (math.inf, math.nan, 1e-320):
+        with pytest.raises(ValueError, match="^kappa "):
+            wall_clock_seconds(AnnealSchedule(), kappa=kappa)
+    assert wall_clock_seconds(AnnealSchedule(), kappa=1e-300) == 50.0 / 1e-300
 
 
 def carrier(phase, f0=5.0, dt=0.01, n=2000, noise_std=0.0, seed=None):

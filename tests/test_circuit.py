@@ -18,6 +18,7 @@ from jpotile.circuit import (
     SquidParams,
     calibrate_resonator,
     flux_sweep,
+    flux_table,
     jj_inductance,
     pump_frequency,
     resonance_frequency,
@@ -112,6 +113,16 @@ def test_parameter_validation():
         SquidParams(l1=0.0, l2=1e-12, i_c1=1e-6, i_c2=1e-6)
     with pytest.raises(ValueError):
         ResonatorParams(omega_r=1e9, l_r=1e-9, c_s=0.0)
+    # an infinite parameter is refused with the message of a nonpositive one
+    with pytest.raises(ValueError, match="^r_shunt must be > 0"):
+        JunctionParams(i_c=2e-6, r_shunt=math.inf)
+    for model, values in (
+        (SquidParams, {"l1": 7.5e-12, "l2": 7.5e-12, "i_c1": 80e-6, "i_c2": 80e-6}),
+        (ResonatorParams, {"omega_r": 1e9, "l_r": 1e-9, "c_s": 0.5e-12}),
+    ):
+        for name in values:
+            with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+                model(**{**values, name: math.inf})
     assert REFERENCE_SQUID.i_c_total == 160e-6
 
 
@@ -181,6 +192,10 @@ def test_flux_sweep_matches_the_scalar_relations_bit_for_bit(grid):
                 expected = (i_dc, flux, l_sq, omega0)
             got = p[: len(expected)]
             assert np.array(got).tobytes() == np.array(expected).tobytes()
+        # the records are the columns' values, NaN positions included
+        columns = flux_table(res, REFERENCE_SQUID, current_to_flux, currents)
+        for column, field in zip(columns, zip(*points)):
+            assert column.tobytes() == np.array(field, dtype=column.dtype).tobytes()
 
 
 def test_rsj_zero_temperature_backbone():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -671,6 +672,10 @@ def test_start_line_names_the_subcommand(
             ANNEAL_ARGS, program_file, {"kappa": 0}, "kappa", id="anneal kappa zero"
         ),
         pytest.param(
+            ANNEAL_ARGS, program_file, {"kappa": 1e-320}, "kappa",
+            id="anneal wall clock overflows",
+        ),
+        pytest.param(
             ANNEAL_ARGS, program_file,
             {"schedule": {"duration": 20.0, "dt": 0.01, "p_end": 0.9}},
             "schedule.p_end", id="anneal p_end below threshold",
@@ -766,6 +771,26 @@ def test_circuit_grid_above_the_bound_exits_two(tmp_path, capsys, section, point
         f"jpotile: {path}: field '{section}.points': expected at most "
         f"{MAX_GRID_POINTS} points, got {points}" in err
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_circuit_sweep_memory_is_bounded_by_its_columns(tmp_path, monkeypatch, fmt):
+    monkeypatch.delenv("JPOTILE_OUT_DIR", raising=False)
+    points = 200_000
+    # one flux quantum per ampere, so the grid crosses a half quantum
+    sweep = {"current_to_flux": 2.067833848e-15, "i_start": 0.0, "i_stop": 1.0}
+    path = circuit_file(tmp_path, sweep={**sweep, "points": points})
+    out = str(tmp_path / f"sweep.{fmt}")
+    argv = ["circuit", "sweep", "--config", path, "--format", fmt, "--quiet", "--out", out]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the sweep holds a few float columns at once and no per-point record
+    assert peak < 120 * points
 
 
 def test_out_file_and_env_redirect(tmp_path, capsys, monkeypatch):
