@@ -47,7 +47,7 @@ from .circuit import (
     flux_table,
     rsj_iv_curve,
 )
-from .errors import CalibrationError, ParseError
+from .errors import CalibrationError, EnergyRangeError, ParseError
 from .lhz import build_layout, layout_document, map_couplings
 from .quantum import (
     NoiseSpec,
@@ -334,14 +334,15 @@ def _sample_grid(section: JsonObject) -> np.ndarray:
 
 @contextlib.contextmanager
 def _overflow_errors(path: str, quantity: str, terms: dict):
-    """Trap numpy overflows and invalid results in the block. One is an
-    input error naming the field of the file at path that holds the largest
-    magnitude among terms, the fields' values (numbers or lists of them)
-    that quantity is built from."""
+    """Trap numpy overflows and invalid results in the block, and energy
+    ranges that ground_mask finds not finite. One is an input error naming
+    the field of the file at path that holds the largest magnitude among
+    terms, the fields' values (numbers or lists of them) that quantity is
+    built from."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError:
+    except (FloatingPointError, EnergyRangeError):
         field = max(terms, key=lambda name: np.abs(terms[name]).max())
         raise JsonObject({}, path).error(
             field, f"{quantity} overflows the float range"

@@ -28,6 +28,10 @@ class DecodeError(ValueError):
         self.tile_index = tile_index
 
 
+class EnergyRangeError(ValueError):
+    """Energies whose range is not finite in float64."""
+
+
 class DivergenceError(ValueError):
     """Requested operating point where the model quantity is unbounded."""
 

@@ -9,10 +9,14 @@ Basis index bits follow the package convention bit 1 <-> spin +1, so the
 single-site z operator is diag(-1, +1). Thermal disorder enters as a
 random diagonal operator added to H before diagonalization. H, disorder
 included, commutes with Z_1..Z_4, so it is solved as 16 blocks of 4 x 4.
-Per disorder trial, logical_distribution solves only the blocks whose
-Weyl bounds let them reach the trial's ground or top level, about 5 of 16
-on a signed field vector; the others cannot change a count, so the result
-is the one a solve of all 16 gives, byte for byte.
+Per disorder trial, logical_distribution bounds each block's levels from
+its diagonal before any eigensolve: a Rayleigh quotient and Temple's
+inequality bracket the lowest level, Weyl's inequality the others. When
+the bounds leave one block able to hold the trial's ground level, the
+trial's weights are that block's one-hot row, with no eigensolve; on a
+signed field vector at weak disorder that settles almost every trial. Any other trial solves only the blocks whose bounds let them
+reach its ground or top level. Either way the result is the one a solve of
+all 16 gives, byte for byte.
 """
 
 from __future__ import annotations
@@ -176,39 +180,81 @@ def _logical_weights(blocks: np.ndarray) -> np.ndarray:
     eigenvectors stay inside their block and are normalised, so it is the
     block's count of ground-level eigenvalues over the total count.
 
-    Only the blocks that can hold a stack's lowest or highest level are
-    solved. A block is diag(d) - s F with s = +-j_a, and the ancilla-flip
-    matrix F has levels -2, 0, 0, 2, so by Weyl's inequality the block's
-    lowest level lies in [min d - 2|s|, max d - 2|s|] and its highest in
-    [min d + 2|s|, max d + 2|s|]. A block is skipped when its lowest level
-    must lie above the largest threshold the stack's levels allow and its
-    highest below the smallest top level they allow, each by a margin of
-    1e-12 times the largest entry plus 2|s|, far beyond the solver's
-    backward error and the rounding of the bounds. A skipped block's levels
-    are set to the stack's solved top level. Its true levels lie strictly
-    between the threshold and the top level, so the minimum, the range and
-    every count that ground_mask gives are those of solving every block.
+    A block is diag(d) - s F with s = +-j_a, and the ancilla-flip matrix F
+    has levels -2, 0, 0, 2; its level-2 sign(s) vector v has entries +-1/2.
+    So each block's levels are bounded from d alone:
+    - the lowest lies at most rho = mean(d) - 2|s|, v's Rayleigh quotient;
+    - the lowest lies at least rho - var(d) / (min d - rho) by Temple's
+      inequality, where min d lies above rho by more than the margin below:
+      (B - rho) v = (diag(d) - mean(d)) v has squared norm var(d), and min d
+      bounds the second level from below (Weyl's inequality). Elsewhere it
+      lies at least min d - 2|s| (Weyl);
+    - the highest lies in [min d + 2|s|, max d + 2|s|] (Weyl).
+    The stack's threshold lo + DEGENERACY_TOL (hi - lo) is at most the cap
+    those upper bounds give. A block whose lower bound lies above the cap
+    plus a margin holds no ground level. When all blocks but one do, and the
+    bound on the stack's range is finite (a solve raises on a range that is
+    not), the stack is certified: that one block holds every ground level,
+    so its weight is 1.0 and the others' 0.0, the bytes that counts /
+    counts.sum() gives, with no eigensolve.
+
+    Any other stack solves only the blocks that can hold its lowest or
+    highest level: a block is skipped when it holds no ground level and its
+    highest level lies below the stack's smallest possible top level less
+    the margin. A skipped block's levels are set to the stack's solved top
+    level. Its true levels lie strictly between the threshold and the top
+    level, so the minimum, the range and every count that ground_mask gives
+    are those of solving every block.
+
+    The margin is 1e-12 times scale, the largest entry plus 2|s|, which
+    bounds every |d| and the norm of every block. Rounding moves rho and the
+    cap by ~4 eps scale. The computed variance is d's about the computed
+    mean, no smaller than var(d) less ~6 eps of it. Temple's denominator is
+    reduced by the margin, so it stays below the exact min d - rho, and the
+    quotient, at most ~2 scale on a bound above the cap, loses ~8 eps of
+    itself. LAPACK's levels lie within a small multiple of eps scale of the
+    exact ones. All of it is far under the margin, so a level the bounds
+    place beyond the margin, every solve places beyond the threshold. A
+    near-tie at the threshold declines the certificate and the skip and is
+    solved, as is a stack whose bounds are NaN or infinite.
     """
-    reach = 2.0 * np.abs(blocks[..., 0, 1])  # 2|s|, the norm of s F
-    # (4, ..., 16) and contiguous: a min over the leading axis runs ~4x faster
-    # than one over a strided trailing axis of 4
-    diag = np.moveaxis(np.diagonal(blocks, axis1=-2, axis2=-1), -1, 0).copy()
+    stacks = blocks.reshape(-1, 16, 4, 4)
+    reach = 2.0 * np.abs(stacks[..., 0, 1])  # 2|s|, the norm of s F
+    # (4, stacks, 16) and contiguous: a reduction over the leading axis runs
+    # ~4x faster than one over a strided trailing axis of 4
+    diag = np.moveaxis(np.diagonal(stacks, axis1=-2, axis2=-1), -1, 0).copy()
     low, high = diag.min(axis=0), diag.max(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = np.abs(stacks).max(axis=(-3, -2, -1)) + reach.max(axis=-1)
+        margin = 1e-12 * scale[:, None]
+        mean = diag.sum(axis=0) / 4.0
+        rho = mean - reach
+        var = ((diag - mean) ** 2).sum(axis=0) / 4.0
+        temple_gap = low - rho - margin  # Temple's denominator, less the margin
+        floor = np.where(temple_gap > 0.0, rho - var / temple_gap, low - reach)
         # per stack: lo is at most lo_cap, hi at least hi_floor
-        lo_cap = (high - reach).min(axis=-1, keepdims=True)
+        lo_cap = rho.min(axis=-1, keepdims=True)
         hi_floor = (low + reach).max(axis=-1, keepdims=True)
         top = high + reach
-        threshold_cap = lo_cap + DEGENERACY_TOL * (top.max(axis=-1, keepdims=True) - lo_cap)
-        scale = np.abs(blocks).max(axis=(-3, -2, -1)) + reach.max(axis=-1)
-        margin = 1e-12 * scale[..., None]
-        # a NaN bound compares False and keeps its block solved
-        skip = (low - reach > threshold_cap + margin) & (top < hi_floor - margin)
-    levels = np.full(blocks.shape[:-1], -np.inf)
-    levels[~skip] = _solve(blocks[~skip])
+        top_cap = top.max(axis=-1, keepdims=True)
+        threshold_cap = lo_cap + DEGENERACY_TOL * (top_cap - lo_cap)
+        # a NaN bound compares False: its block may hold a ground level and
+        # is solved, and the NaN range bound declines the certificate
+        above = floor > threshold_cap + margin
+        skip = above & (top < hi_floor - margin)
+        span = top_cap - floor.min(axis=-1, keepdims=True) + margin
+        certified = ((~above).sum(axis=-1) == 1) & np.isfinite(span[:, 0])
+    weights = np.empty(low.shape)
+    weights[certified] = ~above[certified]
+    rest = ~certified
+    solve = ~skip & rest[:, None]
+    levels = np.full(stacks.shape[:-1], -np.inf)
+    levels[solve] = _solve(stacks[solve])
+    levels, skip = levels[rest], skip[rest]
     np.copyto(levels, levels.max(axis=(-2, -1), keepdims=True), where=skip[..., None])
     counts = ground_mask(levels, axis=(-2, -1)).sum(axis=-1)
-    return counts / counts.sum(axis=-1, keepdims=True)
+    weights[rest] = counts / counts.sum(axis=-1, keepdims=True)
+    return weights.reshape(blocks.shape[:-2])
 
 
 def logical_distribution(

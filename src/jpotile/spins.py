@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError, EnergyRangeError, ParseError
 
 ENUMERATION_LIMIT = 24
 # an energy is degenerate with the minimum when it lies within this share
@@ -139,11 +139,12 @@ def ground_mask(energies: np.ndarray, axis=None) -> np.ndarray:
     """Which energies are degenerate with the minimum over axis: those at
     most DEGENERACY_TOL of the energy range above it. The rule does not
     depend on the energies' units; a range that is not finite raises
-    ValueError."""
+    EnergyRangeError, a ValueError, whatever numpy's error state."""
     lo = energies.min(axis=axis, keepdims=True)
-    span = energies.max(axis=axis, keepdims=True) - lo
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        span = energies.max(axis=axis, keepdims=True) - lo
     if not np.isfinite(span).all():
-        raise ValueError("the energy range is not finite")
+        raise EnergyRangeError("the energy range is not finite")
     return energies <= lo + DEGENERACY_TOL * span
 
 

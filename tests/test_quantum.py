@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -298,11 +299,27 @@ def _all_block_weights(blocks):
 @example(params=[0.0, 0.5, 0.5, 0.5, 1e-9, 0.5], coefficient=1e-9, distribution="normal", seed=1)
 @example(params=[0.0, 0.0, 0.0, 0.0, 1.0, 1.0], coefficient=0.1, distribution="uniform", seed=2)
 @example(params=[0.5, -0.5, 0.5, 0.5, 0.0, 1.0], coefficient=1e-3, distribution="normal", seed=3)
+# noise-free levels within an ulp of the degeneracy threshold: no certificate
+@example(params=[0.0, 0.0, 0.0, 1.0, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
+@example(params=[0.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
+@example(params=[0.0, 0.0, 1.0, 1e-9, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
+@example(params=[0.0, 0.0, 1.0, 1.0, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
+@example(
+    params=[0.09918737534611899, 3.7994722370058295e-09, 0.0, 0.0, 1.29324311258453,
+            1.1137987045537419],
+    coefficient=0.0, distribution="uniform", seed=0,
+)
+# j_a = 0: min d never exceeds the Rayleigh quotient, so Weyl's lower bound
+# stands in for Temple's
+@example(params=[0.5, -0.5, -0.5, 0.5, 0.0, 1.0], coefficient=0.1, distribution="uniform", seed=4)
+# a signed field vector at 0.1 gap disorder: most trials are certified
+@example(params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0], coefficient=0.2, distribution="uniform", seed=3)
 def test_pruned_block_solve_counts_as_a_solve_of_every_block(
     params, coefficient, distribution, seed
 ):
-    # the skipped blocks must never hold a ground or top level, whatever the
-    # disorder's scale against the tile's, in a trial stack or without noise
+    # a certified stack's one ground block and the skipped blocks must be
+    # what a solve of every block finds, whatever the disorder's scale
+    # against the tile's, in a trial stack or without noise
     j, j_a, j_c = params[:4], params[4], params[5]
     blocks = quantum._tile_blocks(j, j_a, j_c)
     noise = NoiseSpec(coefficient, distribution, seed=seed)
@@ -310,6 +327,43 @@ def test_pruned_block_solve_counts_as_a_solve_of_every_block(
     for stack in (blocks, blocks + disorder.reshape(8, 16, 4, 1) * np.eye(4)):
         expected = _all_block_weights(stack)
         assert quantum._logical_weights(stack).tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(PARAMETER, min_size=6, max_size=6),
+    st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0**e),
+    st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 1.0, 3.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0], scale=1e-12, disorder=0.1, seed=3)
+@example(params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0], scale=1e12, disorder=0.1, seed=3)
+def test_certified_stacks_match_a_solve_of_every_block_at_any_scale(
+    params, scale, disorder, seed
+):
+    # the certificate's margin is relative to the blocks' largest entry, so
+    # it must hold whatever the tile's units
+    j, j_a, j_c = [v * scale for v in params[:4]], params[4] * scale, params[5] * scale
+    rng = np.random.default_rng(seed)
+    draw = disorder * scale * rng.uniform(-1.0, 1.0, (16, 16, 4, 1))
+    stack = quantum._tile_blocks(j, j_a, j_c) + draw * np.eye(4)
+    assert quantum._logical_weights(stack).tobytes() == _all_block_weights(stack).tobytes()
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0])
+def test_a_ground_level_shared_with_a_spread_block_declines_the_certificate(s):
+    # the spread block's lowest level lies Temple's correction below its
+    # Rayleigh quotient, the flat block's on its own, and both at one level:
+    # a lower bound above the spread block's level would leave the flat block
+    # alone and certify a one-hot row where a solve counts both
+    flips = quantum._ANCILLA_FLIPS
+    spread = np.diag([0.0, 0.3, 0.3, 0.3]) - s * flips
+    ground = np.linalg.eigvalsh(spread)[0]
+    flat = (ground + 2.0) * np.eye(4) - s * flips
+    stack = np.array([spread, flat] + [5.0 * np.eye(4) - s * flips] * 14)
+    weights = quantum._logical_weights(stack)
+    assert weights.tobytes() == _all_block_weights(stack).tobytes()
+    assert weights[:2].tolist() == [0.5, 0.5]
 
 
 def test_a_signed_field_vector_solves_few_blocks_per_trial(monkeypatch):
@@ -323,9 +377,15 @@ def test_a_signed_field_vector_solves_few_blocks_per_trial(monkeypatch):
 
     monkeypatch.setattr(quantum, "_solve", counting)
     noise = NoiseSpec(0.1 * gap, "uniform", seed=3)
-    logical_distribution(default_field_sweep(1.0)[6], 1.0, 1.0, noise=noise, trials=200)
-    # about 5 of the 16 blocks can reach a trial's ground or top level
-    assert sum(rows) / 200 < 6
+    solved = []
+    for vector in default_field_sweep(1.0):
+        rows.clear()
+        logical_distribution(vector, 1.0, 1.0, noise=noise, trials=200)
+        solved.append(sum(rows) / 200)
+    # the bounds certify almost every trial's one ground block with no solve
+    # (a solve of the blocks that can reach the ground or top level took ~5)
+    assert sum(solved) / len(solved) < 1
+    assert solved[6] == 0
 
 
 def test_closed_form_matches_eigensolver():
@@ -471,10 +531,23 @@ def test_logical_distribution_memory_does_not_grow_with_trials():
 
 def test_overflowing_spectrum_range_raises_instead_of_a_uniform_table():
     # disorder near the float maximum: the 64-level range overflows, which
-    # would make every level count as ground
+    # would make every level count as ground. The range is taken with its
+    # overflow silenced, so the ValueError, not a RuntimeWarning, reaches a
+    # caller that turns warnings into errors
     noise = NoiseSpec(1e308, "uniform", seed=1)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="not finite"):
+        warnings.simplefilter("error")
         logical_distribution((0.0,) * 4, 1.0, 1.0, noise=noise, trials=3)
+
+
+def test_a_stack_whose_range_may_overflow_is_not_certified():
+    # the wide block alone can hold the ground level, but its lowest level
+    # lies ~1.8e308 below the others' top, a range a solve cannot take
+    flips = quantum._ANCILLA_FLIPS
+    wide = np.diag([-0.8e308, 0.8e308, 0.8e308, 0.8e308]) - flips
+    stack = np.array([wide] + [1e308 * np.eye(4) - flips] * 15)
+    with pytest.raises(ValueError, match="not finite"):
+        quantum._logical_weights(stack)
 
 
 def test_noise_runs_are_reproducible():
