@@ -14,9 +14,10 @@ its diagonal before any eigensolve: a Rayleigh quotient and Temple's
 inequality bracket the lowest level, Weyl's inequality the others. When
 the bounds leave one block able to hold the trial's ground level, the
 trial's weights are that block's one-hot row, with no eigensolve; on a
-signed field vector at weak disorder that settles almost every trial. Any other trial solves only the blocks whose bounds let them
-reach its ground or top level. Either way the result is the one a solve of
-all 16 gives, byte for byte.
+signed field vector at weak disorder that settles almost every trial.
+Any other trial solves only the blocks whose bounds let them reach its
+ground or top level. Either way the result is the one a solve of all 16
+gives, byte for byte.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .spins import DEGENERACY_TOL, all_configs, code_labels, ground_mask, indice
 DIM = 64
 SUPPORT_TOL = 1e-12
 _TRIAL_CHUNK = 512  # disorder trials per batched eigensolve
+_TINY = np.finfo(float).tiny
 
 # H commutes with Z_1..Z_4, so it splits into 16 blocks of 4 x 4, one per
 # logical state L, over the ancilla pair: basis index = 4 * L + ancilla.
@@ -207,13 +209,17 @@ def _logical_weights(blocks: np.ndarray) -> np.ndarray:
     are those of solving every block.
 
     The margin is 1e-12 times scale, the largest entry plus 2|s|, which
-    bounds every |d| and the norm of every block. Rounding moves rho and the
-    cap by ~4 eps scale. The computed variance is d's about the computed
-    mean, no smaller than var(d) less ~6 eps of it. Temple's denominator is
-    reduced by the margin, so it stays below the exact min d - rho, and the
-    quotient, at most ~2 scale on a bound above the cap, loses ~8 eps of
-    itself. LAPACK's levels lie within a small multiple of eps scale of the
-    exact ones. All of it is far under the margin, so a level the bounds
+    bounds every |d| and the norm of every block, and never less than the
+    smallest normal float, which covers the absolute rounding of subnormal
+    numbers. Rounding moves rho and the cap by ~4 eps scale. Temple's
+    correction is taken in units of scale, where each squared deviation is
+    at most 4 and none underflows by more than 1e-307 scale**2. So the
+    computed variance is d's about the computed mean, no smaller than
+    var(d) less ~8 eps of it and less 1e-307 scale**2. Temple's denominator
+    is reduced by the margin, so it stays below the exact min d - rho, and
+    the quotient, at most ~2 scale on a bound above the cap, loses ~12 eps
+    of itself. LAPACK's levels lie within a small multiple of eps scale of
+    the exact ones. All of it is far under the margin, so a level the bounds
     place beyond the margin, every solve places beyond the threshold. A
     near-tie at the threshold declines the certificate and the skip and is
     solved, as is a stack whose bounds are NaN or infinite.
@@ -226,12 +232,16 @@ def _logical_weights(blocks: np.ndarray) -> np.ndarray:
     low, high = diag.min(axis=0), diag.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scale = np.abs(stacks).max(axis=(-3, -2, -1)) + reach.max(axis=-1)
-        margin = 1e-12 * scale[:, None]
+        unit = scale[:, None]
+        # never below the smallest normal float: on subnormal entries every
+        # operation rounds by up to half of 2**-1074, whatever the scale
+        margin = np.maximum(1e-12 * unit, _TINY)
         mean = diag.sum(axis=0) / 4.0
         rho = mean - reach
-        var = ((diag - mean) ** 2).sum(axis=0) / 4.0
-        temple_gap = low - rho - margin  # Temple's denominator, less the margin
-        floor = np.where(temple_gap > 0.0, rho - var / temple_gap, low - reach)
+        # Temple's correction in units of scale, where no square underflows
+        var = (((diag - mean) / unit) ** 2).sum(axis=0) / 4.0
+        temple_gap = (low - rho - margin) / unit  # its denominator, less the margin
+        floor = np.where(temple_gap > 0.0, rho - unit * (var / temple_gap), low - reach)
         # per stack: lo is at most lo_cap, hi at least hi_floor
         lo_cap = rho.min(axis=-1, keepdims=True)
         hi_floor = (low + reach).max(axis=-1, keepdims=True)

@@ -287,67 +287,93 @@ def _all_block_weights(blocks):
     st.one_of(st.just(0.0), st.floats(min_value=-14.0, max_value=2.0).map(lambda e: 10.0**e)),
     st.sampled_from(["uniform", "normal"]),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.just(1.0), st.floats(min_value=-323.0, max_value=300.0).map(lambda e: 10.0**e)),
 )
 @example(
     params=[0.0, 0.0, 0.0, 0.0, 0.0, 2.225073858507e-311],
-    coefficient=0.0, distribution="uniform", seed=0,
+    coefficient=0.0, distribution="uniform", seed=0, scale=1.0,
 )
 @example(
     params=[0.0, 0.5, 0.5, 0.5, 1e-9, 0.5],
-    coefficient=0.0, distribution="uniform", seed=0,
+    coefficient=0.0, distribution="uniform", seed=0, scale=1.0,
 )
-@example(params=[0.0, 0.5, 0.5, 0.5, 1e-9, 0.5], coefficient=1e-9, distribution="normal", seed=1)
-@example(params=[0.0, 0.0, 0.0, 0.0, 1.0, 1.0], coefficient=0.1, distribution="uniform", seed=2)
-@example(params=[0.5, -0.5, 0.5, 0.5, 0.0, 1.0], coefficient=1e-3, distribution="normal", seed=3)
+@example(
+    params=[0.0, 0.5, 0.5, 0.5, 1e-9, 0.5],
+    coefficient=1e-9, distribution="normal", seed=1, scale=1.0,
+)
+@example(
+    params=[0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+    coefficient=0.1, distribution="uniform", seed=2, scale=1.0,
+)
+@example(
+    params=[0.5, -0.5, 0.5, 0.5, 0.0, 1.0],
+    coefficient=1e-3, distribution="normal", seed=3, scale=1.0,
+)
 # noise-free levels within an ulp of the degeneracy threshold: no certificate
-@example(params=[0.0, 0.0, 0.0, 1.0, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
-@example(params=[0.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
-@example(params=[0.0, 0.0, 1.0, 1e-9, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
-@example(params=[0.0, 0.0, 1.0, 1.0, 1e-9, 1e-9], coefficient=0.0, distribution="uniform", seed=0)
+@example(
+    params=[0.0, 0.0, 0.0, 1.0, 1e-9, 1e-9],
+    coefficient=0.0, distribution="uniform", seed=0, scale=1.0,
+)
+@example(
+    params=[0.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9],
+    coefficient=0.0, distribution="uniform", seed=0, scale=1.0,
+)
+@example(
+    params=[0.0, 0.0, 1.0, 1e-9, 1e-9, 1e-9],
+    coefficient=0.0, distribution="uniform", seed=0, scale=1.0,
+)
+@example(
+    params=[0.0, 0.0, 1.0, 1.0, 1e-9, 1e-9],
+    coefficient=0.0, distribution="uniform", seed=0, scale=1.0,
+)
 @example(
     params=[0.09918737534611899, 3.7994722370058295e-09, 0.0, 0.0, 1.29324311258453,
             1.1137987045537419],
-    coefficient=0.0, distribution="uniform", seed=0,
+    coefficient=0.0, distribution="uniform", seed=0, scale=1.0,
 )
 # j_a = 0: min d never exceeds the Rayleigh quotient, so Weyl's lower bound
 # stands in for Temple's
-@example(params=[0.5, -0.5, -0.5, 0.5, 0.0, 1.0], coefficient=0.1, distribution="uniform", seed=4)
-# a signed field vector at 0.1 gap disorder: most trials are certified
-@example(params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0], coefficient=0.2, distribution="uniform", seed=3)
+@example(
+    params=[0.5, -0.5, -0.5, 0.5, 0.0, 1.0],
+    coefficient=0.1, distribution="uniform", seed=4, scale=1.0,
+)
+# a signed field vector at 0.1 gap disorder: most trials are certified, in
+# any units; at 1e-170 the squares in Temple's bound would underflow in the
+# tile's own units, and at 1e-323 every entry is subnormal
+@example(
+    params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0],
+    coefficient=0.2, distribution="uniform", seed=3, scale=1.0,
+)
+@example(
+    params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0],
+    coefficient=0.1, distribution="uniform", seed=3, scale=1e-12,
+)
+@example(
+    params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0],
+    coefficient=0.1, distribution="uniform", seed=3, scale=1e12,
+)
+@example(
+    params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0],
+    coefficient=3.0, distribution="uniform", seed=3, scale=1e-170,
+)
+@example(
+    params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0],
+    coefficient=1.0, distribution="uniform", seed=3, scale=1e-323,
+)
 def test_pruned_block_solve_counts_as_a_solve_of_every_block(
-    params, coefficient, distribution, seed
+    params, coefficient, distribution, seed, scale
 ):
     # a certified stack's one ground block and the skipped blocks must be
     # what a solve of every block finds, whatever the disorder's scale
-    # against the tile's, in a trial stack or without noise
-    j, j_a, j_c = params[:4], params[4], params[5]
+    # against the tile's and the tile's units, in a trial stack or without
+    # noise
+    j, j_a, j_c = [v * scale for v in params[:4]], params[4] * scale, params[5] * scale
     blocks = quantum._tile_blocks(j, j_a, j_c)
-    noise = NoiseSpec(coefficient, distribution, seed=seed)
+    noise = NoiseSpec(coefficient * scale, distribution, seed=seed)
     disorder = noise.draw(np.random.default_rng(noise.seed_sequence()), 8)
     for stack in (blocks, blocks + disorder.reshape(8, 16, 4, 1) * np.eye(4)):
         expected = _all_block_weights(stack)
         assert quantum._logical_weights(stack).tobytes() == expected.tobytes()
-
-
-@settings(deadline=None, max_examples=150)
-@given(
-    st.lists(PARAMETER, min_size=6, max_size=6),
-    st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0**e),
-    st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 1.0, 3.0]),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-@example(params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0], scale=1e-12, disorder=0.1, seed=3)
-@example(params=[-0.25, 0.25, -0.25, 0.25, 1.0, 1.0], scale=1e12, disorder=0.1, seed=3)
-def test_certified_stacks_match_a_solve_of_every_block_at_any_scale(
-    params, scale, disorder, seed
-):
-    # the certificate's margin is relative to the blocks' largest entry, so
-    # it must hold whatever the tile's units
-    j, j_a, j_c = [v * scale for v in params[:4]], params[4] * scale, params[5] * scale
-    rng = np.random.default_rng(seed)
-    draw = disorder * scale * rng.uniform(-1.0, 1.0, (16, 16, 4, 1))
-    stack = quantum._tile_blocks(j, j_a, j_c) + draw * np.eye(4)
-    assert quantum._logical_weights(stack).tobytes() == _all_block_weights(stack).tobytes()
 
 
 @pytest.mark.parametrize("s", [1.0, -1.0])
