@@ -7,12 +7,21 @@ integrates the Langevin system
 
     dc_i = [(p(t) - 1 - c_i^2) c_i - beta * dE/dc_i] dt + eta * dW_i
 
-by Euler-Maruyama while the pump p(t) ramps linearly from below threshold
-to p_end. E is the tile energy with spins relaxed to real amplitudes. A
-seventh reference oscillator carries the field terms as J_i * c_ref * c_i,
-which restores the physical sign freedom of a phase-coded machine: states
-and their global complements appear with equal probability, and readout
-relative to the reference recovers the programmed tile minimum.
+by the simplified weak Euler scheme (Kloeden & Platen, Numerical Solution
+of Stochastic Differential Equations, 1992, sec. 14.1): an Euler step whose
+Wiener increment is +-sqrt(dt), each sign with probability 1/2, in place of
+an N(0, dt) draw. It has weak order 1, as Euler-Maruyama does, and the
+readout histogram is a weak functional of the final state: over 10**5
+trials of five programs the two laws' histograms agree by a chi-square
+test (BENCH_anneal_noise.json). The signs are the bits of each trial's raw
+generator words (_noise_block).
+
+The pump p(t) ramps linearly from below threshold to p_end. E is the tile
+energy with spins relaxed to real amplitudes. A seventh reference
+oscillator carries the field terms as J_i * c_ref * c_i, which restores
+the physical sign freedom of a phase-coded machine: states and their
+global complements appear with equal probability, and readout relative to
+the reference recovers the programmed tile minimum.
 
 Couplings are programmed by pump phase: a coupling of full magnitude
 j_max is scaled by cos(delta_theta) of the phase offset between oscillator
@@ -33,20 +42,22 @@ from .spins import code_labels, indices_to_spins
 from .tile import TileConfig, TileParams
 
 DEFAULT_BETA = 0.2       # gradient coupling strength
-DEFAULT_ETA = 0.05       # per-step noise std is eta * sqrt(dt)
+DEFAULT_ETA = 0.05       # per-step noise is +-eta * sqrt(dt)
 INIT_AMPLITUDE_STD = 0.02
 N_OSC = 7                # four logical, two ancilla, one reference
 MAX_STEPS = 10**7        # longest accepted schedule, in Euler steps
 MAX_TRIALS = 10**7       # largest accepted ensemble
 NOISE_BLOCK = 256        # noise steps drawn per generator call
-NARROW_BATCH = 10        # narrower batches run on Python floats; per trial-step the two
-                         # steps tie at m = 10 (1.6-2.7 us), Python wins at m = 8, numpy at 12
-# default trials per run_trials batch. Per trial-step in us, best of 3 interleaved
-# runs of 4,681 trials on a 2-vCPU VM (the narrower the batch, the less of its
-# working set leaves cache; 4,681 fills 64 MB of noise buffer):
-#   batch        512    768  1,024  1,536  2,048  3,072  4,681
-#   1,000 steps 0.220  0.237  0.238  0.252  0.244  0.252  0.261
-#   5,000 steps 0.228  0.245  0.244  0.261  0.245  0.263  0.250
+NOISE_WORDS = NOISE_BLOCK * N_OSC // 64  # random_raw words of one noise block, 1 bit an increment
+NARROW_BATCH = 10        # narrower batches run on Python floats. A batch step took 12-21 us
+                         # on either path at m = 8-10, as the host's speed swung (medians of
+                         # 9-21 interleaved runs); Python won at m <= 7, numpy at m >= 11
+# default trials per run_trials batch. Per trial-step in us, best of 3 runs of
+# 4,681 trials on a 2-vCPU VM, whose runs differ by up to 25 % per cell; at
+# 768 and up no batch gained that much on 512, which holds 7 MB of noise buffer:
+#   batch          128    256    512    768  1,024  2,048  4,681
+#   1,000 steps  0.179  0.125  0.097  0.094  0.093  0.103  0.093
+#   5,000 steps  0.168  0.097  0.087  0.078  0.083  0.079  0.089
 TRIAL_CHUNK = 512
 
 
@@ -245,22 +256,41 @@ class StateHistogram:
         return {label for label, count in self.counts.items() if count > 0}
 
 
+def _noise_block(rngs: Sequence, scale: float, out: np.ndarray) -> None:
+    """Fill out, (steps, 7, len(rngs)) with steps <= NOISE_BLOCK, with each
+    trial's next noise block: +-scale, from the next NOISE_WORDS random_raw
+    words of the trial's bit generator. Bit k of those words, read as
+    little-endian uint64, least significant bit first, is the increment of
+    oscillator k % 7 at the block's step k // 7: +scale for a clear bit,
+    -scale for a set one. A partial block uses the leading bits of its
+    words."""
+    words = np.array([rng.bit_generator.random_raw(NOISE_WORDS) for rng in rngs], "<u8")
+    signs = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little").view(np.int8)
+    signs *= -2  # 1 - 2 * bit
+    signs += 1
+    steps = signs.reshape(len(rngs), NOISE_BLOCK, N_OSC)[:, : len(out)]
+    np.multiply(steps.transpose(1, 2, 0), scale, out=out)  # +-1 * scale is +-scale exactly
+
+
 @np.errstate(over="ignore", invalid="ignore")  # raised as IntegrationBlowupError
 def _integrate_batch(
     params: TileParams, schedule: AnnealSchedule, eta: float, beta: float,
     seeds: Sequence, record: bool = False,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Euler-Maruyama over one batch, one default_rng seed per trial, which
-    draws 7 initial amplitudes, then the numbers of one (n_steps, 7) noise
-    draw NOISE_BLOCK steps at a time. Recorded batches and those narrower
-    than NARROW_BATCH run trial by trial on Python floats, the others as a
-    (7, m) numpy state whose step is 29 ufunc calls on whole contiguous or
-    0-d operands. On a 2-vCPU VM both take 1.6-2.7 us a trial-step at
-    m = 10, and a numpy step 17-33 us at m = 32 and 32-46 us at m = 128, as
-    the host's speed swings. Both round the same operations in one order,
-    the dE/dc_ref row a left-to-right sum, so a trial's states have the same
-    bits at any width, and both report the batch's first non-finite step.
-    Returns the (m, 7) final states and, if record, trial 0's trajectory."""
+    """Simplified weak Euler over one batch, one default_rng seed per trial,
+    which draws 7 Gaussian initial amplitudes, then +-eta * sqrt(dt)
+    increments from its raw bits, one NOISE_BLOCK of steps at a time
+    (_noise_block). Recorded batches and those narrower than NARROW_BATCH
+    run trial by trial on Python floats, the others as a (7, m) numpy state
+    whose step is 29 ufunc calls on whole contiguous or 0-d operands. On a
+    2-vCPU VM a trial-step on Python floats takes 1.3-2.4 us, and a numpy
+    step 12-21 us at m = 12, 13-21 us at m = 32, 19-26 us at m = 128 and
+    91-131 us at m = 1000, as the host's speed swings; with Gaussian draws
+    the numpy step took 37-41 us at m = 128 and 196-217 us at m = 1000.
+    Both paths round the same operations in one order, the dE/dc_ref row a
+    left-to-right sum, so a trial's states have the same bits at any width,
+    and both report the batch's first non-finite step. Returns the (m, 7)
+    final states and, if record, trial 0's trajectory."""
     for name, value in (("eta", eta), ("beta", beta)):  # noise strength, feedback gain
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0")
@@ -279,9 +309,10 @@ def _integrate_batch(
             raise IntegrationBlowupError(t=min(blowups), dt=dt)
         return np.array(finals), trajectory
     m = len(rngs)
-    finite = np.isfinite([*params.j, params.j_a1, params.j_a2, params.c_cnst, beta]).all()
+    # the noise is +-scale, so finite exactly when scale is
+    finite = np.isfinite([*params.j, params.j_a1, params.j_a2, params.c_cnst, beta, scale]).all()
     x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
-    noise = np.empty((m, min(NOISE_BLOCK, n_steps), N_OSC)).transpose(1, 2, 0)
+    noise = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, m))
     # the step's operands are C-contiguous arrays, rows or 0-d arrays, which
     # ufuncs take fastest: a Python float costs a conversion each call, a
     # column or strided view the iterator's slow path, and a constant spread
@@ -304,14 +335,10 @@ def _integrate_batch(
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
         block = noise[: stop - start]  # step k as a (7, m) array
-        for row, rng in enumerate(rngs):
-            rng.standard_normal(out=block[..., row])
-        block *= scale
+        _noise_block(rngs, scale, block)
         gains = schedule.pump(np.arange(start, stop) * dt) - 1.0
         # errstate raises what finite inputs make non-finite; non-finite ones set no flag
         fed = np.isfinite(gains) & finite
-        if not np.isfinite(block).all():  # eta = inf, or noise at the float range's edge
-            fed &= np.isfinite(block).all(axis=(1, 2))
         end = stop if fed.all() else start + int(fed.argmin())
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -357,16 +384,20 @@ def _integrate_batch(
 def _integrate_trial(params: TileParams, schedule: AnnealSchedule, scale: float,
                      beta: float, rng, trajectory: Optional[np.ndarray]) -> list[float]:
     """One trial of _integrate_batch on seven Python floats: the wide step's
-    draws and operations in its order. Fills trajectory one block at a time."""
+    draws, from the same _noise_block, and operations in its order. 5,000
+    steps take 6.6-11.9 ms on a 2-vCPU VM, as with Gaussian draws (7.3-12.4
+    ms, interleaved runs). Fills trajectory one block at a time."""
     dt, n_steps, hi, isfinite = schedule.dt, schedule.n_steps, schedule.c_sat, math.isfinite
     (j1, j2, j3, j4), ja1, ja2, cc = params.j, params.j_a1, params.j_a2, params.c_cnst
     lo, nja1, nja2 = -hi, -ja1, -ja2  # the clamp is min(c, hi), then max(c, lo)
     state = c1, c2, c3, c4, c5, c6, cr = rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC).tolist()
     if trajectory is not None:
         trajectory[0] = state
+    block = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, 1))
     for start in range(0, n_steps, NOISE_BLOCK):
         stop, rows = min(start + NOISE_BLOCK, n_steps), []
-        noise = (rng.standard_normal((stop - start, N_OSC)) * scale).tolist()
+        _noise_block([rng], scale, block[: stop - start])
+        noise = block[: stop - start, :, 0].tolist()
         gains = (schedule.pump(np.arange(start, stop) * dt) - 1.0).tolist()
         for k, gain, (n1, n2, n3, n4, n5, n6, nr) in zip(range(start, stop), gains, noise):
             p12, p34 = c1 * c2, c3 * c4

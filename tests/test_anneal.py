@@ -208,9 +208,9 @@ def test_trajectory_digest_is_pinned():
     )
     assert result.trajectory.shape == (1001, 7)
     assert hashlib.sha256(result.trajectory.tobytes()).hexdigest() == (
-        "b495bf234083d2201ca4e445f45ea2e3ee91bc08ceeba5714e42b797d632fc66"
+        "6f82b0c6159e9b255eb5545c88c107af0aa23d4f41e855c0f84fc3642ac3d78d"
     )
-    assert result.config.label == "101011"
+    assert result.config.label == "010111"
     assert result.canonical_config.label == "010111"
 
 
@@ -242,8 +242,49 @@ def test_batch_digest_is_pinned():
         digest.update(finals.tobytes())
         digest.update(trajectory.tobytes())
     assert digest.hexdigest() == (
-        "0e695c4af6b7086a71c98f6aea6a8844823c3b6bfec7a694573d28130af1abd3"
+        "91a8ff113cae15513d6e6f1270f5c61a0c3f0c88c04ac2ecfce7bdba13972096"
     )
+
+
+def test_noise_increments_are_the_documented_bits(monkeypatch):
+    # after its 7 initial draws, bit k of a trial's random_raw words, read as
+    # little-endian uint64 least significant bit first, is its increment k,
+    # step-major over the 7 oscillators: -eta sqrt(dt) when set, else +.
+    # Python ints make the reference independent of the host's byte order
+    schedule = AnnealSchedule(duration=3.0)  # 300 steps, a partial last noise block
+    blocks = -(-schedule.n_steps // NOISE_BLOCK)
+    scale = DEFAULT_ETA * math.sqrt(schedule.dt)
+    seeds = np.random.SeedSequence(11).spawn(NARROW_BATCH)
+    expected = np.empty((schedule.n_steps, 7, len(seeds)))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.normal(0.0, anneal.INIT_AMPLITUDE_STD, 7)
+        words = [int(w) for w in rng.bit_generator.random_raw(blocks * anneal.NOISE_WORDS)]
+        bits = [words[k // 64] >> k % 64 & 1 for k in range(expected[..., row].size)]
+        expected[..., row] = np.where(np.reshape(bits, (-1, 7)), -scale, scale)
+
+    filled = []
+
+    def spy(rngs, scale, out):
+        fill(rngs, scale, out)
+        filled.append(out.copy())
+
+    fill = anneal._noise_block
+    monkeypatch.setattr(anneal, "_noise_block", spy)
+    params = effective_tile_couplings(alternating_field_program())
+    _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, seeds)
+    assert len(filled) == blocks
+    wide = np.concatenate(filled)
+    filled.clear()
+    for seed in seeds:  # one trial a batch: the Python-float step
+        _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, [seed])
+    assert len(filled) == blocks * len(seeds)
+    narrow = np.concatenate(
+        [np.concatenate(filled[i : i + blocks]) for i in range(0, len(filled), blocks)], axis=2
+    )
+    assert wide.tobytes() == expected.tobytes()
+    assert narrow.tobytes() == expected.tobytes()
+    assert set(np.abs(wide).ravel().tolist()) == {scale}
 
 
 @settings(deadline=None, max_examples=25)
@@ -443,15 +484,19 @@ def test_integration_blowup_is_reported(monkeypatch):
             with pytest.raises(IntegrationBlowupError) as err:
                 run_trials(program, trials=trials, schedule=schedule, seed=0, eta=eta)
             assert err.value.t == pytest.approx(t, rel=1e-12)
-    # noise at the edge of the float range overflows at a different step in
-    # each trial; either path reports the batch's first
-    params = effective_tile_couplings(even_parity_program())
-    coarse = AnnealSchedule(duration=20.0, dt=1.0)
+    # noise of 1e307 leaves every amplitude in the clamp at +-c_sat = +-0.15,
+    # with the sign of its increment. The ancilla bracket
+    # c_5 J_a1 + c_6 J_a2 + C then overflows only on a step that starts with
+    # both ancillas at +c_sat, a different step in each trial; either path
+    # reports the batch's first
+    wild = CouplingProgram((0.0,) * 6, j_max=0.0, j_max_ancilla=1e308, c_cnst=1.7e308)
+    params = effective_tile_couplings(wild)
+    coarse = AnnealSchedule(duration=20.0, dt=1.0, p_end=1.01)
     seeds = np.random.SeedSequence(3).spawn(5)
 
     def blowup_time(seeds):
         with pytest.raises(IntegrationBlowupError) as err:
-            _integrate_batch(params, coarse, 1e308, DEFAULT_BETA, seeds)
+            _integrate_batch(params, coarse, 1e307, DEFAULT_BETA, seeds)
         return err.value.t
 
     singles = [blowup_time([s]) for s in seeds]

@@ -148,13 +148,13 @@ DIGESTS = {
     "circuit-iv/json":
         "ab7112fd05c807677f7ae6c392efbf798b33dcaae9b4e6e79cccafd6e830cf18",
     "anneal/csv":
-        "30cf389debc1073595f11c273b46303a83da3ea60ca135e32174af2695d3656a",
+        "542ece2d67e6dae97396ddd0aaca0a77348a0d48363f6bf036414ac3b01cd8c2",
     "anneal/json":
-        "877e9173e306fc2f37ea4662ef0f9e63ecc2cb1dde556378853461ddda22b224",
+        "bfb95b60fad0005bba9c088d54faabdced97c7ce2cdccb6c07f124c74beecf50",
     "anneal-dense-canonical/csv":
-        "b95b3884761fa5320993a1f840cce39097246e651f2c1e0984f2b8b4ce3f7439",
+        "59b093907b8a4dc39d4b7aac3c41385f510ef53cff602a877c11ed3933d9f14b",
     "anneal-dense-canonical/json":
-        "9c71f39d4592988e1b1bd330753536a0ac17f057c95e84a1faf3553ac5a751a0",
+        "bbdddcfd5711bdfde4275c8feea564c7e6481d4126331aba42e54fc1f39d5da8",
 }
 
 
