@@ -263,13 +263,12 @@ def test_noise_increments_are_the_documented_bits(monkeypatch):
         bits = [words[k // 64] >> k % 64 & 1 for k in range(expected[..., row].size)]
         expected[..., row] = np.where(np.reshape(bits, (-1, 7)), -scale, scale)
 
-    filled = []
+    filled, fill = [], anneal._noise_block
 
     def spy(rngs, scale, out):
         fill(rngs, scale, out)
         filled.append(out.copy())
 
-    fill = anneal._noise_block
     monkeypatch.setattr(anneal, "_noise_block", spy)
     params = effective_tile_couplings(alternating_field_program())
     _integrate_batch(params, schedule, DEFAULT_ETA, DEFAULT_BETA, seeds)
