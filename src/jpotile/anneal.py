@@ -243,6 +243,8 @@ class StateHistogram:
             raise ValueError("trials must be >= 1")
         if self.unsettled < 0:
             raise ValueError("unsettled must be >= 0")
+        if any(count < 0 for count in self.counts.values()):
+            raise ValueError("counts must be >= 0")
         if sum(self.counts.values()) + self.unsettled != self.trials:
             raise ValueError("counts plus unsettled trials must equal trials")
         for label in self.counts:

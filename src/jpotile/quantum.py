@@ -8,16 +8,12 @@ in the computational z basis, spin 1 most significant, ancillas last:
 Basis index bits follow the package convention bit 1 <-> spin +1, so the
 single-site z operator is diag(-1, +1). Thermal disorder enters as a
 random diagonal operator added to H before diagonalization. H, disorder
-included, commutes with Z_1..Z_4, so it is solved as 16 blocks of 4 x 4.
-Per disorder trial, logical_distribution bounds each block's levels from
-its diagonal before any eigensolve: a Rayleigh quotient and Temple's
-inequality bracket the lowest level, Weyl's inequality the others. When
-the bounds leave one block able to hold the trial's ground level, the
-trial's weights are that block's one-hot row, with no eigensolve; on a
-signed field vector at weak disorder that settles almost every trial.
-Any other trial solves only the blocks whose bounds let them reach its
-ground or top level. Either way the result is the one a solve of all 16
-gives, byte for byte.
+included, commutes with Z_1..Z_4, so it is 16 blocks of 4 x 4, each
+diag(d) - s F with F the ancilla-flip matrix, kept as the pair (d, s).
+logical_distribution certifies most disorder trials from bounds on d and s
+with no eigensolve (_certify) and solves every block of the others. There
+is one eigensolver, LAPACK's eigh on the 4 x 4 blocks, so ground_states,
+spectral_gap and logical_distribution classify the same levels.
 """
 
 from __future__ import annotations
@@ -46,20 +42,25 @@ _BLOCK = np.arange(16)
 _OFF_BLOCK = ~np.kron(np.eye(16, dtype=bool), np.ones((4, 4), dtype=bool))
 
 
-def _tile_blocks(j: Sequence[float], j_a: float, j_c: float) -> np.ndarray:
-    """The 16 diagonal 4 x 4 blocks of H, indexed by logical state code."""
+def _tile_blocks(j: Sequence[float], j_a: float, j_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 diagonal blocks of H, indexed by logical state code, as
+    diag(d) - s F: the diagonals d, (16, 4), and s = j_a * parity, (16,)."""
     j = tuple(float(v) for v in j)
     if len(j) != 4:
         raise ValueError("j must hold exactly 4 field values")
     diag = (_LOGICAL * j).sum(axis=1) - float(j_c) * _PARITY
-    flips = float(j_a) * _PARITY[:, None, None] * _ANCILLA_FLIPS
-    return diag[:, None, None] * np.eye(4) - flips
+    return np.repeat(diag[:, None], 4, axis=1), float(j_a) * _PARITY
+
+
+def _as_blocks(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The 4 x 4 blocks diag(d) - s F of diagonals d (..., 4) and s (...)."""
+    return d[..., None] * np.eye(4) - s[..., None, None] * _ANCILLA_FLIPS
 
 
 def build_hamiltonian(j: Sequence[float], j_a: float, j_c: float) -> np.ndarray:
     """The dense 64 x 64 tile Hamiltonian, its blocks placed on the diagonal."""
     h = np.zeros((DIM, DIM))
-    h.reshape(16, 4, 16, 4)[_BLOCK, :, _BLOCK, :] = _tile_blocks(j, j_a, j_c)
+    h.reshape(16, 4, 16, 4)[_BLOCK, :, _BLOCK, :] = _as_blocks(*_tile_blocks(j, j_a, j_c))
     return h
 
 
@@ -78,9 +79,10 @@ def _blocks_of(h: np.ndarray) -> np.ndarray:
     return h.reshape(16, 4, 16, 4)[_BLOCK, :, _BLOCK, :]
 
 
-def _solve(blocks: np.ndarray, vectors: bool = False):
+def _solve(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and eigenvectors of a stack of blocks: the one eigensolver."""
     try:
-        return np.linalg.eigh(blocks) if vectors else np.linalg.eigvalsh(blocks)
+        return np.linalg.eigh(blocks)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric block eigensolver failed: {exc}") from exc
 
@@ -93,7 +95,7 @@ def ground_states(h: np.ndarray) -> tuple[float, np.ndarray]:
     and are invariant under rotations inside it. They sum to 1.
     h must not couple logical states (ValueError otherwise).
     """
-    evals, evecs = _solve(_blocks_of(h), vectors=True)
+    evals, evecs = _solve(_blocks_of(h))
     ground = ground_mask(evals, axis=(-2, -1))
     weights = (evecs**2 * ground[:, None, :]).sum(axis=2).ravel() / ground.sum()
     return float(evals.min()), weights
@@ -101,8 +103,8 @@ def ground_states(h: np.ndarray) -> tuple[float, np.ndarray]:
 
 def spectral_gap(h: np.ndarray) -> float:
     """Distance from the ground level to the next distinct eigenvalue, over
-    the levels of the one eigh solve whose ground set ground_states uses."""
-    evals, _ = _solve(_blocks_of(h), vectors=True)
+    the levels whose ground set ground_states uses."""
+    evals = _solve(_blocks_of(h))[0]
     above = evals[~ground_mask(evals, axis=(-2, -1))]
     return float(above.min() - evals.min()) if above.size else 0.0
 
@@ -165,8 +167,9 @@ class StateDistribution:
         p = np.array(self.probabilities, dtype=float)
         if p.shape != (16,):
             raise ValueError("probabilities must have shape (16,)")
-        if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        # NaN compares False, so it must be caught before the sign and sum tests
+        if not np.all(np.isfinite(p)) or np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-9:
+            raise ValueError("probabilities must be finite, nonnegative and sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
@@ -177,21 +180,21 @@ class StateDistribution:
         return dict(zip(code_labels(range(16), 4), self.probabilities.tolist()))
 
 
-def _logical_weights(blocks: np.ndarray) -> np.ndarray:
-    """Ground-subspace weight of each logical state, per stack of blocks:
-    eigenvectors stay inside their block and are normalised, so it is the
-    block's count of ground-level eigenvalues over the total count.
+def _certify(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per stack of diagonals d (stacks, 16, 4) and flip weights s
+    (stacks, 16): whether the bounds certify the stack, and which of its
+    blocks they let hold a ground level.
 
-    A block is diag(d) - s F with s = +-j_a, and the ancilla-flip matrix F
-    has levels -2, 0, 0, 2; its level-2 sign(s) vector v has entries +-1/2.
-    So each block's levels are bounded from d alone:
+    A block is diag(d) - s F, and the ancilla-flip matrix F has levels
+    -2, 0, 0, 2; its level-2 sign(s) vector v has entries +-1/2. So each
+    block's levels are bounded from d and s alone:
     - the lowest lies at most rho = mean(d) - 2|s|, v's Rayleigh quotient;
     - the lowest lies at least rho - var(d) / (min d - rho) by Temple's
       inequality, where min d lies above rho by more than the margin below:
       (B - rho) v = (diag(d) - mean(d)) v has squared norm var(d), and min d
       bounds the second level from below (Weyl's inequality). Elsewhere it
       lies at least min d - 2|s| (Weyl);
-    - the highest lies in [min d + 2|s|, max d + 2|s|] (Weyl).
+    - the highest lies at most max d + 2|s| (Weyl).
     The stack's threshold lo + DEGENERACY_TOL (hi - lo) is at most the cap
     those upper bounds give. A block whose lower bound lies above the cap
     plus a margin holds no ground level. When all blocks but one do, and the
@@ -200,15 +203,7 @@ def _logical_weights(blocks: np.ndarray) -> np.ndarray:
     so its weight is 1.0 and the others' 0.0, the bytes that counts /
     counts.sum() gives, with no eigensolve.
 
-    Any other stack solves only the blocks that can hold its lowest or
-    highest level: a block is skipped when it holds no ground level and its
-    highest level lies below the stack's smallest possible top level less
-    the margin. A skipped block's levels are set to the stack's solved top
-    level. Its true levels lie strictly between the threshold and the top
-    level, so the minimum, the range and every count that ground_mask gives
-    are those of solving every block.
-
-    The margin is 1e-12 times scale, the largest entry plus 2|s|, which
+    The margin is 1e-12 times scale, the largest |d| plus 2|s|, which
     bounds every |d| and the norm of every block, and never less than the
     smallest normal float, which covers the absolute rounding of subnormal
     numbers. Rounding moves rho and the cap by ~4 eps scale. Temple's
@@ -221,17 +216,16 @@ def _logical_weights(blocks: np.ndarray) -> np.ndarray:
     of itself. LAPACK's levels lie within a small multiple of eps scale of
     the exact ones. All of it is far under the margin, so a level the bounds
     place beyond the margin, every solve places beyond the threshold. A
-    near-tie at the threshold declines the certificate and the skip and is
-    solved, as is a stack whose bounds are NaN or infinite.
+    near-tie at the threshold declines the certificate and is solved, as is
+    a stack whose bounds are NaN or infinite.
     """
-    stacks = blocks.reshape(-1, 16, 4, 4)
-    reach = 2.0 * np.abs(stacks[..., 0, 1])  # 2|s|, the norm of s F
+    reach = 2.0 * np.abs(s)  # 2|s|, the norm of s F
     # (4, stacks, 16) and contiguous: a reduction over the leading axis runs
     # ~4x faster than one over a strided trailing axis of 4
-    diag = np.moveaxis(np.diagonal(stacks, axis1=-2, axis2=-1), -1, 0).copy()
+    diag = np.moveaxis(d, -1, 0).copy()
     low, high = diag.min(axis=0), diag.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = np.abs(stacks).max(axis=(-3, -2, -1)) + reach.max(axis=-1)
+        scale = np.maximum(high, -low).max(axis=-1) + reach.max(axis=-1)
         unit = scale[:, None]
         # never below the smallest normal float: on subnormal entries every
         # operation rounds by up to half of 2**-1074, whatever the scale
@@ -242,29 +236,34 @@ def _logical_weights(blocks: np.ndarray) -> np.ndarray:
         var = (((diag - mean) / unit) ** 2).sum(axis=0) / 4.0
         temple_gap = (low - rho - margin) / unit  # its denominator, less the margin
         floor = np.where(temple_gap > 0.0, rho - unit * (var / temple_gap), low - reach)
-        # per stack: lo is at most lo_cap, hi at least hi_floor
         lo_cap = rho.min(axis=-1, keepdims=True)
-        hi_floor = (low + reach).max(axis=-1, keepdims=True)
-        top = high + reach
-        top_cap = top.max(axis=-1, keepdims=True)
+        top_cap = (high + reach).max(axis=-1, keepdims=True)
         threshold_cap = lo_cap + DEGENERACY_TOL * (top_cap - lo_cap)
-        # a NaN bound compares False: its block may hold a ground level and
-        # is solved, and the NaN range bound declines the certificate
-        above = floor > threshold_cap + margin
-        skip = above & (top < hi_floor - margin)
+        # a NaN bound compares False: its block may hold a ground level, and
+        # the NaN range bound declines the certificate
+        candidates = ~(floor > threshold_cap + margin)
         span = top_cap - floor.min(axis=-1, keepdims=True) + margin
-        certified = ((~above).sum(axis=-1) == 1) & np.isfinite(span[:, 0])
-    weights = np.empty(low.shape)
-    weights[certified] = ~above[certified]
+        certified = (candidates.sum(axis=-1) == 1) & np.isfinite(span[:, 0])
+    return certified, candidates
+
+
+def _logical_weights(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Ground-subspace weight of each logical state, per stack of blocks
+    diag(d) - s F (s broadcast to d's leading shape): eigenvectors stay
+    inside their block and are normalised, so it is the block's count of
+    ground-level eigenvalues over the total count."""
+    shape = d.shape[:-1]
+    d = d.reshape(-1, 16, 4)
+    s = np.broadcast_to(s, d.shape[:-1])
+    # a function of its own, so the bounds' temporaries are freed before the solve
+    certified, candidates = _certify(d, s)
+    weights = np.empty(candidates.shape)
+    weights[certified] = candidates[certified]
     rest = ~certified
-    solve = ~skip & rest[:, None]
-    levels = np.full(stacks.shape[:-1], -np.inf)
-    levels[solve] = _solve(stacks[solve])
-    levels, skip = levels[rest], skip[rest]
-    np.copyto(levels, levels.max(axis=(-2, -1), keepdims=True), where=skip[..., None])
+    levels = _solve(_as_blocks(d[rest], s[rest]))[0]
     counts = ground_mask(levels, axis=(-2, -1)).sum(axis=-1)
     weights[rest] = counts / counts.sum(axis=-1, keepdims=True)
-    return weights.reshape(blocks.shape[:-2])
+    return weights.reshape(shape)
 
 
 def logical_distribution(
@@ -284,15 +283,15 @@ def logical_distribution(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     noise = noise or NoiseSpec(0.0)
-    blocks = _tile_blocks(j, j_a, j_c)
+    d, s = _tile_blocks(j, j_a, j_c)
     if noise.thermal_coefficient == 0.0:
-        return StateDistribution(_logical_weights(blocks))
+        return StateDistribution(_logical_weights(d, s))
     rng = np.random.default_rng(noise.seed_sequence())
     acc = np.zeros((1, 16))
     for start in range(0, trials, _TRIAL_CHUNK):
         m = min(_TRIAL_CHUNK, trials - start)
-        noisy = blocks + noise.draw(rng, m).reshape(m, 16, 4, 1) * np.eye(4)
-        acc = np.concatenate((acc, _logical_weights(noisy))).cumsum(axis=0)[-1:]
+        weights = _logical_weights(d + noise.draw(rng, m).reshape(m, 16, 4), s)
+        acc = np.concatenate((acc, weights)).cumsum(axis=0)[-1:]
     return StateDistribution(acc[0] / trials)
 
 

@@ -173,6 +173,9 @@ def test_state_and_histogram_validation():
         StateHistogram(counts={"010101": 10}, trials=10, unsettled=0, n_bits=4)
     with pytest.raises(ValueError):
         StateHistogram(counts={}, trials=0, unsettled=0)
+    # the counts sum to trials, but a negative one is no count
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        StateHistogram(counts={"0000": -1, "0001": 2}, trials=1, unsettled=0)
 
 
 def test_single_trial_shapes_and_determinism():
