@@ -11,15 +11,19 @@ random diagonal operator added to H before diagonalization. H, disorder
 included, commutes with Z_1..Z_4, so it is 16 blocks of 4 x 4, each
 diag(d) - s F with F the ancilla-flip matrix, kept as the pair (d, s).
 logical_distribution certifies most disorder trials from bounds on d and s
-with no eigensolve (_certify) and solves every block of the others. There
-is one eigensolver, LAPACK's eigh on the 4 x 4 blocks, so ground_states,
+with no eigensolve (_certify). Of the others it solves the blocks that can
+hold a ground level, and all 16 only where a bracket on the top level
+leaves a level's side of the degeneracy threshold open. There is one
+eigensolver, LAPACK's eigh on the 4 x 4 blocks, so ground_states,
 spectral_gap and logical_distribution classify the same levels.
+sweep_distribution runs the trials of all its field vectors through
+logical_distribution's one chunk loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +33,7 @@ from .spins import DEGENERACY_TOL, all_configs, code_labels, ground_mask, indice
 
 DIM = 64
 SUPPORT_TOL = 1e-12
-_TRIAL_CHUNK = 512  # disorder trials per batched eigensolve
+_TRIAL_CHUNK = 512  # trial stacks per pass, summed over the field vectors
 _TINY = np.finfo(float).tiny
 
 # H commutes with Z_1..Z_4, so it splits into 16 blocks of 4 x 4, one per
@@ -180,21 +184,24 @@ class StateDistribution:
         return dict(zip(code_labels(range(16), 4), self.probabilities.tolist()))
 
 
-def _certify(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _certify(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per stack of diagonals d (stacks, 16, 4) and flip weights s
-    (stacks, 16): whether the bounds certify the stack, and which of its
-    blocks they let hold a ground level.
+    (stacks, 16): whether the bounds certify the stack, which of its blocks
+    they let hold a ground level, and the two ends of a bracket on its
+    highest level, (stacks, 2).
 
     A block is diag(d) - s F, and the ancilla-flip matrix F has levels
-    -2, 0, 0, 2; its level-2 sign(s) vector v has entries +-1/2. So each
-    block's levels are bounded from d and s alone:
+    -2, 0, 0, 2; its level-2 sign(s) vector v and its level -2 sign(s)
+    vector w have entries +-1/2. So each block's levels are bounded from d
+    and s alone:
     - the lowest lies at most rho = mean(d) - 2|s|, v's Rayleigh quotient;
     - the lowest lies at least rho - var(d) / (min d - rho) by Temple's
       inequality, where min d lies above rho by more than the margin below:
       (B - rho) v = (diag(d) - mean(d)) v has squared norm var(d), and min d
       bounds the second level from below (Weyl's inequality). Elsewhere it
       lies at least min d - 2|s| (Weyl);
-    - the highest lies at most max d + 2|s| (Weyl).
+    - the highest lies at most max d + 2|s| (Weyl), and at least
+      mean(d) + 2|s|, w's Rayleigh quotient.
     The stack's threshold lo + DEGENERACY_TOL (hi - lo) is at most the cap
     those upper bounds give. A block whose lower bound lies above the cap
     plus a margin holds no ground level. When all blocks but one do, and the
@@ -203,21 +210,33 @@ def _certify(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so its weight is 1.0 and the others' 0.0, the bytes that counts /
     counts.sum() gives, with no eigensolve.
 
+    A stack the bounds decline solves only its candidate blocks, one of
+    which holds lo (_ground_counts). Its hi lies between the largest of the
+    blocks' lower and the largest of their upper bounds on their highest
+    level, each widened by the margin. The threshold, computed as
+    lo + DEGENERACY_TOL * (h - lo), never decreases as h grows, since each
+    rounded operation is monotone. So a level at or below the threshold of
+    the bracket's low end counts as ground for every hi in the bracket,
+    LAPACK's own included, and a level above the threshold of its high end
+    never does. A stack with a level between the two, or with a bracket
+    that is not finite, solves all 16 blocks.
+
     The margin is 1e-12 times scale, the largest |d| plus 2|s|, which
     bounds every |d| and the norm of every block, and never less than the
     smallest normal float, which covers the absolute rounding of subnormal
-    numbers. Rounding moves rho and the cap by ~4 eps scale. Temple's
-    correction is taken in units of scale, where each squared deviation is
-    at most 4 and none underflows by more than 1e-307 scale**2. So the
-    computed variance is d's about the computed mean, no smaller than
-    var(d) less ~8 eps of it and less 1e-307 scale**2. Temple's denominator
-    is reduced by the margin, so it stays below the exact min d - rho, and
-    the quotient, at most ~2 scale on a bound above the cap, loses ~12 eps
-    of itself. LAPACK's levels lie within a small multiple of eps scale of
-    the exact ones. All of it is far under the margin, so a level the bounds
-    place beyond the margin, every solve places beyond the threshold. A
-    near-tie at the threshold declines the certificate and is solved, as is
-    a stack whose bounds are NaN or infinite.
+    numbers. Rounding moves rho, the cap and the bracket by ~4 eps scale.
+    Temple's correction is taken in units of scale, where each squared
+    deviation is at most 4 and none underflows by more than 1e-307
+    scale**2. So the computed variance is d's about the computed mean, no
+    smaller than var(d) less ~8 eps of it and less 1e-307 scale**2.
+    Temple's denominator is reduced by the margin, so it stays below the
+    exact min d - rho, and the quotient, at most ~2 scale on a bound above
+    the cap, loses ~12 eps of itself. LAPACK's levels lie within a small
+    multiple of eps scale of the exact ones. All of it is far under the
+    margin, so a level the bounds place beyond the margin, every solve
+    places beyond the threshold, and every solve's hi lies in the bracket.
+    A near-tie at the threshold declines the certificate and is solved, as
+    is a stack whose bounds are NaN or infinite.
     """
     reach = 2.0 * np.abs(s)  # 2|s|, the norm of s F
     # (4, stacks, 16) and contiguous: a reduction over the leading axis runs
@@ -244,7 +263,33 @@ def _certify(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         candidates = ~(floor > threshold_cap + margin)
         span = top_cap - floor.min(axis=-1, keepdims=True) + margin
         certified = (candidates.sum(axis=-1) == 1) & np.isfinite(span[:, 0])
-    return certified, candidates
+        top_floor = (mean + reach).max(axis=-1, keepdims=True)
+        top = np.concatenate((top_floor - margin, top_cap + margin), axis=-1)
+    return certified, candidates, top
+
+
+def _ground_counts(
+    d: np.ndarray, s: np.ndarray, candidates: np.ndarray, top: np.ndarray
+) -> np.ndarray:
+    """Each block's count of ground levels, per stack the bounds decline:
+    from a solve of its candidate blocks, or of all 16 where the bracket top
+    on its highest level leaves a candidate level's side open (_certify)."""
+    levels = np.full(d.shape, np.inf)  # a block not solved holds no ground level
+    levels[candidates] = _solve(_as_blocks(d[candidates], s[candidates]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = levels.min(axis=(-2, -1))[:, None]
+        # ground_mask's threshold at each end of the bracket, raised to lo,
+        # which hi never lies below
+        ends = lo + DEGENERACY_TOL * (np.maximum(top, lo) - lo)
+        ground = levels <= ends[:, :1, None]
+        settled = (ground | (levels > ends[:, 1:, None])).all(axis=(-2, -1))
+        settled &= np.isfinite(ends).all(axis=-1)
+    counts = ground.sum(axis=-1)
+    unsettled = np.flatnonzero(~settled)
+    if unsettled.size:
+        levels = _solve(_as_blocks(d[unsettled], s[unsettled]))[0]
+        counts[unsettled] = ground_mask(levels, axis=(-2, -1)).sum(axis=-1)
+    return counts
 
 
 def _logical_weights(d: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -256,14 +301,47 @@ def _logical_weights(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     d = d.reshape(-1, 16, 4)
     s = np.broadcast_to(s, d.shape[:-1])
     # a function of its own, so the bounds' temporaries are freed before the solve
-    certified, candidates = _certify(d, s)
+    certified, candidates, top = _certify(d, s)
     weights = np.empty(candidates.shape)
     weights[certified] = candidates[certified]
-    rest = ~certified
-    levels = _solve(_as_blocks(d[rest], s[rest]))[0]
-    counts = ground_mask(levels, axis=(-2, -1)).sum(axis=-1)
-    weights[rest] = counts / counts.sum(axis=-1, keepdims=True)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        counts = _ground_counts(d[rest], s[rest], candidates[rest], top[rest])
+        weights[rest] = counts / counts.sum(axis=-1, keepdims=True)
     return weights.reshape(shape)
+
+
+def _field_average(
+    fields: Sequence[Sequence[float]], j_a: float, j_c: float, noise: NoiseSpec,
+    trials: int, streams: Sequence[np.random.SeedSequence],
+) -> StateDistribution:
+    """Mean over field vectors of each one's trial-averaged ground-subspace
+    distribution, the trials of fields[k] drawing in order from streams[k].
+
+    A pass takes the next _TRIAL_CHUNK // len(fields) trials (at least one)
+    of every vector into one stack. Each vector's weights are summed in
+    trial order and the vectors' averages are then summed in order, so the
+    result does not depend on how trials are batched.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    d, s = zip(*[_tile_blocks(j, j_a, j_c) for j in fields])
+    d, s = np.stack(d), s[0]  # s, j_a times parity, is the same for every field
+    if noise.thermal_coefficient == 0.0:
+        means = _logical_weights(d, s)
+    else:
+        rngs = [np.random.default_rng(seq) for seq in streams]
+        per_pass = max(1, _TRIAL_CHUNK // len(fields))
+        acc = np.zeros((len(fields), 1, 16))
+        for start in range(0, trials, per_pass):
+            m = min(per_pass, trials - start)
+            stack = np.stack([noise.draw(rng, m) for rng in rngs]).reshape(-1, m, 16, 4)
+            # in place, so a pass holds one copy of its trials' diagonals
+            weights = _logical_weights(np.add(d[:, None], stack, out=stack), s)
+            acc = np.concatenate((acc, weights), axis=1).cumsum(axis=1)[:, -1:]
+        means = acc[:, 0] / trials
+    total = np.concatenate((np.zeros((1, 16)), means)).cumsum(axis=0)[-1]
+    return StateDistribution(total / len(fields))
 
 
 def logical_distribution(
@@ -280,19 +358,8 @@ def logical_distribution(
     order from one stream seeded by noise and their weights are summed in
     trial order, so the result does not depend on how trials are batched.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     noise = noise or NoiseSpec(0.0)
-    d, s = _tile_blocks(j, j_a, j_c)
-    if noise.thermal_coefficient == 0.0:
-        return StateDistribution(_logical_weights(d, s))
-    rng = np.random.default_rng(noise.seed_sequence())
-    acc = np.zeros((1, 16))
-    for start in range(0, trials, _TRIAL_CHUNK):
-        m = min(_TRIAL_CHUNK, trials - start)
-        weights = _logical_weights(d + noise.draw(rng, m).reshape(m, 16, 4), s)
-        acc = np.concatenate((acc, weights)).cumsum(axis=0)[-1:]
-    return StateDistribution(acc[0] / trials)
+    return _field_average([j], j_a, j_c, noise, trials, [noise.seed_sequence()])
 
 
 def default_field_sweep(j_c: float) -> list[np.ndarray]:
@@ -311,12 +378,10 @@ def sweep_distribution(
     default_field_sweep(j_c).
 
     Each vector gets its own deterministic noise sub-stream, so the sweep
-    result is reproducible and independent of iteration batching.
+    result is reproducible and independent of iteration batching. All
+    vectors' trials run through one chunk loop.
     """
     vectors = default_field_sweep(j_c)
     noise = noise or NoiseSpec(0.0)
-    acc = np.zeros(16)
-    for vec, ss in zip(vectors, noise.seed_sequence().spawn(len(vectors))):
-        dist = logical_distribution(vec, j_a, j_c, replace(noise, seed=ss), trials)
-        acc += dist.probabilities
-    return StateDistribution(acc / len(vectors))
+    streams = noise.seed_sequence().spawn(len(vectors))
+    return _field_average(vectors, j_a, j_c, noise, trials, streams)

@@ -394,9 +394,14 @@ def _all_block_weights(d, s):
 def test_certified_weights_equal_a_solve_of_every_block(
     params, coefficient, distribution, seed, scale
 ):
-    # a certified stack's one ground block must be what a solve of every
-    # block finds, whatever the disorder's scale against the tile's and the
-    # tile's units, in a trial stack or without noise
+    # a certified stack's one ground block, and a declined stack's solve of
+    # its candidate blocks, must give what a solve of every block gives,
+    # whatever the disorder's scale against the tile's and the tile's units,
+    # in a trial stack or without noise
+    _check_against_a_solve_of_every_block(params, coefficient, distribution, seed, scale)
+
+
+def _check_against_a_solve_of_every_block(params, coefficient, distribution, seed, scale):
     j, j_a, j_c = [v * scale for v in params[:4]], params[4] * scale, params[5] * scale
     d, s = quantum._tile_blocks(j, j_a, j_c)
     noise = NoiseSpec(coefficient * scale, distribution, seed=seed)
@@ -404,6 +409,60 @@ def test_certified_weights_equal_a_solve_of_every_block(
     for stack in (d, d + disorder.reshape(8, 16, 4)):
         expected = _all_block_weights(stack, s)
         assert quantum._logical_weights(stack, s).tobytes() == expected.tobytes()
+
+
+# tile inputs whose first trial has a candidate level between the thresholds
+# of the two ends of the bracket on its highest level: j_4 is solved for so
+# that the lowest levels of a block with spin 4 up and one with it down lie
+# the degeneracy threshold apart, in the middle of that window
+BRACKETED_LEVELS = [
+    dict(params=[0.0, 0.0, 0.0, 8.00611817580732e-06, 1.0, 1.0],
+         coefficient=1e-3, distribution="uniform", seed=5, scale=1.0),
+    dict(params=[0.0, 0.0, 0.0, -0.0003097705467926537, 1.0, 1.0],
+         coefficient=1e-3, distribution="normal", seed=6, scale=1.0),
+    dict(params=[0.0, 0.0, 0.0, 0.021942383972916313, 1.0, 1.0],
+         coefficient=0.1, distribution="uniform", seed=7, scale=1.0),
+]
+for _case in BRACKETED_LEVELS:
+    test_certified_weights_equal_a_solve_of_every_block = example(**_case)(
+        test_certified_weights_equal_a_solve_of_every_block)
+
+
+def _spy_on_the_full_solve(monkeypatch) -> list:
+    """Record the levels' shape each time _logical_weights falls back to a
+    solve of every block of a stack: the one path that calls ground_mask."""
+    calls = []
+
+    def spy(levels, axis=None):
+        calls.append(levels.shape)
+        return ground_mask(levels, axis=axis)
+
+    monkeypatch.setattr(quantum, "ground_mask", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", BRACKETED_LEVELS)
+def test_a_level_inside_the_bracketed_threshold_solves_every_block(monkeypatch, case):
+    full = _spy_on_the_full_solve(monkeypatch)
+    _check_against_a_solve_of_every_block(**case)
+    assert full and all(shape[1:] == (16, 4) for shape in full)
+
+
+@pytest.mark.parametrize("side, weights", [(-1.0, [0.5, 0.5, 0.0]), (1.0, [1.0, 0.0, 0.0])])
+def test_the_solved_top_level_decides_a_level_inside_the_bracket(monkeypatch, side, weights):
+    # the spread block is no candidate, but its top level, ~12.2, is the
+    # stack's; the bounds bracket it by 7 and 14, so a level 1e-9 either
+    # side of the threshold it gives is left open by the bracket, and the
+    # fallback's solve of every block settles it
+    spread = [12.0, 2.0, 2.0, 2.0]
+    top = np.linalg.eigh(np.diag(spread) - quantum._ANCILLA_FLIPS)[0][-1]
+    level = -2.0 + DEGENERACY_TOL * (top + 2.0) + side * 1e-9
+    d = np.array([[0.0] * 4, [level + 2.0] * 4, spread] + [[5.0] * 4] * 13)
+    full = _spy_on_the_full_solve(monkeypatch)
+    result = quantum._logical_weights(d, 1.0)
+    assert full
+    assert result.tobytes() == _all_block_weights(d, 1.0).tobytes()
+    assert result[:3].tolist() == weights
 
 
 @pytest.mark.parametrize("s", [1.0, -1.0])
@@ -420,26 +479,45 @@ def test_a_ground_level_shared_with_a_spread_block_declines_the_certificate(s):
     assert weights[:2].tolist() == [0.5, 0.5]
 
 
-def test_a_signed_field_vector_solves_few_blocks_per_trial(monkeypatch):
-    gap = spectral_gap(build_hamiltonian((0.0,) * 4, 1.0, 1.0))
-    rows = []
+def _count_solved_blocks(monkeypatch) -> list:
+    """Record the number of 4 x 4 blocks of each call to quantum._solve."""
+    counts = []
     solve = quantum._solve
 
     def counting(blocks):
-        rows.append(blocks[..., 0, 0].size)
+        counts.append(blocks[..., 0, 0].size)
         return solve(blocks)
 
     monkeypatch.setattr(quantum, "_solve", counting)
+    return counts
+
+
+def test_a_signed_field_vector_solves_few_blocks_per_trial(monkeypatch):
+    gap = spectral_gap(build_hamiltonian((0.0,) * 4, 1.0, 1.0))
+    rows = _count_solved_blocks(monkeypatch)
     noise = NoiseSpec(0.1 * gap, "uniform", seed=3)
     solved = []
     for vector in default_field_sweep(1.0):
         rows.clear()
         logical_distribution(vector, 1.0, 1.0, noise=noise, trials=200)
         solved.append(sum(rows) / 200)
-    # the bounds certify almost every trial's one ground block with no solve
-    # (a trial they do not certify solves all 16 blocks)
-    assert sum(solved) / len(solved) < 1
+    # the bounds certify almost every trial's one ground block with no solve,
+    # and a trial they do not certify solves only its candidate blocks
+    assert sum(solved) / len(solved) < 0.25
     assert solved[6] == 0
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_no_eigensolve_is_made_on_an_empty_stack(monkeypatch, fixed):
+    # a chunk whose every trial is certified makes no solve at all
+    gap = spectral_gap(build_hamiltonian((0.0,) * 4, 1.0, 1.0))
+    blocks = _count_solved_blocks(monkeypatch)
+    if fixed:
+        noise = NoiseSpec(0.02, "normal", seed=3)
+        logical_distribution((0.6, -0.4, 0.8, -0.5), 1.0, 1.0, noise=noise, trials=1200)
+    else:
+        sweep_distribution(1.0, 1.0, noise=NoiseSpec(0.1 * gap, "uniform", seed=3), trials=200)
+    assert 0 not in blocks
 
 
 def test_closed_form_matches_eigensolver():
@@ -587,6 +665,25 @@ def test_logical_distribution_memory_does_not_grow_with_trials():
     assert peaks[2] < 8 * 2**20
 
 
+def test_sweep_distribution_memory_does_not_grow_with_trials():
+    # a pass holds at most _TRIAL_CHUNK stacks summed over the 17 vectors
+    noise = NoiseSpec(0.1, "uniform", seed=4)
+    peaks = []
+    for trials in (600, 2_000, 20_000):  # the first run warms caches
+        tracemalloc.start()
+        try:
+            sweep_distribution(1.0, 1.0, noise=noise, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one float64 held per trial and vector would add 2.4 MB, and a pass of
+    # 512 trials of each vector ~30 MB. In a fresh interpreter the 20,000-trial
+    # peak reads up to ~65 KB higher: its 667 passes leave that much in the
+    # interpreter's free lists, bounded, and released by a full collection
+    assert peaks[2] <= peaks[1] + 256 * 1024
+    assert peaks[2] < 8 * 2**20
+
+
 def test_overflowing_spectrum_range_raises_instead_of_a_uniform_table():
     # disorder near the float maximum: the 64-level range overflows, which
     # would make every level count as ground. The range is taken with its
@@ -623,6 +720,29 @@ def test_sweep_distribution_leaves_a_seed_sequence_as_it_found_it():
     assert a.probabilities.tobytes() == b.probabilities.tobytes()
     assert a.probabilities.tobytes() == by_int.probabilities.tobytes()
     assert seed.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("trials", [1, 30, 31, 100, 513])
+@pytest.mark.parametrize(
+    "coefficient, distribution",
+    [(0.0, "uniform"), (2e-9, "uniform"), (2e-9, "normal"), (0.3, "uniform"), (0.3, "normal")],
+)
+def test_sweep_distribution_is_the_mean_of_per_vector_distributions(
+    monkeypatch, coefficient, distribution, trials
+):
+    # at 2e-9 the even states' ground levels lie within the degeneracy
+    # threshold of each other, so trials weigh them 1/2 .. 1/8: a sum in an
+    # order other than trial order, then vector order, changes the last bits
+    noise = NoiseSpec(coefficient, distribution, seed=17)
+    vectors = default_field_sweep(1.0)
+    acc = np.zeros(16)  # a logical_distribution call per vector, each on its own stream
+    for vec, seq in zip(vectors, noise.seed_sequence().spawn(len(vectors))):
+        dist = logical_distribution(vec, 1.0, 1.0, dataclasses.replace(noise, seed=seq), trials)
+        acc += dist.probabilities
+    expected = (acc / len(vectors)).tobytes()
+    for chunk in (quantum._TRIAL_CHUNK, 1, 7):
+        monkeypatch.setattr(quantum, "_TRIAL_CHUNK", chunk)
+        assert sweep_distribution(1.0, 1.0, noise, trials).probabilities.tobytes() == expected
 
 
 def test_default_sweep_grid():
