@@ -11,11 +11,23 @@ close the boundary tiles.
 Logical indices are 0-based throughout. Physical bit order is the
 lexicographic pair order (0,1), (0,2), ..., which coincides with row-major
 order over the rows (row r holds the pairs (r, r+1) ... (r, n-1)).
+
+Tile parity is read from row slices, with no gather. Tile (i, j)'s west
+(i, j) and north (i, j+1) are neighbours in row i, and its south (i+1, j)
+and east (i+1, j+1) are neighbours in row i+1; a boundary tile's south is
+the fixed +1 spin, so its south-east product is east, the first bit of row
+i+1. Let z hold each bit times its left neighbour in its row, and a row's
+first bit alone. In tile order the west-north products are then z over
+rows 0..n-3 without their first bits, and the south-east products are z
+over rows 1..n-2, which is z from bit n-1 on; a tile's product is the
+product of the two. ``LhzLayout.tiles`` remains the documented layout: the
+layout document and DecodeError's member list read it, and the kernel's
+result equals the product over each of its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
@@ -37,11 +49,6 @@ def constraint_count(n: int) -> int:
     return physical_count(n) - n + 1
 
 
-def _pair_index(n, i, j):
-    # pairs (0,*) come first, then (1,*), ...; i and j may be index arrays
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
 @dataclass(frozen=True)
 class LhzLayout:
     """The triangular layout. ``tiles`` is a read-only (T, 4) int64 array of
@@ -50,7 +57,10 @@ class LhzLayout:
     row, so ``np.append(sigma, 1)[tiles]`` gathers every tile's spins.
     ``tiles`` is the transpose of a C-ordered (4, T) array, so each column
     is contiguous. ``pair_ends`` is a read-only (2, K) int64 array of the
-    logical ends i and j of every physical bit; ``pairs`` derives from it."""
+    logical ends i and j of every physical bit; ``pairs`` derives from it.
+    The private fields are the kernels' read-only row geometry: each row's
+    first bit, the mask that drops rows 0..n-3's first bits from bits
+    0..K-2, and the strict upper triangle that picks the pairs."""
 
     n_logical: int
     k_physical: int
@@ -58,6 +68,9 @@ class LhzLayout:
     fixed_row: int                 # count of fixed +1 boundary spins
     tiles: np.ndarray
     pair_ends: np.ndarray
+    _row_starts: np.ndarray = field(repr=False, compare=False)
+    _keep: np.ndarray = field(repr=False, compare=False)
+    _upper: np.ndarray = field(repr=False, compare=False)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -78,18 +91,22 @@ def build_layout(n: int) -> LhzLayout:
     if n < 3:
         raise ValueError("the triangular layout needs at least 3 logical spins")
     k = physical_count(n)
-    ends = np.stack(np.triu_indices(n, 1))
-    ends.setflags(write=False)
-    i, j = np.triu_indices(n - 1, 1)
-    columns = np.stack(
-        [
-            _pair_index(n, i, j + 1),
-            _pair_index(n, i + 1, j + 1),
-            np.where(j == i + 1, k, _pair_index(n, i + 1, j)),
-            _pair_index(n, i, j),
-        ]
-    )
-    columns.setflags(write=False)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    ends = np.stack(np.nonzero(upper))
+    row = np.arange(n - 1)
+    starts = row * n - row * (row + 1) // 2  # row r starts at pair (r, r+1)
+    keep = np.ones(k - 1, dtype=bool)
+    keep[starts[:-1]] = False
+    # the row slices of the module docstring: north runs over rows 0..n-3
+    # but their first bits, east over rows 1..n-2, and west and south are
+    # their left neighbours, south the fixed slot where east starts a row
+    north = np.flatnonzero(keep)
+    east = np.arange(n - 1, k)
+    south = east - 1
+    south[starts[1:] - (n - 1)] = k
+    columns = np.stack([north, east, south, north - 1])
+    for array in (upper, ends, starts, keep, columns):
+        array.setflags(write=False)
     assert columns.shape[1] == constraint_count(n)
     return LhzLayout(
         n_logical=n,
@@ -98,6 +115,9 @@ def build_layout(n: int) -> LhzLayout:
         fixed_row=n - 2,
         tiles=columns.T,
         pair_ends=ends,
+        _row_starts=starts,
+        _keep=keep,
+        _upper=upper,
     )
 
 
@@ -118,8 +138,10 @@ class LhzProblem:
         j = np.array(self.j_fields, dtype=float)
         if j.ndim != 1:
             raise ValueError("j_fields must be a 1-D array")
-        if not self.c_penalty > 0:
-            raise ValueError("c_penalty must be > 0")
+        if not np.isfinite(j).all():
+            raise ValueError("j_fields must be finite")
+        if not 0 < self.c_penalty < np.inf:  # NaN fails too
+            raise ValueError("c_penalty must be > 0 and finite")
         j.setflags(write=False)
         object.__setattr__(self, "j_fields", j)
 
@@ -159,16 +181,14 @@ def _checked_word(
 
 
 def _tile_parity(layout: LhzLayout, sigma: np.ndarray) -> np.ndarray:
-    """Spin product of each tile of a checked word, int8. One gather per
-    tile column, multiplied in place: a product over the 4-wide axis would
-    run a reduction per tile."""
-    padded = np.append(sigma, np.int8(1))
-    north, east, south, west = layout.tiles.T
-    product = padded[north]
-    product *= padded[east]
-    product *= padded[south]
-    product *= padded[west]
-    return product
+    """Spin product of each tile of a checked word, int8: west-north times
+    south-east, each a slice of z, the word times its left neighbour in each
+    row (module docstring)."""
+    z = np.empty_like(sigma)
+    np.multiply(sigma[1:], sigma[:-1], out=z[1:])
+    starts = layout._row_starts
+    z[starts] = sigma[starts]
+    return z[:-1][layout._keep] * z[layout.n_logical - 1:]
 
 
 def encode(layout: LhzLayout, logical: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -179,8 +199,7 @@ def encode(layout: LhzLayout, logical: Sequence[int] | np.ndarray) -> np.ndarray
             f"logical configuration has {sigma.size} spins, layout expects "
             f"{layout.n_logical}"
         )
-    a, b = layout.pair_ends
-    return sigma[a] * sigma[b]
+    return np.multiply.outer(sigma, sigma)[layout._upper]
 
 
 def tile_products(layout: LhzLayout, physical: Sequence[int] | np.ndarray) -> np.ndarray:

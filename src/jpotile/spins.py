@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from inspect import signature
 from itertools import chain
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -193,7 +193,7 @@ def _finite_floats(values: list) -> Optional[list[float]]:
     return out if all(map(math.isfinite, out)) else None
 
 
-def _first_non_finite(values: list) -> int:
+def _first_non_finite(values: Iterable) -> int:
     return next(k for k, v in enumerate(values) if _finite_floats([v]) is None)
 
 
@@ -346,14 +346,22 @@ def load_ising_problem(path: str) -> IsingProblem:
     if types != {list} or set(map(len, j_raw)) != {3}:
         shaped = [isinstance(t, list) and len(t) == 3 for t in j_raw]
         raise data.error(f"J entry {shaped.index(False)}", "expected [i, j, value]")
-    flat = list(chain.from_iterable(j_raw))
-    numbers = _finite_floats(flat)
-    if numbers is None:
-        pos = _first_non_finite(flat) // 3
+    # numpy converts bools and numeric strings, so the types are checked
+    # first; only an error rescans the entries for the first bad one
+    triples = None
+    if set(map(type, chain.from_iterable(j_raw))) <= {int, float}:
+        try:
+            triples = np.fromiter(
+                chain.from_iterable(j_raw), dtype=float, count=3 * len(j_raw)
+            ).reshape(-1, 3)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if triples is None or not np.isfinite(triples).all():
+        pos = _first_non_finite(chain.from_iterable(j_raw)) // 3
         raise data.error(
             f"J entry {pos}", f"expected finite numbers, got {j_raw[pos]!r}"
         )
-    a, b, values = np.array(numbers).reshape(-1, 3).T
+    a, b, values = triples.T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # each entry's checks, in the order the error for it reports them
     integral = (np.trunc(lo) == lo) & (np.trunc(hi) == hi)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jpotile.errors import DecodeError, UnsupportedProblemError
 from jpotile.lhz import (
@@ -245,6 +247,13 @@ def test_problem_validation():
         LhzProblem(j_fields=np.zeros(3), c_penalty=0.0)
     with pytest.raises(ValueError):
         LhzProblem(j_fields=np.zeros((2, 2)), c_penalty=1.0)
+    # non-finite input is named by its field, not carried into the energy
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^j_fields must be finite"):
+            LhzProblem(j_fields=[0.0, bad, 0.0], c_penalty=1.0)
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="^c_penalty must be > 0 and finite"):
+            LhzProblem(j_fields=np.zeros(3), c_penalty=bad)
     # the problem keeps a read-only copy; the caller's fields stay writable
     fields = np.zeros(3)
     problem = LhzProblem(j_fields=fields, c_penalty=1.0)
@@ -265,3 +274,56 @@ def test_layout_export_is_complete():
     assert doc["j_fields"] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     # (north, east, south, west) rows of the (T, 4) array, None where fixed
     assert doc["tiles"] == [[1, 3, None, 0], [2, 4, 3, 1], [4, 5, None, 3]]
+
+
+@st.composite
+def readouts(draw):
+    """A logical configuration and 0 to 3 distinct bits to flip in its word."""
+    n = draw(st.integers(min_value=3, max_value=40))
+    sigma = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    flips = draw(st.lists(st.integers(0, physical_count(n) - 1), max_size=3, unique=True))
+    return sigma, flips
+
+
+# n = 3 has one tile, its south slot fixed: the east bit alone closes it
+@example((np.array([1, -1, 1]), []))
+@example((np.array([1, -1, 1]), [2]))
+@example((np.array([-1, -1, 1]), [0, 1]))
+@settings(deadline=None)
+@given(readouts())
+def test_row_slice_kernel_matches_the_gather_over_tiles(drawn):
+    sigma, flips = drawn
+    n = sigma.size
+    layout = build_layout(n)
+    word = encode(layout, sigma)
+    a, b = layout.pair_ends
+    assert word.dtype == np.int8
+    assert np.array_equal(word, sigma[a] * sigma[b])
+    word[flips] *= -1
+
+    # the gather over the documented tiles, which the kernel replaced
+    reference = np.append(word, 1)[layout.tiles].prod(axis=1)
+    products = tile_products(layout, word)
+    assert products.dtype == np.int64
+    assert np.array_equal(products, reference)
+
+    fields = np.random.default_rng(n).normal(size=word.size)
+    energy = lhz_energy(LhzProblem(fields, 3.0), layout, word)
+    assert energy == float(fields @ word.astype(float) - 3.0 * reference.sum())
+
+    violated = np.flatnonzero(reference == -1)
+    if not violated.size:
+        decoded = decode_readout(word, layout)
+        assert decoded.dtype == np.int8
+        assert decoded.tolist() == [1, *word[: n - 1].tolist()]
+        return
+    first = int(violated[0])
+    members = tuple(None if k == layout.k_physical else k
+                    for k in layout.tiles[first].tolist())
+    with pytest.raises(DecodeError) as err:
+        decode_readout(word, layout)
+    assert err.value.tile_index == first
+    assert str(err.value) == (
+        f"parity tile {first} violated (members {members}); "
+        "readout is not a valid encoding"
+    )
