@@ -99,8 +99,8 @@ class AnnealSchedule:
         if not 1.0 < self.p_end < math.inf:
             raise ValueError("p_end must be finite and above threshold (p=1)")
         steps = self.duration / self.dt
-        if not steps <= MAX_STEPS:
-            raise ValueError(f"duration / dt must be at most {MAX_STEPS} steps")
+        if not 0 <= steps <= MAX_STEPS:  # -inf passes the upper bound, and round() refuses it
+            raise ValueError(f"duration / dt must be >= 0 and at most {MAX_STEPS} steps")
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 10:
             raise ValueError("duration must be an integer multiple of dt, >= 10 steps")
 
@@ -143,6 +143,8 @@ class CouplingProgram:
         phases = tuple(float(v) for v in self.pump_phase)
         if len(phases) != 6:
             raise ValueError("pump_phase must hold exactly 6 phases")
+        if not all(math.isfinite(p - self.coupler_offset_phase) for p in phases):  # for cos
+            raise ValueError("pump_phase offsets from coupler_offset_phase must be finite")
         object.__setattr__(self, "pump_phase", phases)
         if not math.isfinite(self.ancilla_scale):
             name = "j_max" if self.j_max_ancilla is None else "j_max_ancilla"
@@ -283,125 +285,57 @@ def _integrate_batch(
     which draws 7 Gaussian initial amplitudes, then +-eta * sqrt(dt)
     increments from its raw bits, one NOISE_BLOCK of steps at a time
     (_noise_block). Recorded batches and those narrower than NARROW_BATCH
-    run trial by trial on Python floats, the others as a (7, m) numpy state
-    whose step is 29 ufunc calls on whole contiguous or 0-d operands. On a
-    2-vCPU VM a trial-step on Python floats takes 1.3-2.4 us, and a numpy
-    step 12-21 us at m = 12, 13-21 us at m = 32, 19-26 us at m = 128 and
-    91-131 us at m = 1000, as the host's speed swings; with Gaussian draws
-    the numpy step took 37-41 us at m = 128 and 196-217 us at m = 1000.
-    Both paths round the same operations in one order, the dE/dc_ref row a
+    step on Python floats (_float_steps), the others on (7, m) rows
+    (_row_steps). On a 2-vCPU VM a trial-step on Python floats takes 1.3-2.4
+    us, and a row step 12-21 us at m = 12, 13-21 us at m = 32, 19-26 us at
+    m = 128 and 91-131 us at m = 1000, as the host's speed swings. Both
+    bodies round the same operations in one order, the dE/dc_ref row a
     left-to-right sum, so a trial's states have the same bits at any width,
-    and both report the batch's first non-finite step. Returns the (m, 7)
+    and the batch reports its first non-finite step. Returns the (m, 7)
     final states and, if record, trial 0's trajectory."""
     for name, value in (("eta", eta), ("beta", beta)):  # noise strength, feedback gain
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0")
-    dt, n_steps, c_sat = schedule.dt, schedule.n_steps, schedule.c_sat
+    dt, n_steps = schedule.dt, schedule.n_steps
     scale = eta * math.sqrt(dt)
     rngs = [np.random.default_rng(s) for s in seeds]
-    if len(rngs) < NARROW_BATCH or record:
-        trajectory = np.empty((n_steps + 1, N_OSC)) if record else None
-        finals, blowups = [], []
-        for rng, path in zip(rngs, [trajectory] + [None] * len(rngs)):
-            try:
-                finals.append(_integrate_trial(params, schedule, scale, beta, rng, path))
-            except IntegrationBlowupError as err:
-                blowups.append(err.t)
-        if blowups:
-            raise IntegrationBlowupError(t=min(blowups), dt=dt)
-        return np.array(finals), trajectory
-    m = len(rngs)
+    x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
+    trajectory = np.empty((n_steps + 1, N_OSC)) if record else None
+    narrow = len(rngs) < NARROW_BATCH or record
     # the noise is +-scale, so finite exactly when scale is
     finite = np.isfinite([*params.j, params.j_a1, params.j_a2, params.c_cnst, beta, scale]).all()
-    x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
-    noise = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, m))
-    # the step's operands are C-contiguous arrays, rows or 0-d arrays, which
-    # ufuncs take fastest: a Python float costs a conversion each call, a
-    # column or strided view the iterator's slow path, and a constant spread
-    # to (7, m) memory traffic at large m. Local names spare each call a
-    # module lookup
-    j, j_anc = (np.repeat(np.array(v, dtype=float)[:, None], m, axis=1)
-                for v in (params.j, (params.j_a1, params.j_a2)))
-    c_cnst, nja1, nja2, beta_0d, dt_0d, hi, lo, gain_0d = (
-        np.array(float(v))
-        for v in (params.c_cnst, -params.j_a1, -params.j_a2, beta, dt, c_sat, -c_sat, 0.0))
-    drift, grad = np.empty((2, N_OSC, m))
-    logical, anc, (c1, c2, c3, c4, c5, c6, c_ref) = x[:4], x[4:6], x
-    g_logical, (g5, g6, g_ref) = grad[:4], grad[4:]
-    others, ref_terms = np.empty((2, 4, m))
-    (o1, o2, o3, o4), (t1, t2, t3, t4) = others, ref_terms
-    anc_terms, (p12, p34, p1234, bracket) = np.empty((2, m)), np.empty((4, m))
-    a5, a6 = anc_terms
-    multiply, add, subtract, minimum, maximum = (
-        np.multiply, np.add, np.subtract, np.minimum, np.maximum)
+    noise = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, len(rngs)))
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
         block = noise[: stop - start]  # step k as a (7, m) array
         _noise_block(rngs, scale, block)
         gains = schedule.pump(np.arange(start, stop) * dt) - 1.0
-        # errstate raises what finite inputs make non-finite; non-finite ones set no flag
+        # a non-finite input makes its step's state non-finite, but sets no
+        # errstate flag, so the bodies stop short of the first such step
         fed = np.isfinite(gains) & finite
         end = stop if fed.all() else start + int(fed.argmin())
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for k, gain in enumerate(gains[: end - start].tolist(), start):
-                    # E = c_ref sum_i J_i c_i - (J_a1 c_5 + J_a2 c_6 + C) c_1 c_2 c_3 c_4
-                    multiply(c1, c2, p12)
-                    multiply(c3, c4, p34)
-                    multiply(c2, p34, o1)  # the other three c_k of each logical c_i
-                    multiply(c1, p34, o2)
-                    multiply(c4, p12, o3)
-                    multiply(c3, p12, o4)
-                    multiply(anc, j_anc, anc_terms)
-                    add(a5, a6, bracket)
-                    add(bracket, c_cnst, bracket)
-                    multiply(j, c_ref, g_logical)  # one row over four: one call, not four
-                    multiply(others, bracket, others)
-                    subtract(g_logical, others, g_logical)
-                    multiply(p12, p34, p1234)
-                    multiply(nja1, p1234, g5)
-                    multiply(nja2, p1234, g6)
-                    multiply(logical, j, ref_terms)
-                    add(t1, t2, g_ref)  # left to right, as the Python-float step
-                    add(g_ref, t3, g_ref)
-                    add(g_ref, t4, g_ref)
-                    multiply(x, x, drift)
-                    gain_0d.fill(gain)
-                    subtract(gain_0d, drift, drift)
-                    multiply(drift, x, drift)
-                    multiply(grad, beta_0d, grad)
-                    subtract(drift, grad, drift)
-                    multiply(drift, dt_0d, drift)
-                    add(drift, block[k - start], drift)
-                    add(x, drift, x)
-                    minimum(x, hi, out=x)
-                    maximum(x, lo, out=x)
-        except FloatingPointError:
-            raise IntegrationBlowupError(t=(k + 1) * dt, dt=dt) from None
-        if end < stop:
-            raise IntegrationBlowupError(t=(end + 1) * dt, dt=dt)
-    return x.T, None
+        args = x, block, gains[: end - start].tolist(), start, params, schedule, beta
+        k = _float_steps(*args, trajectory) if narrow else _row_steps(*args)
+        if k is not None or end < stop:
+            raise IntegrationBlowupError(t=((end if k is None else k) + 1) * dt, dt=dt)
+    return x.T, trajectory
 
 
-def _integrate_trial(params: TileParams, schedule: AnnealSchedule, scale: float,
-                     beta: float, rng, trajectory: Optional[np.ndarray]) -> list[float]:
-    """One trial of _integrate_batch on seven Python floats: the wide step's
-    draws, from the same _noise_block, and operations in its order. 5,000
-    steps take 6.6-11.9 ms on a 2-vCPU VM, as with Gaussian draws (7.3-12.4
-    ms, interleaved runs). Fills trajectory one block at a time."""
-    dt, n_steps, hi, isfinite = schedule.dt, schedule.n_steps, schedule.c_sat, math.isfinite
+def _float_steps(x: np.ndarray, noise: np.ndarray, gains: list, start: int, params: TileParams,
+                 schedule: AnnealSchedule, beta: float, trajectory) -> Optional[int]:
+    """_integrate_batch's steps from start, one per gain and noise block row,
+    on seven Python floats a trial, each column of the (7, m) state x in
+    place, with _row_steps' operations in its order. Fills trial 0's rows of
+    trajectory from step start's state on, unless it is None. Returns the
+    first non-finite step, or None."""
+    dt, hi, isfinite = schedule.dt, schedule.c_sat, math.isfinite
     (j1, j2, j3, j4), ja1, ja2, cc = params.j, params.j_a1, params.j_a2, params.c_cnst
     lo, nja1, nja2 = -hi, -ja1, -ja2  # the clamp is min(c, hi), then max(c, lo)
-    state = c1, c2, c3, c4, c5, c6, cr = rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC).tolist()
-    if trajectory is not None:
-        trajectory[0] = state
-    block = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, 1))
-    for start in range(0, n_steps, NOISE_BLOCK):
-        stop, rows = min(start + NOISE_BLOCK, n_steps), []
-        _noise_block([rng], scale, block[: stop - start])
-        noise = block[: stop - start, :, 0].tolist()
-        gains = (schedule.pump(np.arange(start, stop) * dt) - 1.0).tolist()
-        for k, gain, (n1, n2, n3, n4, n5, n6, nr) in zip(range(start, stop), gains, noise):
+    blowups = []
+    for i, (c1, c2, c3, c4, c5, c6, cr) in enumerate(x.T.tolist()):
+        rows = [(c1, c2, c3, c4, c5, c6, cr)] if i == 0 and trajectory is not None else None
+        steps = zip(range(start, start + len(gains)), gains, noise[:, :, i].tolist())
+        for k, gain, (n1, n2, n3, n4, n5, n6, nr) in steps:
             p12, p34 = c1 * c2, c3 * c4
             br = (c5 * ja1 + c6 * ja2) + cc
             g1, g2 = j1 * cr - (c2 * p34) * br, j2 * cr - (c1 * p34) * br
@@ -418,7 +352,8 @@ def _integrate_trial(params: TileParams, schedule: AnnealSchedule, scale: float,
             cr = cr + (((gain - cr * cr) * cr - gr * beta) * dt + nr)
             if not (isfinite(c1) and isfinite(c2) and isfinite(c3) and isfinite(c4)
                     and isfinite(c5) and isfinite(c6) and isfinite(cr)):
-                raise IntegrationBlowupError(t=(k + 1) * dt, dt=dt)
+                blowups.append(k)
+                break
             c1 = hi if c1 > hi else lo if c1 < lo else c1
             c2 = hi if c2 > hi else lo if c2 < lo else c2
             c3 = hi if c3 > hi else lo if c3 < lo else c3
@@ -426,11 +361,75 @@ def _integrate_trial(params: TileParams, schedule: AnnealSchedule, scale: float,
             c5 = hi if c5 > hi else lo if c5 < lo else c5
             c6 = hi if c6 > hi else lo if c6 < lo else c6
             cr = hi if cr > hi else lo if cr < lo else cr
-            if trajectory is not None:
+            if rows is not None:
                 rows.append((c1, c2, c3, c4, c5, c6, cr))
-        if trajectory is not None:
-            trajectory[start + 1 : stop + 1] = rows
-    return [c1, c2, c3, c4, c5, c6, cr]
+        x[:, i] = c1, c2, c3, c4, c5, c6, cr
+        if rows is not None:
+            trajectory[start : start + len(rows)] = rows
+    return min(blowups, default=None)
+
+
+def _row_steps(x: np.ndarray, noise: np.ndarray, gains: list, start: int, params: TileParams,
+               schedule: AnnealSchedule, beta: float) -> Optional[int]:
+    """_float_steps on the rows of the (7, m) state x, 29 ufunc calls a step.
+    Returns the first non-finite step, or None."""
+    m = x.shape[1]
+    # the step's operands are C-contiguous arrays, rows or 0-d arrays, which
+    # ufuncs take fastest: a Python float costs a conversion each call, a
+    # column or strided view the iterator's slow path, and a constant spread
+    # to (7, m) memory traffic at large m. Local names spare each call a
+    # module lookup
+    j, j_anc = (np.repeat(np.array(v, dtype=float)[:, None], m, axis=1)
+                for v in (params.j, (params.j_a1, params.j_a2)))
+    c_cnst, nja1, nja2, beta_0d, dt_0d, hi, lo, gain_0d = (
+        np.array(float(v)) for v in (params.c_cnst, -params.j_a1, -params.j_a2, beta,
+                                     schedule.dt, schedule.c_sat, -schedule.c_sat, 0.0))
+    drift, grad = np.empty((2, N_OSC, m))
+    logical, anc, (c1, c2, c3, c4, c5, c6, c_ref) = x[:4], x[4:6], x
+    g_logical, (g5, g6, g_ref) = grad[:4], grad[4:]
+    others, ref_terms = np.empty((2, 4, m))
+    (o1, o2, o3, o4), (t1, t2, t3, t4) = others, ref_terms
+    anc_terms, (p12, p34, p1234, bracket) = np.empty((2, m)), np.empty((4, m))
+    a5, a6 = anc_terms
+    multiply, add, subtract, minimum, maximum = (
+        np.multiply, np.add, np.subtract, np.minimum, np.maximum)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k, gain in enumerate(gains, start):
+                # E = c_ref sum_i J_i c_i - (J_a1 c_5 + J_a2 c_6 + C) c_1 c_2 c_3 c_4
+                multiply(c1, c2, p12)
+                multiply(c3, c4, p34)
+                multiply(c2, p34, o1)  # the other three c_k of each logical c_i
+                multiply(c1, p34, o2)
+                multiply(c4, p12, o3)
+                multiply(c3, p12, o4)
+                multiply(anc, j_anc, anc_terms)
+                add(a5, a6, bracket)
+                add(bracket, c_cnst, bracket)
+                multiply(j, c_ref, g_logical)  # one row over four: one call, not four
+                multiply(others, bracket, others)
+                subtract(g_logical, others, g_logical)
+                multiply(p12, p34, p1234)
+                multiply(nja1, p1234, g5)
+                multiply(nja2, p1234, g6)
+                multiply(logical, j, ref_terms)
+                add(t1, t2, g_ref)  # left to right, as the Python-float step
+                add(g_ref, t3, g_ref)
+                add(g_ref, t4, g_ref)
+                multiply(x, x, drift)
+                gain_0d.fill(gain)
+                subtract(gain_0d, drift, drift)
+                multiply(drift, x, drift)
+                multiply(grad, beta_0d, grad)
+                subtract(drift, grad, drift)
+                multiply(drift, dt_0d, drift)
+                add(drift, noise[k - start], drift)
+                add(x, drift, x)
+                minimum(x, hi, out=x)
+                maximum(x, lo, out=x)
+    except FloatingPointError:
+        return k
+    return None
 
 
 def _readout_codes(

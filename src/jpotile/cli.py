@@ -47,7 +47,7 @@ from .circuit import (
     flux_table,
     rsj_iv_curve,
 )
-from .errors import CalibrationError, EnergyRangeError, ParseError
+from .errors import CalibrationError, EnergyRangeError, ParseError, UnsupportedProblemError
 from .lhz import build_layout, layout_document, map_couplings
 from .quantum import (
     NoiseSpec,
@@ -103,7 +103,7 @@ def _resolve_seed(args) -> int:
         seed = secrets.randbits(64)
         _log(args, f"seed drawn from system entropy: {seed}")
     if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+        raise ValueError("--seed must be a nonnegative integer")
     return seed
 
 
@@ -300,8 +300,8 @@ def _load_circuit_config(path: str) -> dict:
                 l_r = calibrate_resonator(target, rs.number("omega_r"), squid)
             except CalibrationError as exc:
                 raise data.error("target_omega0", str(exc)) from exc
-        if not math.isfinite(l_r):
-            raise data.error("squid", "its inductance overflows the calibrated l_r")
+        if not 0 < l_r < math.inf:  # l_sq + l1 / 2 > 0, so only by overflow or underflow
+            raise data.error("squid", "its inductance puts the calibrated l_r out of range")
         l_r_field = "target_omega0"
     config = {
         "squid": squid, "resonator": rs.model(ResonatorParams, l_r=l_r),
@@ -369,7 +369,10 @@ def _cmd_lhz_map(args) -> int:
     if problem.n != args.n:
         raise ValueError(f"--n {args.n} does not match the problem file (n={problem.n})")
     layout = build_layout(args.n)
-    fields = map_couplings(problem)
+    try:
+        fields = map_couplings(problem)
+    except UnsupportedProblemError as exc:  # the pair mapping carries no local fields
+        raise JsonObject({}, args.problem).error("h", str(exc)) from exc
     resolved = {"n": args.n, "problem": os.path.basename(args.problem), "format": args.format}
     doc = layout_document(layout, fields)
     # JSON writes the document; CSV's table carries the pairs and fields, and

@@ -164,7 +164,7 @@ def map_couplings(problem: IsingProblem) -> np.ndarray:
             "set h = 0"
         )
     # + 0.0 turns the -0.0 of a negated zero coupling into 0.0
-    return -problem.j[np.triu_indices(problem.n, 1)] + 0.0
+    return -problem.j[np.triu(np.ones((problem.n, problem.n), dtype=bool), 1)] + 0.0
 
 
 def _checked_word(

@@ -46,14 +46,14 @@ _BLOCK = np.arange(16)
 _OFF_BLOCK = ~np.kron(np.eye(16, dtype=bool), np.ones((4, 4), dtype=bool))
 
 
-def _tile_blocks(j: Sequence[float], j_a: float, j_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 diagonal blocks of H, indexed by logical state code, as
-    diag(d) - s F: the diagonals d, (16, 4), and s = j_a * parity, (16,)."""
-    j = tuple(float(v) for v in j)
-    if len(j) != 4:
+def _tile_blocks(j: Sequence, j_a: float, j_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 diagonal blocks of H by logical state code, diag(d) - s F, for a
+    stack j (..., 4) of field vectors: d (..., 16, 4) and s = j_a * parity (16,)."""
+    j = np.asarray(j, dtype=float)
+    if j.shape[-1:] != (4,):
         raise ValueError("j must hold exactly 4 field values")
-    diag = (_LOGICAL * j).sum(axis=1) - float(j_c) * _PARITY
-    return np.repeat(diag[:, None], 4, axis=1), float(j_a) * _PARITY
+    diag = (_LOGICAL * j[..., None, :]).sum(axis=-1) - float(j_c) * _PARITY
+    return np.repeat(diag[..., None], 4, axis=-1), float(j_a) * _PARITY
 
 
 def _as_blocks(d: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -325,8 +325,7 @@ def _field_average(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d, s = zip(*[_tile_blocks(j, j_a, j_c) for j in fields])
-    d, s = np.stack(d), s[0]  # s, j_a times parity, is the same for every field
+    d, s = _tile_blocks(fields, j_a, j_c)
     if noise.thermal_coefficient == 0.0:
         means = _logical_weights(d, s)
     else:

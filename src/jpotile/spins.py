@@ -181,20 +181,29 @@ def enumerate_ground_states(
 _REQUIRED = dataclasses.MISSING
 
 
-def _finite_floats(values: list) -> Optional[list[float]]:
-    """values as floats if every entry is a finite JSON number (not a bool,
-    a string or an integer beyond the float range), else None."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
+def _is_finite_number(value: Any) -> bool:
+    """A finite JSON number: no bool, string or integer beyond the float range."""
     try:
-        out = list(map(float, values))
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:
-        return None
-    return out if all(map(math.isfinite, out)) else None
+        return False
 
 
 def _first_non_finite(values: Iterable) -> int:
-    return next(k for k, v in enumerate(values) if _finite_floats([v]) is None)
+    return next(k for k, v in enumerate(values) if not _is_finite_number(v))
+
+
+def _finite_array(rows: list, count: int) -> Optional[np.ndarray]:
+    """The count entries of the lists in rows as one float array, or None
+    unless each is a finite JSON number."""
+    # numpy converts bools and numeric strings, so the types are checked first
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return None
+    try:
+        out = np.fromiter(chain.from_iterable(rows), dtype=float, count=count)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 class JsonObject:
@@ -249,24 +258,24 @@ class JsonObject:
         if self._absent(key, default):
             return default
         value = self.data[key]
-        if _finite_floats([value]) is None:
+        if not _is_finite_number(value):
             raise self.error(key, f"expected a finite number, got {value!r}")
         return float(value)
 
-    def numbers(self, key: str, count: int, default: Any = _REQUIRED) -> Any:
-        """A list of exactly count finite numbers, as a tuple of floats."""
-        if self._absent(key, default):
-            return default
-        values = self.data[key]
+    def array(self, key: str, count: int) -> np.ndarray:
+        """A required list of exactly count finite numbers, as a float array."""
+        values = self.get(key)
         if not isinstance(values, list) or len(values) != count:
             raise self.error(key, f"expected a list of {count} numbers")
-        out = _finite_floats(values)
+        out = _finite_array([values], count)
         if out is None:
             k = _first_non_finite(values)
-            raise self.error(
-                f"{key} entry {k}", f"expected a finite number, got {values[k]!r}"
-            )
-        return tuple(out)
+            raise self.error(f"{key} entry {k}", f"expected a finite number, got {values[k]!r}")
+        return out
+
+    def numbers(self, key: str, count: int, default: Any = _REQUIRED) -> Any:
+        """A list of exactly count finite numbers, as a tuple of floats."""
+        return default if self._absent(key, default) else tuple(self.array(key, count).tolist())
 
     def integer(self, key: str, minimum: int) -> int:
         value = self.get(key)
@@ -326,7 +335,7 @@ def load_ising_problem(path: str) -> IsingProblem:
     n = data.integer("n", 1)
     if n > MAX_PROBLEM_SPINS:
         raise data.error("n", f"expected at most {MAX_PROBLEM_SPINS} spins, got {n}")
-    h = np.array(data.numbers("h", n))
+    h = data.array("h", n)
     j_raw = data.get("J")
     if not isinstance(j_raw, list):
         raise data.error("J", "expected a list")
@@ -337,7 +346,7 @@ def load_ising_problem(path: str) -> IsingProblem:
             raise data.error(
                 "J", f"flat row-major form needs {n * n} numbers, got {len(j_raw)}"
             )
-        j = np.array(data.numbers("J", n * n)).reshape(n, n)
+        j = data.array("J", n * n).reshape(n, n)
         if not np.array_equal(j, j.T):
             raise data.error("J", "matrix must be symmetric")
         if np.any(np.diag(j) != 0.0):
@@ -346,22 +355,11 @@ def load_ising_problem(path: str) -> IsingProblem:
     if types != {list} or set(map(len, j_raw)) != {3}:
         shaped = [isinstance(t, list) and len(t) == 3 for t in j_raw]
         raise data.error(f"J entry {shaped.index(False)}", "expected [i, j, value]")
-    # numpy converts bools and numeric strings, so the types are checked
-    # first; only an error rescans the entries for the first bad one
-    triples = None
-    if set(map(type, chain.from_iterable(j_raw))) <= {int, float}:
-        try:
-            triples = np.fromiter(
-                chain.from_iterable(j_raw), dtype=float, count=3 * len(j_raw)
-            ).reshape(-1, 3)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if triples is None or not np.isfinite(triples).all():
+    triples = _finite_array(j_raw, 3 * len(j_raw))
+    if triples is None:
         pos = _first_non_finite(chain.from_iterable(j_raw)) // 3
-        raise data.error(
-            f"J entry {pos}", f"expected finite numbers, got {j_raw[pos]!r}"
-        )
-    a, b, values = triples.T
+        raise data.error(f"J entry {pos}", f"expected finite numbers, got {j_raw[pos]!r}")
+    a, b, values = triples.reshape(-1, 3).T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # each entry's checks, in the order the error for it reports them
     integral = (np.trunc(lo) == lo) & (np.trunc(hi) == hi)

@@ -41,6 +41,8 @@ from jpotile.errors import (
 )
 from jpotile.tile import TileConfig, ground_set, tile_energy
 
+from anneal_gate import ALPHA, clopper_pearson, gate
+
 EVEN_LABELS = {"0000", "0011", "0101", "0110", "1001", "1010", "1100", "1111"}
 
 
@@ -371,6 +373,21 @@ def test_canonical_readout_reaches_tile_ground_energy():
         for label in hist.support():
             energy = tile_energy(params, config_from_label(label))
             assert energy <= floor + 1e-9
+
+
+def test_noisy_anneals_meet_the_tile_ground_set_within_a_binomial_band():
+    # the paper's check as a bound on rates, not on one realisation's counts:
+    # at confidence 1 - ALPHA, at least 99.5 % of canonical readouts lie in the
+    # tile's analytic ground set, and under 0.5 % read odd parity or end
+    # unsettled (about 1e-4 of even-program trials do each, by design)
+    for program in (even_parity_program(), alternating_field_program()):
+        fractions = gate(program, trials=4000, seed=2024)
+        assert fractions["hit"][1] >= 0.995
+        assert fractions["odd"][2] <= 0.005
+        assert fractions["unsettled"][2] <= 0.005
+    # the band's closed forms at no and at every success
+    assert clopper_pearson(0, 4000) == (0.0, pytest.approx(1 - (ALPHA / 2) ** (1 / 4000)))
+    assert clopper_pearson(4000, 4000) == (pytest.approx((ALPHA / 2) ** (1 / 4000)), 1.0)
 
 
 def test_histogram_is_chunk_size_invariant():

@@ -4,7 +4,9 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -462,7 +464,7 @@ def test_anneal_seed_and_trials_validation(tmp_path, capsys):
         capsys, ["anneal", "--program", path, "--trials", "1", "--seed", "-5"]
     )
     assert code == 2
-    assert "seed must be a nonnegative integer" in err
+    assert "--seed must be a nonnegative integer" in err
 
 
 def test_anneal_draws_seed_when_absent(tmp_path, capsys):
@@ -494,6 +496,7 @@ def test_anneal_blowup_exits_three(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+SQUID = {"l1": 7.5e-12, "l2": 7.5e-12, "i_c1": 80e-6, "i_c2": 80e-6}
 IV_SECTION = {
     "junction": {"i_c": 160e-6, "r_shunt": 15.0},
     "i_start": 0.0,
@@ -709,6 +712,23 @@ def test_start_line_names_the_subcommand(
             IV_ARGS + ["0"], circuit_file, {"iv": {**IV_SECTION, "dt_eff": 0}},
             "iv.dt_eff", id="circuit iv dt_eff zero",
         ),
+        pytest.param(
+            SWEEP_ARGS, circuit_file,
+            {"squid": {**SQUID, "l1": 5e-324, "i_c1": sys.float_info.max}, "sweep": SWEEP_SECTION},
+            "squid", id="circuit sweep calibrated l_r underflows",
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file,
+            {"pump_phase": [1e300] + [0.0] * 5, "coupler_offset_phase": -sys.float_info.max},
+            "pump_phase", id="anneal phase offset overflows",
+        ),
+        pytest.param(
+            ANNEAL_ARGS, program_file, {"schedule": {"duration": -sys.float_info.max, "dt": 0.01}},
+            "schedule.duration", id="anneal duration -max",
+        ),
+        pytest.param(
+            LHZ_ARGS, problem_file, {"h": [5e-324, 0.0, 0.0]}, "h", id="lhz map h nonzero",
+        ),
     ],
 )
 def test_malformed_input_exits_two_naming_the_field(
@@ -828,3 +848,89 @@ def test_out_write_failure_exits_two(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "jpotile:" in err
+
+
+# the extreme numbers of the exit-code contract: signed zeros, subnormals,
+# +-1e+-300, +-max float, 2**53 + 1, +-1e20, NaN and +-Infinity
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+            sys.float_info.max, -sys.float_info.max, 2**53 + 1, 1e20, -1e20,
+            math.nan, math.inf, -math.inf)
+# one valid input of each subcommand, small enough to run in milliseconds:
+# (argv with "{path}" for the input file, the file's payload)
+VALID_INPUTS = (
+    (LHZ_ARGS, {"n": 3, "h": [0.0, 0.0, 0.0], "J": [[0, 1, 2.0], [0, 2, -3.0], [1, 2, 0.5]]}),
+    (LHZ_ARGS, {"n": 3, "h": [0.0] * 3, "J": [0.0, 1.0, 2.0, 1.0, 0.0, 3.0, 2.0, 3.0, 0.0]}),
+    (ENUMERATE_ARGS, {"j": [0.5, -0.5, 0.0, 1.0], "j_a1": 1.0, "j_a2": 1.0, "c_cnst": 1.0,
+                      "clamp_ancilla": [1, -1]}),
+    (QUANTUM_ARGS + ["--trials", "3"],
+     {"j": [0.1, 0.0, -0.2, 0.0], "j_a": 1.0, "j_c": 1.0, "noise": {"thermal_coefficient": 0.1}}),
+    (SWEEP_ARGS, {"squid": SQUID, "resonator": {"omega_r": TWO_PI * 5e9, "c_s": 5e-13},
+                  "target_omega0": TWO_PI * 7.5e9, "sweep": SWEEP_SECTION}),
+    (IV_ARGS + ["4.2"], {"squid": SQUID, "iv": {**IV_SECTION, "dt_eff": 1e-12},
+                         "resonator": {"omega_r": TWO_PI * 5e9, "l_r": 1e-9, "c_s": 5e-13}}),
+    (ANNEAL_ARGS, {"pump_phase": [0.0, PI, 0.0, PI, 0.0, 0.0], "coupler_offset_phase": 0.0,
+                   "j_max": 2.0, "c_cnst": 2.0, "eta": 0.05, "beta": 0.2, "kappa": 2e7,
+                   "schedule": {"duration": 0.5, "dt": 0.01, "p_start": 0.5, "p_end": 2.0}}),
+)
+NUMERIC_FLAGS = ("--n", "--trials", "--seed", "--temp")
+
+
+def _leaves(node, path=()):
+    """(path, value) of every number in a JSON document, and of every section."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield path + (key,), value
+            yield from _leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,), value
+
+
+def _field_name(path):
+    """The name an error gives the field at path: dotted keys, then 'entry k'
+    for a list entry (a sparse J triple's entries share their triple's)."""
+    keys = [str(k) for k in path if isinstance(k, str)]
+    index = next((k for k in path if isinstance(k, int)), None)
+    return ".".join(keys) + ("" if index is None else f" entry {index}")
+
+
+@settings(deadline=None, max_examples=800,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(VALID_INPUTS), data=st.data())
+def test_extreme_numbers_keep_the_exit_code_contract(tmp_path, capsys, case, data):
+    # one to three numbers of a valid input, in its file or its numeric flags,
+    # become extremes: the call exits 0, 2 or 3 and raises nothing; a success
+    # warns of nothing, and no exit prints NaN or Infinity as data; exit 2
+    # names a field of the file or a flag
+    argv, payload = list(case[0]), json.loads(json.dumps(case[1]))
+    numbers = [p for p, v in _leaves(payload) if not isinstance(v, (dict, list))]
+    flags = [a for a in argv if a in NUMERIC_FLAGS]
+    targets = data.draw(st.lists(st.sampled_from(numbers + flags), min_size=1, max_size=3,
+                                 unique=True))
+    for target in targets:
+        value = data.draw(st.sampled_from(EXTREMES))
+        if target in flags:  # integer flags take the integral extremes
+            if target != "--temp":
+                value = int(value) if math.isfinite(value) else 0
+            # --flag=value, as argparse reads "-1e+20" after a space as an option
+            at = argv.index(target)
+            argv[at : at + 2] = [f"{target}={value}"]
+        else:
+            *parents, key = target
+            node = payload
+            for step in parents:
+                node = node[step]
+            node[key] = value
+    path = write_json(tmp_path, "input.json", payload)
+    argv += ["--format", data.draw(st.sampled_from(("csv", "json")))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, [path if a == "{path}" else a for a in argv])
+    assert code in (0, 2, 3), err
+    assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out)
+    if code == 0:
+        assert not caught, [str(w.message) for w in caught]
+    if code == 2:
+        named = re.search(r"field '([^']+)'", err)
+        fields = {_field_name(p) for p, _ in _leaves(payload)}
+        assert (named and named[1] in fields) or any(f"{flag} " in err for flag in flags), err
