@@ -1,6 +1,7 @@
 """Spectral checks of the 64-dimensional tile Hamiltonian."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -647,6 +648,41 @@ def test_logical_distribution_does_not_depend_on_the_chunk(
     monkeypatch.setattr(quantum, "_TRIAL_CHUNK", chunk)
     batched = logical_distribution(*args, noise=noise, trials=25)
     assert batched.probabilities.tobytes() == default.probabilities.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+@pytest.mark.parametrize("distribution", ["uniform", "normal"])
+def test_sweep_distribution_does_not_depend_on_the_chunk(monkeypatch, distribution, chunk):
+    # at 2e-9 the zero-field vector's even states lie within the degeneracy
+    # threshold of each other, so trials weigh them 1/2 .. 1/8; 70 trials run
+    # as passes of 30, 30 and 10 stacks a vector by default, of 1 or 2 here
+    noise = NoiseSpec(2e-9, distribution, seed=19)
+    default = sweep_distribution(1.0, 1.0, noise=noise, trials=70)
+    monkeypatch.setattr(quantum, "_TRIAL_CHUNK", chunk)
+    batched = sweep_distribution(1.0, 1.0, noise=noise, trials=70)
+    assert batched.probabilities.tobytes() == default.probabilities.tobytes()
+
+
+# runs of several passes whose last pass is partial, pinned by the sha256 of
+# their probabilities' bytes: the sweep at 100 trials takes passes of 30, 30,
+# 30 and 10 stacks a vector, and the bounds decline stacks of its zero-field
+# vector in each; one vector at 600 trials takes passes of 512 and 88
+MULTI_PASS_DIGESTS = {
+    "sweep uniform": "5cd59db298eb05c55f97dfc8d59e1b1717841b10690052eb74888c0c7ca5f235",
+    "fixed normal": "d77ee06bcb12080c09d62ce6ce8c392afda45c8ed6f6364934d9b81be94ca21e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_PASS_DIGESTS))
+def test_multi_pass_distribution_digest_is_pinned(case):
+    if case == "sweep uniform":
+        gap = spectral_gap(build_hamiltonian((0.0,) * 4, 1.0, 1.0))
+        dist = sweep_distribution(1.0, 1.0, NoiseSpec(0.1 * gap, "uniform", seed=31), trials=100)
+    else:
+        noise = NoiseSpec(0.3, "normal", seed=32)
+        dist = logical_distribution((0.1, 0.0, -0.2, 0.0), 1.0, 1.0, noise=noise, trials=600)
+    digest = hashlib.sha256(dist.probabilities.tobytes()).hexdigest()
+    assert digest == MULTI_PASS_DIGESTS[case]
 
 
 def test_logical_distribution_memory_does_not_grow_with_trials():
