@@ -17,7 +17,9 @@ leaves a level's side of the degeneracy threshold open. There is one
 eigensolver, LAPACK's eigh on the 4 x 4 blocks, so ground_states,
 spectral_gap and logical_distribution classify the same levels.
 sweep_distribution runs the trials of all its field vectors through
-logical_distribution's one chunk loop.
+logical_distribution's one chunk loop. A pass of that loop holds its
+trials' diagonals stack-last, (4, 16, stacks), in one buffer it reuses, so
+the bounds run as elementwise ops along contiguous stacks.
 """
 
 from __future__ import annotations
@@ -184,11 +186,12 @@ class StateDistribution:
         return dict(zip(code_labels(range(16), 4), self.probabilities.tolist()))
 
 
-def _certify(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per stack of diagonals d (stacks, 16, 4) and flip weights s
-    (stacks, 16): whether the bounds certify the stack, which of its blocks
-    they let hold a ground level, and the two ends of a bracket on its
-    highest level, (stacks, 2).
+def _certify(diag: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per stack of diagonals diag (4, 16, stacks), ancilla entry by block by
+    stack, and flip weights s (16, stacks) or (16, 1): whether the bounds
+    certify the stack (stacks,), which of its blocks they let hold a ground
+    level (16, stacks), and the two ends of a bracket on its highest level,
+    (2, stacks).
 
     A block is diag(d) - s F, and the ancilla-flip matrix F has levels
     -2, 0, 0, 2; its level-2 sign(s) vector v and its level -2 sign(s)
@@ -238,40 +241,41 @@ def _certify(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     A near-tie at the threshold declines the certificate and is solved, as
     is a stack whose bounds are NaN or infinite.
     """
+    # with the stacks last and contiguous, every bound is an elementwise op
+    # along them and every reduction runs over a leading axis, the sum over
+    # the four ancilla entries left to right
     reach = 2.0 * np.abs(s)  # 2|s|, the norm of s F
-    # (4, stacks, 16) and contiguous: a reduction over the leading axis runs
-    # ~4x faster than one over a strided trailing axis of 4
-    diag = np.moveaxis(d, -1, 0).copy()
     low, high = diag.min(axis=0), diag.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = np.maximum(high, -low).max(axis=-1) + reach.max(axis=-1)
-        unit = scale[:, None]
+        scale = np.maximum(high, -low).max(axis=0) + reach.max(axis=0)
         # never below the smallest normal float: on subnormal entries every
         # operation rounds by up to half of 2**-1074, whatever the scale
-        margin = np.maximum(1e-12 * unit, _TINY)
+        margin = np.maximum(1e-12 * scale, _TINY)
         mean = diag.sum(axis=0) / 4.0
         rho = mean - reach
-        # Temple's correction in units of scale, where no square underflows
-        var = (((diag - mean) / unit) ** 2).sum(axis=0) / 4.0
-        temple_gap = (low - rho - margin) / unit  # its denominator, less the margin
-        floor = np.where(temple_gap > 0.0, rho - unit * (var / temple_gap), low - reach)
-        lo_cap = rho.min(axis=-1, keepdims=True)
-        top_cap = (high + reach).max(axis=-1, keepdims=True)
+        # Temple's correction in units of scale, where no square underflows;
+        # sum adds the four entries' squares left to right, after an exact 0
+        var = sum(np.square((entry - mean) / scale) for entry in diag) / 4.0
+        temple_gap = (low - rho - margin) / scale  # its denominator, less the margin
+        floor = np.where(temple_gap > 0.0, rho - scale * (var / temple_gap), low - reach)
+        lo_cap = rho.min(axis=0)
+        top_cap = (high + reach).max(axis=0)
         threshold_cap = lo_cap + DEGENERACY_TOL * (top_cap - lo_cap)
         # a NaN bound compares False: its block may hold a ground level, and
         # the NaN range bound declines the certificate
         candidates = ~(floor > threshold_cap + margin)
-        span = top_cap - floor.min(axis=-1, keepdims=True) + margin
-        certified = (candidates.sum(axis=-1) == 1) & np.isfinite(span[:, 0])
-        top_floor = (mean + reach).max(axis=-1, keepdims=True)
-        top = np.concatenate((top_floor - margin, top_cap + margin), axis=-1)
+        span = top_cap - floor.min(axis=0) + margin
+        certified = (candidates.sum(axis=0) == 1) & np.isfinite(span)
+        top_floor = (mean + reach).max(axis=0)
+        top = np.stack((top_floor - margin, top_cap + margin))
     return certified, candidates, top
 
 
 def _ground_counts(
     d: np.ndarray, s: np.ndarray, candidates: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
-    """Each block's count of ground levels, per stack the bounds decline:
+    """Each block's count of ground levels, per stack the bounds decline,
+    with d (stacks, 16, 4), s and candidates (stacks, 16) and top (stacks, 2):
     from a solve of its candidate blocks, or of all 16 where the bracket top
     on its highest level leaves a candidate level's side open (_certify)."""
     levels = np.full(d.shape, np.inf)  # a block not solved holds no ground level
@@ -292,23 +296,28 @@ def _ground_counts(
     return counts
 
 
-def _logical_weights(d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Ground-subspace weight of each logical state, per stack of blocks
-    diag(d) - s F (s broadcast to d's leading shape): eigenvectors stay
-    inside their block and are normalised, so it is the block's count of
-    ground-level eigenvalues over the total count."""
-    shape = d.shape[:-1]
-    d = d.reshape(-1, 16, 4)
-    s = np.broadcast_to(s, d.shape[:-1])
+def _stack_weights(diag: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Ground-subspace weight of each logical state (16, stacks), per stack of
+    blocks diag(d) - s F, with diag (4, 16, stacks) C-contiguous and s
+    (16, stacks) or (16, 1): eigenvectors stay inside their block and are
+    normalised, so it is the block's count of ground-level eigenvalues over
+    the total count. Only the stacks the bounds decline are gathered."""
     # a function of its own, so the bounds' temporaries are freed before the solve
-    certified, candidates, top = _certify(d, s)
-    weights = np.empty(candidates.shape)
-    weights[certified] = candidates[certified]
+    certified, candidates, top = _certify(diag, s)
+    weights = candidates.astype(float)  # a certified stack's one candidate block
     rest = np.flatnonzero(~certified)
     if rest.size:
-        counts = _ground_counts(d[rest], s[rest], candidates[rest], top[rest])
-        weights[rest] = counts / counts.sum(axis=-1, keepdims=True)
-    return weights.reshape(shape)
+        declined = (a[..., rest].T for a in (diag, np.broadcast_to(s, candidates.shape)))
+        counts = _ground_counts(*declined, candidates[:, rest].T, top[:, rest].T)
+        weights[:, rest] = (counts / counts.sum(axis=-1, keepdims=True)).T
+    return weights
+
+
+def _logical_weights(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """_stack_weights of stacks d (..., 16, 4) and s broadcast to (..., 16),
+    in d's leading shape."""
+    s = np.broadcast_to(s, d.shape[:-1]).reshape(-1, 16).T
+    return _stack_weights(np.ascontiguousarray(d.reshape(-1, 16, 4).T), s).T.reshape(d.shape[:-1])
 
 
 def _field_average(
@@ -319,9 +328,10 @@ def _field_average(
     distribution, the trials of fields[k] drawing in order from streams[k].
 
     A pass takes the next _TRIAL_CHUNK // len(fields) trials (at least one)
-    of every vector into one stack. Each vector's weights are summed in
-    trial order and the vectors' averages are then summed in order, so the
-    result does not depend on how trials are batched.
+    of every vector: each vector's draws are added to its diagonals straight
+    into one stack-last buffer that every pass reuses. Each vector's weights
+    are summed in trial order and the vectors' averages are then summed in
+    order, so the result does not depend on how trials are batched.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -331,14 +341,17 @@ def _field_average(
     else:
         rngs = [np.random.default_rng(seq) for seq in streams]
         per_pass = max(1, _TRIAL_CHUNK // len(fields))
-        acc = np.zeros((len(fields), 1, 16))
+        buffer = np.empty(DIM * len(fields) * per_pass)
+        acc = np.zeros((16, len(fields), 1))
         for start in range(0, trials, per_pass):
             m = min(per_pass, trials - start)
-            stack = np.stack([noise.draw(rng, m) for rng in rngs]).reshape(-1, m, 16, 4)
-            # in place, so a pass holds one copy of its trials' diagonals
-            weights = _logical_weights(np.add(d[:, None], stack, out=stack), s)
-            acc = np.concatenate((acc, weights), axis=1).cumsum(axis=1)[:, -1:]
-        means = acc[:, 0] / trials
+            # entry by block by vector by trial: a partial pass takes the front
+            diag = buffer[: DIM * len(fields) * m].reshape(4, 16, len(fields), m)
+            for k, rng in enumerate(rngs):
+                np.add(d[k].T[..., None], noise.draw(rng, m).reshape(m, 16, 4).T, out=diag[:, :, k])
+            weights = _stack_weights(diag.reshape(4, 16, -1), s[:, None]).reshape(diag.shape[1:])
+            acc = np.concatenate((acc, weights), axis=-1).cumsum(axis=-1)[..., -1:]
+        means = acc[..., 0].T / trials
     total = np.concatenate((np.zeros((1, 16)), means)).cumsum(axis=0)[-1]
     return StateDistribution(total / len(fields))
 
