@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import secrets
 import sys
 import tempfile
@@ -75,7 +76,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures routed to exit code 1."""
+    """argparse with usage failures routed to exit code 1, and a negative
+    number in any float syntax after a flag read as its value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -5 and -.5 but reads -1e-3 and -inf as options
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(f"{self.format_usage().rstrip()}\njpotile: usage error: {message}")

@@ -588,6 +588,14 @@ def test_start_line_names_the_subcommand(
             id="circuit iv temp nan",
         ),
         pytest.param(
+            IV_ARGS + ["-1e-3"], circuit_file, {"iv": IV_SECTION}, "--temp",
+            id="circuit iv temp negative in exponent form",
+        ),
+        pytest.param(
+            IV_ARGS + ["-inf"], circuit_file, {"iv": IV_SECTION}, "--temp",
+            id="circuit iv temp -inf",
+        ),
+        pytest.param(
             SWEEP_ARGS, circuit_file,
             {"sweep": {"current_to_flux": 2e-15, "i_start": 1e308, "i_stop": -1e308}},
             "sweep.i_stop", id="circuit sweep range overflows",
@@ -912,9 +920,7 @@ def test_extreme_numbers_keep_the_exit_code_contract(tmp_path, capsys, case, dat
         if target in flags:  # integer flags take the integral extremes
             if target != "--temp":
                 value = int(value) if math.isfinite(value) else 0
-            # --flag=value, as argparse reads "-1e+20" after a space as an option
-            at = argv.index(target)
-            argv[at : at + 2] = [f"{target}={value}"]
+            argv[argv.index(target) + 1] = str(value)
         else:
             *parents, key = target
             node = payload
