@@ -307,8 +307,8 @@ def _stack_weights(diag: np.ndarray, s: np.ndarray) -> np.ndarray:
     weights = candidates.astype(float)  # a certified stack's one candidate block
     rest = np.flatnonzero(~certified)
     if rest.size:
-        declined = (a[..., rest].T for a in (diag, np.broadcast_to(s, candidates.shape)))
-        counts = _ground_counts(*declined, candidates[:, rest].T, top[:, rest].T)
+        s = np.broadcast_to(s, candidates.shape)
+        counts = _ground_counts(*(a[..., rest].T for a in (diag, s, candidates, top)))
         weights[:, rest] = (counts / counts.sum(axis=-1, keepdims=True)).T
     return weights
 
