@@ -712,6 +712,52 @@ def test_multi_pass_distribution_digest_is_pinned(case):
     assert digest == MULTI_PASS_DIGESTS[case]
 
 
+# noise-free runs, pinned by the sha256 of the probabilities' bytes of
+# logical_distribution and then sweep_distribution at 1 and 1,000 trials:
+# signed zero inputs, a near-tie at the degeneracy threshold and a signed
+# field vector
+NOISE_FREE_CASES = {
+    "signed zeros": ((-0.0, 0.0, -0.0, 0.0), 1.0, -0.0),
+    "near tie": ((0.0, 0.0, 0.0, 1.0), 1e-9, 1e-9),
+    "signed field": ((-0.25, 0.25, -0.25, 0.25), 1.0, 1.0),
+}
+NOISE_FREE_DIGESTS = {
+    "signed zeros": "e5b7e3f2f4a76fe96a891f4ee2f18288307487fa737181eee833d01e6b779dbe",
+    "near tie": "c9790a5af65cde0dfe57ff7e07abb5677f37767e95a7c4d5469231cd5b5bae15",
+    "signed field": "330aff5fedfb191be5033bd4ff76f214ae6203b6e575364d6a6a509d8db2651d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_FREE_CASES))
+def test_noise_free_distribution_digest_is_pinned(case):
+    j, j_a, j_c = NOISE_FREE_CASES[case]
+    digest = hashlib.sha256()
+    for trials in (1, 1_000):
+        dist = logical_distribution(j, j_a, j_c, NoiseSpec(0.0), trials)
+        digest.update(dist.probabilities.tobytes())
+    for trials in (1, 1_000):
+        digest.update(sweep_distribution(j_a, j_c, NoiseSpec(0.0), trials).probabilities.tobytes())
+    assert digest.hexdigest() == NOISE_FREE_DIGESTS[case]
+
+
+def test_a_noise_free_sweep_draws_nothing_and_solves_once(monkeypatch):
+    # without disorder every trial is the same, so the sweep's 17 vectors run
+    # as one pass of one trial, whatever the trial count
+    draws, passes = [], []
+    stack_weights = quantum._stack_weights
+
+    def counting(diag, s):
+        passes.append(diag.shape)
+        return stack_weights(diag, s)
+
+    monkeypatch.setattr(NoiseSpec, "draw", lambda *args: draws.append(args))
+    monkeypatch.setattr(quantum, "_stack_weights", counting)
+    dist = sweep_distribution(1.0, 1.0, NoiseSpec(0.0), trials=1000)
+    assert dist.support() == EVEN_LABELS
+    assert draws == []
+    assert len(passes) == 1
+
+
 def test_logical_distribution_memory_does_not_grow_with_trials():
     noise = NoiseSpec(0.1, "uniform", seed=4)
     peaks = []
