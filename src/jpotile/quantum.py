@@ -10,16 +10,14 @@ single-site z operator is diag(-1, +1). Thermal disorder enters as a
 random diagonal operator added to H before diagonalization. H, disorder
 included, commutes with Z_1..Z_4, so it is 16 blocks of 4 x 4, each
 diag(d) - s F with F the ancilla-flip matrix, kept as the pair (d, s).
-logical_distribution certifies most disorder trials from bounds on d and s
-with no eigensolve (_certify). Of the others it solves the blocks that can
-hold a ground level, and all 16 only where a bracket on the top level
-leaves a level's side of the degeneracy threshold open. There is one
-eigensolver, LAPACK's eigh on the 4 x 4 blocks, so ground_states,
-spectral_gap and logical_distribution classify the same levels.
-sweep_distribution runs the trials of all its field vectors through
-logical_distribution's one chunk loop. A pass of that loop holds its
-trials' diagonals stack-last, (4, 16, stacks), in one buffer it reuses, so
-the bounds run as elementwise ops along contiguous stacks.
+logical_distribution and sweep_distribution run their trials through one
+loop (_field_average), a noise-free tile as one pass of one trial with zero
+disorder. A pass holds its trials' diagonals stack-last, (4, 16, stacks),
+in one buffer it reuses, from the bounds that certify most trials with no
+eigensolve (_certify) to the solve of the blocks of the others that can
+hold a ground level (_ground_counts). There is one eigensolver, LAPACK's
+eigh on the 4 x 4 blocks, so ground_states, spectral_gap and
+logical_distribution classify the same levels.
 """
 
 from __future__ import annotations
@@ -49,13 +47,14 @@ _OFF_BLOCK = ~np.kron(np.eye(16, dtype=bool), np.ones((4, 4), dtype=bool))
 
 
 def _tile_blocks(j: Sequence, j_a: float, j_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 16 diagonal blocks of H by logical state code, diag(d) - s F, for a
-    stack j (..., 4) of field vectors: d (..., 16, 4) and s = j_a * parity (16,)."""
+    """The 16 diagonal blocks of H by logical state code, diag(e) - s F with
+    e on all four ancilla entries, for a stack j (..., 4) of field vectors:
+    each block's energy e (..., 16) and s = j_a * parity (16,)."""
     j = np.asarray(j, dtype=float)
     if j.shape[-1:] != (4,):
         raise ValueError("j must hold exactly 4 field values")
-    diag = (_LOGICAL * j[..., None, :]).sum(axis=-1) - float(j_c) * _PARITY
-    return np.repeat(diag[..., None], 4, axis=-1), float(j_a) * _PARITY
+    e = (_LOGICAL * j[..., None, :]).sum(axis=-1) - float(j_c) * _PARITY
+    return e, float(j_a) * _PARITY
 
 
 def _as_blocks(d: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -66,7 +65,8 @@ def _as_blocks(d: np.ndarray, s: np.ndarray) -> np.ndarray:
 def build_hamiltonian(j: Sequence[float], j_a: float, j_c: float) -> np.ndarray:
     """The dense 64 x 64 tile Hamiltonian, its blocks placed on the diagonal."""
     h = np.zeros((DIM, DIM))
-    h.reshape(16, 4, 16, 4)[_BLOCK, :, _BLOCK, :] = _as_blocks(*_tile_blocks(j, j_a, j_c))
+    e, s = _tile_blocks(j, j_a, j_c)
+    h.reshape(16, 4, 16, 4)[_BLOCK, :, _BLOCK, :] = _as_blocks(e[:, None], s)
     return h
 
 
@@ -272,27 +272,28 @@ def _certify(diag: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _ground_counts(
-    d: np.ndarray, s: np.ndarray, candidates: np.ndarray, top: np.ndarray
+    diag: np.ndarray, s: np.ndarray, candidates: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
-    """Each block's count of ground levels, per stack the bounds decline,
-    with d (stacks, 16, 4), s and candidates (stacks, 16) and top (stacks, 2):
-    from a solve of its candidate blocks, or of all 16 where the bracket top
-    on its highest level leaves a candidate level's side open (_certify)."""
-    levels = np.full(d.shape, np.inf)  # a block not solved holds no ground level
-    levels[candidates] = _solve(_as_blocks(d[candidates], s[candidates]))[0]
+    """Each block's count of ground levels (16, stacks), per stack the bounds
+    decline, in _certify's layout: diag (4, 16, stacks), s and candidates
+    (16, stacks), top (2, stacks). From a solve of its candidate blocks, or of
+    all 16 where the bracket top on its highest level leaves a candidate
+    level's side open (_certify)."""
+    levels = np.full((*candidates.shape, 4), np.inf)  # a block not solved holds no ground level
+    levels[candidates] = _solve(_as_blocks(diag[:, candidates].T, s[candidates]))[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = levels.min(axis=(-2, -1))[:, None]
+        lo = levels.min(axis=(0, 2))
         # ground_mask's threshold at each end of the bracket, raised to lo,
         # which hi never lies below
         ends = lo + DEGENERACY_TOL * (np.maximum(top, lo) - lo)
-        ground = levels <= ends[:, :1, None]
-        settled = (ground | (levels > ends[:, 1:, None])).all(axis=(-2, -1))
-        settled &= np.isfinite(ends).all(axis=-1)
+        ground = levels <= ends[0, :, None]
+        settled = (ground | (levels > ends[1, :, None])).all(axis=(0, 2))
+        settled &= np.isfinite(ends).all(axis=0)
     counts = ground.sum(axis=-1)
     unsettled = np.flatnonzero(~settled)
     if unsettled.size:
-        levels = _solve(_as_blocks(d[unsettled], s[unsettled]))[0]
-        counts[unsettled] = ground_mask(levels, axis=(-2, -1)).sum(axis=-1)
+        levels = _solve(_as_blocks(diag[..., unsettled].T, s[:, unsettled].T))[0]
+        counts[:, unsettled] = ground_mask(levels, axis=(-2, -1)).sum(axis=-1).T
     return counts
 
 
@@ -308,16 +309,9 @@ def _stack_weights(diag: np.ndarray, s: np.ndarray) -> np.ndarray:
     rest = np.flatnonzero(~certified)
     if rest.size:
         s = np.broadcast_to(s, candidates.shape)
-        counts = _ground_counts(*(a[..., rest].T for a in (diag, s, candidates, top)))
-        weights[:, rest] = (counts / counts.sum(axis=-1, keepdims=True)).T
+        counts = _ground_counts(*(a[..., rest] for a in (diag, s, candidates, top)))
+        weights[:, rest] = counts / counts.sum(axis=0)
     return weights
-
-
-def _logical_weights(d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """_stack_weights of stacks d (..., 16, 4) and s broadcast to (..., 16),
-    in d's leading shape."""
-    s = np.broadcast_to(s, d.shape[:-1]).reshape(-1, 16).T
-    return _stack_weights(np.ascontiguousarray(d.reshape(-1, 16, 4).T), s).T.reshape(d.shape[:-1])
 
 
 def _field_average(
@@ -327,31 +321,34 @@ def _field_average(
     """Mean over field vectors of each one's trial-averaged ground-subspace
     distribution, the trials of fields[k] drawing in order from streams[k].
 
-    A pass takes the next _TRIAL_CHUNK // len(fields) trials (at least one)
-    of every vector: each vector's draws are added to its diagonals straight
-    into one stack-last buffer that every pass reuses. Each vector's weights
-    are summed in trial order and the vectors' averages are then summed in
-    order, so the result does not depend on how trials are batched.
+    The one trial loop: a pass takes the next _TRIAL_CHUNK // len(fields)
+    trials (at least one) of every vector and adds their draws to the block
+    energies e straight into one stack-last buffer, (4, 16, vectors,
+    trials), that every pass reuses. Without disorder it runs one pass of
+    one trial, which draws nothing and adds -0.0, keeping every bit of e.
+    Each vector's weights are summed in trial order and the vectors'
+    averages are then summed in order, so the result does not depend on how
+    trials are batched.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d, s = _tile_blocks(fields, j_a, j_c)
-    if noise.thermal_coefficient == 0.0:
-        means = _logical_weights(d, s)
-    else:
-        rngs = [np.random.default_rng(seq) for seq in streams]
-        per_pass = max(1, _TRIAL_CHUNK // len(fields))
-        buffer = np.empty(DIM * len(fields) * per_pass)
-        acc = np.zeros((16, len(fields), 1))
-        for start in range(0, trials, per_pass):
-            m = min(per_pass, trials - start)
-            # entry by block by vector by trial: a partial pass takes the front
-            diag = buffer[: DIM * len(fields) * m].reshape(4, 16, len(fields), m)
-            for k, rng in enumerate(rngs):
-                np.add(d[k].T[..., None], noise.draw(rng, m).reshape(m, 16, 4).T, out=diag[:, :, k])
-            weights = _stack_weights(diag.reshape(4, 16, -1), s[:, None]).reshape(diag.shape[1:])
-            acc = np.concatenate((acc, weights), axis=-1).cumsum(axis=-1)[..., -1:]
-        means = acc[..., 0].T / trials
+    e, s = _tile_blocks(fields, j_a, j_c)
+    noisy = noise.thermal_coefficient > 0.0
+    runs = trials if noisy else 1
+    rngs = [np.random.default_rng(seq) for seq in streams] if noisy else [None] * len(fields)
+    per_pass = min(max(1, _TRIAL_CHUNK // len(fields)), runs)
+    buffer = np.empty(DIM * len(fields) * per_pass)
+    acc = np.zeros((16, len(fields), 1))
+    for start in range(0, runs, per_pass):
+        m = min(per_pass, runs - start)
+        # entry by block by vector by trial: a partial pass takes the front
+        diag = buffer[: DIM * len(fields) * m].reshape(4, 16, len(fields), m)
+        for k, rng in enumerate(rngs):
+            draws = noise.draw(rng, m).reshape(m, 16, 4).T if noisy else -0.0
+            np.add(e[k][:, None], draws, out=diag[:, :, k])
+        weights = _stack_weights(diag.reshape(4, 16, -1), s[:, None]).reshape(diag.shape[1:])
+        acc = np.concatenate((acc, weights), axis=-1).cumsum(axis=-1)[..., -1:]
+    means = acc[..., 0].T / runs
     total = np.concatenate((np.zeros((1, 16)), means)).cumsum(axis=0)[-1]
     return StateDistribution(total / len(fields))
 

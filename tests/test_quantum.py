@@ -238,8 +238,8 @@ def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed
     dist = logical_distribution(j, j_a, j_c, noise=noise, trials=1)
 
     if near_tie:
-        d, s = quantum._tile_blocks(j, j_a, j_c)
-        marginal = _all_block_weights(d + draw.reshape(16, 4), s)
+        e, s = quantum._tile_blocks(j, j_a, j_c)
+        marginal = _all_block_weights(e[:, None] + draw.reshape(16, 4), s)
         assert dist.probabilities.tobytes() == marginal.tobytes()
         levels = np.linalg.eigh(quantum._blocks_of(h))[0]
         above = levels[~ground_mask(levels, axis=(-2, -1))]
@@ -333,8 +333,16 @@ def test_every_entry_point_names_one_ground_set(j, j_a, j_c):
     assert from_states == logical_distribution(j, j_a, j_c).support() == from_gap
 
 
+def _stack_weights(d, s):
+    """quantum._stack_weights of stacks d (..., 16, 4) and s broadcast to
+    (..., 16), handed over stack-last and returned in d's leading shape."""
+    s = np.broadcast_to(s, d.shape[:-1]).reshape(-1, 16).T
+    diag = np.ascontiguousarray(np.reshape(d, (-1, 16, 4)).T)
+    return quantum._stack_weights(diag, s).T.reshape(d.shape[:-1])
+
+
 def _all_block_weights(d, s):
-    """_logical_weights' result from an eigh solve of every block diag(d) - s F."""
+    """_stack_weights' result from an eigh solve of every block diag(d) - s F."""
     blocks = d[..., None] * np.eye(4) - np.asarray(s)[..., None, None] * quantum._ANCILLA_FLIPS
     counts = ground_mask(np.linalg.eigh(blocks)[0], axis=(-2, -1)).sum(axis=-1)
     return counts / counts.sum(axis=-1, keepdims=True)
@@ -431,12 +439,12 @@ def test_certified_weights_equal_a_solve_of_every_block(
 
 def _check_against_a_solve_of_every_block(params, coefficient, distribution, seed, scale):
     j, j_a, j_c = [v * scale for v in params[:4]], params[4] * scale, params[5] * scale
-    d, s = quantum._tile_blocks(j, j_a, j_c)
+    e, s = quantum._tile_blocks(j, j_a, j_c)
     noise = NoiseSpec(coefficient * scale, distribution, seed=seed)
     disorder = noise.draw(np.random.default_rng(noise.seed_sequence()), 8)
-    for stack in (d, d + disorder.reshape(8, 16, 4)):
+    for stack in (np.broadcast_to(e[:, None], (16, 4)), e[:, None] + disorder.reshape(8, 16, 4)):
         expected = _all_block_weights(stack, s)
-        assert quantum._logical_weights(stack, s).tobytes() == expected.tobytes()
+        assert _stack_weights(stack, s).tobytes() == expected.tobytes()
 
 
 # tile inputs whose first trial has a candidate level between the thresholds
@@ -457,7 +465,7 @@ for _case in BRACKETED_LEVELS:
 
 
 def _spy_on_the_full_solve(monkeypatch) -> list:
-    """Record the levels' shape each time _logical_weights falls back to a
+    """Record the levels' shape each time _stack_weights falls back to a
     solve of every block of a stack: the one path that calls ground_mask."""
     calls = []
 
@@ -487,7 +495,7 @@ def test_the_solved_top_level_decides_a_level_inside_the_bracket(monkeypatch, si
     level = -2.0 + DEGENERACY_TOL * (top + 2.0) + side * 1e-9
     d = np.array([[0.0] * 4, [level + 2.0] * 4, spread] + [[5.0] * 4] * 13)
     full = _spy_on_the_full_solve(monkeypatch)
-    result = quantum._logical_weights(d, 1.0)
+    result = _stack_weights(d, 1.0)
     assert full
     assert result.tobytes() == _all_block_weights(d, 1.0).tobytes()
     assert result[:3].tolist() == weights
@@ -502,7 +510,7 @@ def test_a_ground_level_shared_with_a_spread_block_declines_the_certificate(s):
     spread = [0.0, 0.3, 0.3, 0.3]
     ground = np.linalg.eigh(np.diag(spread) - s * quantum._ANCILLA_FLIPS)[0][0]
     d = np.array([spread, [ground + 2.0] * 4] + [[5.0] * 4] * 14)
-    weights = quantum._logical_weights(d, s)
+    weights = _stack_weights(d, s)
     assert weights.tobytes() == _all_block_weights(d, s).tobytes()
     assert weights[:2].tolist() == [0.5, 0.5]
 
@@ -653,9 +661,9 @@ def test_logical_distribution_averages_one_stream_in_trial_order(distribution):
     args = ((0.2, -0.1, 0.0, 0.3), 0.6, 0.9)
     rows = noise.draw(np.random.default_rng(noise.seed_sequence()), 9)
     acc = np.zeros(16)
-    d, s = quantum._tile_blocks(*args)
+    e, s = quantum._tile_blocks(*args)
     for row in rows:
-        acc = acc + quantum._logical_weights(d + row.reshape(16, 4), s)
+        acc = acc + _stack_weights(e[:, None] + row.reshape(16, 4), s)
     dist = logical_distribution(*args, noise=noise, trials=9)
     assert dist.probabilities.tobytes() == (acc / 9).tobytes()
 
@@ -809,7 +817,7 @@ def test_a_stack_whose_range_may_overflow_is_not_certified():
     # lies ~1.8e308 below the others' top, a range a solve cannot take
     d = np.array([[-0.8e308, 0.8e308, 0.8e308, 0.8e308]] + [[1e308] * 4] * 15)
     with pytest.raises(ValueError, match="not finite"):
-        quantum._logical_weights(d, 1.0)
+        _stack_weights(d, 1.0)
 
 
 def test_noise_runs_are_reproducible():
