@@ -98,6 +98,8 @@ class AnnealSchedule:
             raise ValueError("p_start must be finite and below threshold (p=1)")
         if not 1.0 < self.p_end < math.inf:
             raise ValueError("p_end must be finite and above threshold (p=1)")
+        if self.p_end - self.p_start == math.inf:  # so every pump gain is finite
+            raise ValueError("p_end - p_start must be finite")
         steps = self.duration / self.dt
         if not 0 <= steps <= MAX_STEPS:  # -inf passes the upper bound, and round() refuses it
             raise ValueError(f"duration / dt must be >= 0 and at most {MAX_STEPS} steps")
@@ -302,22 +304,20 @@ def _integrate_batch(
     x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
     trajectory = np.empty((n_steps + 1, N_OSC)) if record else None
     narrow = len(rngs) < NARROW_BATCH or record
-    # the noise is +-scale, so finite exactly when scale is
-    finite = np.isfinite([*params.j, params.j_a1, params.j_a2, params.c_cnst, beta, scale]).all()
+    # a non-finite input would make the first state non-finite, with no errstate
+    # flag set; the noise is +-scale, and the ramp's finite span keeps gains finite
+    if not np.isfinite([*params.j, params.j_a1, params.j_a2, params.c_cnst, beta, scale]).all():
+        raise IntegrationBlowupError(t=dt, dt=dt)
     noise = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, len(rngs)))
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
         block = noise[: stop - start]  # step k as a (7, m) array
         _noise_block(rngs, scale, block)
-        gains = schedule.pump(np.arange(start, stop) * dt) - 1.0
-        # a non-finite input makes its step's state non-finite, but sets no
-        # errstate flag, so the bodies stop short of the first such step
-        fed = np.isfinite(gains) & finite
-        end = stop if fed.all() else start + int(fed.argmin())
-        args = x, block, gains[: end - start].tolist(), start, params, schedule, beta
+        gains = (schedule.pump(np.arange(start, stop) * dt) - 1.0).tolist()
+        args = x, block, gains, start, params, schedule, beta
         k = _float_steps(*args, trajectory) if narrow else _row_steps(*args)
-        if k is not None or end < stop:
-            raise IntegrationBlowupError(t=((end if k is None else k) + 1) * dt, dt=dt)
+        if k is not None:
+            raise IntegrationBlowupError(t=(k + 1) * dt, dt=dt)
     return x.T, trajectory
 
 

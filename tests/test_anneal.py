@@ -109,6 +109,9 @@ def test_schedule_validation():
         AnnealSchedule(duration=1.0, dt=0.1, p_start=-math.inf)
     with pytest.raises(ValueError, match="^p_end must be finite"):
         AnnealSchedule(duration=1.0, dt=0.1, p_end=math.inf)
+    # finite ends whose span overflows would make the pump gains non-finite
+    with pytest.raises(ValueError, match="^p_end - p_start must be finite"):
+        AnnealSchedule(duration=1.0, dt=0.1, p_start=-1e308, p_end=1e308)
     with pytest.raises(ValueError):
         AnnealSchedule(duration=50.003, dt=1e-2)
     with pytest.raises(ValueError):

@@ -692,6 +692,11 @@ def test_start_line_names_the_subcommand(
             "schedule.p_end", id="anneal p_end below threshold",
         ),
         pytest.param(
+            ANNEAL_ARGS, program_file,
+            {"schedule": {"duration": 0.1, "dt": 0.01, "p_start": -1e308, "p_end": 1e308}},
+            "schedule.p_end", id="anneal ramp span overflows",
+        ),
+        pytest.param(
             QUANTUM_ARGS, quantum_file, {"noise": {"thermal_coefficient": -1}},
             "noise.thermal_coefficient", id="tile quantum thermal negative",
         ),
