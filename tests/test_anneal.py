@@ -208,6 +208,7 @@ def test_single_trial_shapes_and_determinism():
     assert bare.config == result.config
 
 
+@pytest.mark.kernel_bytes
 def test_trajectory_digest_is_pinned():
     # 1000 steps is not a multiple of the 256-step noise block, so the
     # digest also covers a partial last block
@@ -222,6 +223,7 @@ def test_trajectory_digest_is_pinned():
     assert result.canonical_config.label == "010111"
 
 
+@pytest.mark.kernel_bytes
 def test_batch_digest_is_pinned():
     # run_trials digests see only labels, which hide last-bit drift in the
     # batched arithmetic; this pins the raw states of a 37-trial batch, whose
@@ -294,6 +296,7 @@ def test_noise_increments_are_the_documented_bits(monkeypatch):
     assert set(np.abs(wide).ravel().tolist()) == {scale}
 
 
+@pytest.mark.kernel_bytes
 @settings(deadline=None, max_examples=25)
 @given(
     phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=6, max_size=6),

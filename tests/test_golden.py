@@ -19,6 +19,9 @@ import pytest
 
 from jpotile.cli import main
 
+# every digest here must hold on each BLAS kernel and ufunc loop CI runs
+pytestmark = pytest.mark.kernel_bytes
+
 TWO_PI = 2 * math.pi
 
 INPUTS = {

@@ -286,6 +286,7 @@ def readouts(draw):
 
 
 # n = 3 has one tile, its south slot fixed: the east bit alone closes it
+@pytest.mark.kernel_bytes
 @example((np.array([1, -1, 1]), []))
 @example((np.array([1, -1, 1]), [2]))
 @example((np.array([-1, -1, 1]), [0, 1]))

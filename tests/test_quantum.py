@@ -260,6 +260,7 @@ def test_block_solver_matches_dense_eigh(params, coefficient, distribution, seed
     assert dist.support() == set(code_labels(np.flatnonzero(marginal > SUPPORT_TOL), 4))
 
 
+@pytest.mark.kernel_bytes
 @settings(deadline=None)
 @given(
     st.lists(PARAMETER, min_size=5, max_size=5),
@@ -303,6 +304,7 @@ def test_spectral_gap_sits_above_the_ground_set_of_ground_states(j, j_a, j_c):
     assert np.max(np.abs(shares - counts / counts.sum())) <= 1e-12
 
 
+@pytest.mark.kernel_bytes
 @settings(deadline=None, max_examples=300)
 @given(
     st.lists(GRID, min_size=4, max_size=4),
@@ -348,6 +350,7 @@ def _all_block_weights(d, s):
     return counts / counts.sum(axis=-1, keepdims=True)
 
 
+@pytest.mark.kernel_bytes
 @settings(deadline=None, max_examples=200)
 @given(
     st.lists(PARAMETER, min_size=6, max_size=6),
@@ -477,6 +480,7 @@ def _spy_on_the_full_solve(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("case", BRACKETED_LEVELS)
 def test_a_level_inside_the_bracketed_threshold_solves_every_block(monkeypatch, case):
     full = _spy_on_the_full_solve(monkeypatch)
@@ -484,6 +488,7 @@ def test_a_level_inside_the_bracketed_threshold_solves_every_block(monkeypatch, 
     assert full and all(shape[1:] == (16, 4) for shape in full)
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("side, weights", [(-1.0, [0.5, 0.5, 0.0]), (1.0, [1.0, 0.0, 0.0])])
 def test_the_solved_top_level_decides_a_level_inside_the_bracket(monkeypatch, side, weights):
     # the spread block is no candidate, but its top level, ~12.2, is the
@@ -501,6 +506,7 @@ def test_the_solved_top_level_decides_a_level_inside_the_bracket(monkeypatch, si
     assert result[:3].tolist() == weights
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("s", [1.0, -1.0])
 def test_a_ground_level_shared_with_a_spread_block_declines_the_certificate(s):
     # the spread block's lowest level lies Temple's correction below its
@@ -668,6 +674,7 @@ def test_logical_distribution_averages_one_stream_in_trial_order(distribution):
     assert dist.probabilities.tobytes() == (acc / 9).tobytes()
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("distribution", ["uniform", "normal"])
 def test_logical_distribution_does_not_depend_on_the_chunk(
@@ -685,6 +692,7 @@ def test_logical_distribution_does_not_depend_on_the_chunk(
     assert batched.probabilities.tobytes() == default.probabilities.tobytes()
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("chunk", [1, 7, 40])
 @pytest.mark.parametrize("distribution", ["uniform", "normal"])
 def test_sweep_distribution_does_not_depend_on_the_chunk(monkeypatch, distribution, chunk):
@@ -708,6 +716,7 @@ MULTI_PASS_DIGESTS = {
 }
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("case", sorted(MULTI_PASS_DIGESTS))
 def test_multi_pass_distribution_digest_is_pinned(case):
     if case == "sweep uniform":
@@ -736,6 +745,7 @@ NOISE_FREE_DIGESTS = {
 }
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("case", sorted(NOISE_FREE_CASES))
 def test_noise_free_distribution_digest_is_pinned(case):
     j, j_a, j_c = NOISE_FREE_CASES[case]
@@ -812,6 +822,7 @@ def test_overflowing_spectrum_range_raises_instead_of_a_uniform_table():
         logical_distribution((0.0,) * 4, 1.0, 1.0, noise=noise, trials=3)
 
 
+@pytest.mark.kernel_bytes
 def test_a_stack_whose_range_may_overflow_is_not_certified():
     # the wide block alone can hold the ground level, but its lowest level
     # lies ~1.8e308 below the others' top, a range a solve cannot take
@@ -839,6 +850,7 @@ def test_sweep_distribution_leaves_a_seed_sequence_as_it_found_it():
     assert seed.n_children_spawned == 0
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("trials", [1, 30, 31, 100, 513])
 @pytest.mark.parametrize(
     "coefficient, distribution",
