@@ -279,17 +279,17 @@ def _ground_counts(
     (16, stacks), top (2, stacks). From a solve of its candidate blocks, or of
     all 16 where the bracket top on its highest level leaves a candidate
     level's side open (_certify)."""
-    levels = np.full((*candidates.shape, 4), np.inf)  # a block not solved holds no ground level
-    levels[candidates] = _solve(_as_blocks(diag[:, candidates].T, s[candidates]))[0]
+    levels = np.full(diag.shape, np.inf)  # a block not solved holds no ground level
+    levels[:, candidates] = _solve(_as_blocks(diag[:, candidates].T, s[candidates]))[0].T
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = levels.min(axis=(0, 2))
+        lo = levels.min(axis=(0, 1))
         # ground_mask's threshold at each end of the bracket, raised to lo,
         # which hi never lies below
         ends = lo + DEGENERACY_TOL * (np.maximum(top, lo) - lo)
-        ground = levels <= ends[0, :, None]
-        settled = (ground | (levels > ends[1, :, None])).all(axis=(0, 2))
+        ground = levels <= ends[0]
+        settled = (ground | (levels > ends[1])).all(axis=(0, 1))
         settled &= np.isfinite(ends).all(axis=0)
-    counts = ground.sum(axis=-1)
+    counts = ground.sum(axis=0)
     unsettled = np.flatnonzero(~settled)
     if unsettled.size:
         levels = _solve(_as_blocks(diag[..., unsettled].T, s[:, unsettled].T))[0]
@@ -302,7 +302,8 @@ def _stack_weights(diag: np.ndarray, s: np.ndarray) -> np.ndarray:
     blocks diag(d) - s F, with diag (4, 16, stacks) C-contiguous and s
     (16, stacks) or (16, 1): eigenvectors stay inside their block and are
     normalised, so it is the block's count of ground-level eigenvalues over
-    the total count. Only the stacks the bounds decline are gathered."""
+    the total count. A pass of _field_average is the one caller; the stacks
+    the bounds decline go to _ground_counts, gathered in the same layout."""
     # a function of its own, so the bounds' temporaries are freed before the solve
     certified, candidates, top = _certify(diag, s)
     weights = candidates.astype(float)  # a certified stack's one candidate block
