@@ -773,7 +773,7 @@ def test_a_noise_free_sweep_draws_nothing_and_solves_once(monkeypatch):
     dist = sweep_distribution(1.0, 1.0, NoiseSpec(0.0), trials=1000)
     assert dist.support() == EVEN_LABELS
     assert draws == []
-    assert len(passes) == 1
+    assert passes == [(4, 16, 17)]  # one trial stack of each vector
 
 
 def test_logical_distribution_memory_does_not_grow_with_trials():
