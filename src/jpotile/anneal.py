@@ -14,7 +14,11 @@ an N(0, dt) draw. It has weak order 1, as Euler-Maruyama does, and the
 readout histogram is a weak functional of the final state: over 10**5
 trials of five programs the two laws' histograms agree by a chi-square
 test (BENCH_anneal_noise.json). The signs are the bits of each trial's raw
-generator words (_noise_block).
+generator words (_noise_block). With E' = beta dt E and the pump factor
+a_k = 1 + (p(t_k) - 1) dt, step k is c_i <- c_i (a_k - dt c_i^2) - dE'/dc_i
++ n_i, clamped to +-c_sat. Of a logical c_i, dE'/dc_i is J'_i c_ref less the
+ancilla bracket times the other three's product, paired (1,3)(2,4):
+c_3 (c_2 c_4), c_4 (c_1 c_3), c_1 (c_2 c_4) and c_2 (c_1 c_3).
 
 The pump p(t) ramps linearly from below threshold to p_end. E is the tile
 energy with spins relaxed to real amplitudes. A seventh reference
@@ -49,15 +53,15 @@ MAX_STEPS = 10**7        # longest accepted schedule, in Euler steps
 MAX_TRIALS = 10**7       # largest accepted ensemble
 NOISE_BLOCK = 256        # noise steps drawn per generator call
 NOISE_WORDS = NOISE_BLOCK * N_OSC // 64  # random_raw words of one noise block, 1 bit an increment
-NARROW_BATCH = 10        # narrower batches run on Python floats. A batch step took 12-21 us
-                         # on either path at m = 8-10, as the host's speed swung (medians of
-                         # 9-21 interleaved runs); Python won at m <= 7, numpy at m >= 11
+NARROW_BATCH = 9         # narrower batches run on Python floats. A batch step took 9.0 us on
+                         # floats and 9.2-9.3 on rows at m = 8, 10.2-10.3 and 9.1-10.3 at m = 9
+                         # (medians of 21-41 interleaved runs): Python won at m <= 8
 # default trials per run_trials batch. Per trial-step in us, best of 3 runs of
-# 4,681 trials on a 2-vCPU VM, whose runs differ by up to 25 % per cell; at
-# 768 and up no batch gained that much on 512, which holds 7 MB of noise buffer:
+# 4,681 trials on a 2-vCPU VM, whose runs differ by up to 25 % per cell; no
+# batch gained that much on 512, which holds 7 MB of noise buffer:
 #   batch          128    256    512    768  1,024  2,048  4,681
-#   1,000 steps  0.179  0.125  0.097  0.094  0.093  0.103  0.093
-#   5,000 steps  0.168  0.097  0.087  0.078  0.083  0.079  0.089
+#   1,000 steps  0.122  0.092  0.082  0.076  0.075  0.072  0.066
+#   5,000 steps  0.124  0.087  0.074  0.065  0.065  0.063  0.060
 TRIAL_CHUNK = 512
 
 
@@ -288,68 +292,70 @@ def _integrate_batch(
     increments from its raw bits, one NOISE_BLOCK of steps at a time
     (_noise_block). Recorded batches and those narrower than NARROW_BATCH
     step on Python floats (_float_steps), the others on (7, m) rows
-    (_row_steps). On a 2-vCPU VM a trial-step on Python floats takes 1.3-2.4
-    us, and a row step 12-21 us at m = 12, 13-21 us at m = 32, 19-26 us at
-    m = 128 and 91-131 us at m = 1000, as the host's speed swings. Both
-    bodies round the same operations in one order, the dE/dc_ref row a
-    left-to-right sum, so a trial's states have the same bits at any width,
-    and the batch reports its first non-finite step. Returns the (m, 7)
-    final states and, if record, trial 0's trajectory."""
+    (_row_steps), from the module docstring's folded constants. On a 2-vCPU
+    VM a trial-step on Python floats takes 1.2-1.8 us, and a row step 9-12
+    us at m = 12 and 32, 14-17 us at m = 128 and 65-89 us at m = 1000, as the
+    host's speed swings. Both bodies round the same operations in one order,
+    so a trial's states have the same bits at any width, and the batch
+    reports its first non-finite step. Returns the (m, 7) final states and,
+    if record, trial 0's trajectory."""
     for name, value in (("eta", eta), ("beta", beta)):  # noise strength, feedback gain
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0")
-    dt, n_steps = schedule.dt, schedule.n_steps
+    dt, n_steps, hi = schedule.dt, schedule.n_steps, schedule.c_sat
     scale = eta * math.sqrt(dt)
     rngs = [np.random.default_rng(s) for s in seeds]
     x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
     trajectory = np.empty((n_steps + 1, N_OSC)) if record else None
     narrow = len(rngs) < NARROW_BATCH or record
-    # a non-finite input would make the first state non-finite, with no errstate
-    # flag set; the noise is +-scale, and the ramp's finite span keeps gains finite
-    if not np.isfinite([*params.j, params.j_a1, params.j_a2, params.c_cnst, beta, scale]).all():
+    coeffs = [beta * dt * v for v in (*params.j, params.j_a1, params.j_a2, params.c_cnst)]
+    # a non-finite coefficient or pump factor sets no errstate flag on the rows,
+    # so both bodies stop short of its step; the noise is +-scale
+    if not np.isfinite([*coeffs, scale]).all():
         raise IntegrationBlowupError(t=dt, dt=dt)
     noise = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, len(rngs)))
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
-        block = noise[: stop - start]  # step k as a (7, m) array
-        _noise_block(rngs, scale, block)
-        gains = (schedule.pump(np.arange(start, stop) * dt) - 1.0).tolist()
-        args = x, block, gains, start, params, schedule, beta
+        _noise_block(rngs, scale, noise[: stop - start])  # step k as a (7, m) array
+        amps = 1.0 + (schedule.pump(np.arange(start, stop) * dt) - 1.0) * dt
+        fed = np.isfinite(amps)
+        end = stop if fed.all() else start + int(fed.argmin())
+        args = x, noise[: end - start], amps[: end - start].tolist(), start, coeffs, dt, hi
         k = _float_steps(*args, trajectory) if narrow else _row_steps(*args)
-        if k is not None:
-            raise IntegrationBlowupError(t=(k + 1) * dt, dt=dt)
+        if k is not None or end < stop:
+            raise IntegrationBlowupError(t=((end if k is None else k) + 1) * dt, dt=dt)
     return x.T, trajectory
 
 
-def _float_steps(x: np.ndarray, noise: np.ndarray, gains: list, start: int, params: TileParams,
-                 schedule: AnnealSchedule, beta: float, trajectory) -> Optional[int]:
-    """_integrate_batch's steps from start, one per gain and noise block row,
-    on seven Python floats a trial, each column of the (7, m) state x in
-    place, with _row_steps' operations in its order. Fills trial 0's rows of
-    trajectory from step start's state on, unless it is None. Returns the
-    first non-finite step, or None."""
-    dt, hi, isfinite = schedule.dt, schedule.c_sat, math.isfinite
-    (j1, j2, j3, j4), ja1, ja2, cc = params.j, params.j_a1, params.j_a2, params.c_cnst
-    lo, nja1, nja2 = -hi, -ja1, -ja2  # the clamp is min(c, hi), then max(c, lo)
+def _float_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int, coeffs: list,
+                 dt: float, hi: float, trajectory) -> Optional[int]:
+    """_integrate_batch's steps from start, one per pump factor and noise
+    block row, on seven Python floats a trial, each column of the (7, m)
+    state x in place, with _row_steps' operations in its order. Fills trial
+    0's rows of trajectory from step start's state on, unless it is None.
+    Returns the first non-finite step, or None."""
+    isfinite = math.isfinite
+    j1, j2, j3, j4, ja1, ja2, cc = coeffs
+    lo, nja1, nja2, ndt = -hi, -ja1, -ja2, -dt  # the clamp is min(c, hi), then max(c, lo)
     blowups = []
     for i, (c1, c2, c3, c4, c5, c6, cr) in enumerate(x.T.tolist()):
         rows = [(c1, c2, c3, c4, c5, c6, cr)] if i == 0 and trajectory is not None else None
-        steps = zip(range(start, start + len(gains)), gains, noise[:, :, i].tolist())
-        for k, gain, (n1, n2, n3, n4, n5, n6, nr) in steps:
-            p12, p34 = c1 * c2, c3 * c4
+        steps = zip(range(start, start + len(amps)), amps, noise[:, :, i].tolist())
+        for k, a, (n1, n2, n3, n4, n5, n6, nr) in steps:
+            p13, p24 = c1 * c3, c2 * c4
             br = (c5 * ja1 + c6 * ja2) + cc
-            g1, g2 = j1 * cr - (c2 * p34) * br, j2 * cr - (c1 * p34) * br
-            g3, g4 = j3 * cr - (c4 * p12) * br, j4 * cr - (c3 * p12) * br
-            p1234 = p12 * p34
+            g1, g2 = j1 * cr - (c3 * p24) * br, j2 * cr - (c4 * p13) * br
+            g3, g4 = j3 * cr - (c1 * p24) * br, j4 * cr - (c2 * p13) * br
+            p1234 = p13 * p24
             g5, g6 = nja1 * p1234, nja2 * p1234
-            gr = ((c1 * j1 + c2 * j2) + c3 * j3) + c4 * j4
-            c1 = c1 + (((gain - c1 * c1) * c1 - g1 * beta) * dt + n1)
-            c2 = c2 + (((gain - c2 * c2) * c2 - g2 * beta) * dt + n2)
-            c3 = c3 + (((gain - c3 * c3) * c3 - g3 * beta) * dt + n3)
-            c4 = c4 + (((gain - c4 * c4) * c4 - g4 * beta) * dt + n4)
-            c5 = c5 + (((gain - c5 * c5) * c5 - g5 * beta) * dt + n5)
-            c6 = c6 + (((gain - c6 * c6) * c6 - g6 * beta) * dt + n6)
-            cr = cr + (((gain - cr * cr) * cr - gr * beta) * dt + nr)
+            gr = (c1 * j1 + c3 * j3) + (c2 * j2 + c4 * j4)
+            c1 = ((c1 * c1 * ndt + a) * c1 - g1) + n1
+            c2 = ((c2 * c2 * ndt + a) * c2 - g2) + n2
+            c3 = ((c3 * c3 * ndt + a) * c3 - g3) + n3
+            c4 = ((c4 * c4 * ndt + a) * c4 - g4) + n4
+            c5 = ((c5 * c5 * ndt + a) * c5 - g5) + n5
+            c6 = ((c6 * c6 * ndt + a) * c6 - g6) + n6
+            cr = ((cr * cr * ndt + a) * cr - gr) + nr
             if not (isfinite(c1) and isfinite(c2) and isfinite(c3) and isfinite(c4)
                     and isfinite(c5) and isfinite(c6) and isfinite(cr)):
                 blowups.append(k)
@@ -369,9 +375,9 @@ def _float_steps(x: np.ndarray, noise: np.ndarray, gains: list, start: int, para
     return min(blowups, default=None)
 
 
-def _row_steps(x: np.ndarray, noise: np.ndarray, gains: list, start: int, params: TileParams,
-               schedule: AnnealSchedule, beta: float) -> Optional[int]:
-    """_float_steps on the rows of the (7, m) state x, 29 ufunc calls a step.
+def _row_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int, coeffs: list,
+               dt: float, hi: float) -> Optional[int]:
+    """_float_steps on the rows of the (7, m) state x, 23 ufunc calls a step.
     Returns the first non-finite step, or None."""
     m = x.shape[1]
     # the step's operands are C-contiguous arrays, rows or 0-d arrays, which
@@ -379,52 +385,46 @@ def _row_steps(x: np.ndarray, noise: np.ndarray, gains: list, start: int, params
     # column or strided view the iterator's slow path, and a constant spread
     # to (7, m) memory traffic at large m. Local names spare each call a
     # module lookup
-    j, j_anc = (np.repeat(np.array(v, dtype=float)[:, None], m, axis=1)
-                for v in (params.j, (params.j_a1, params.j_a2)))
-    c_cnst, nja1, nja2, beta_0d, dt_0d, hi, lo, gain_0d = (
-        np.array(float(v)) for v in (params.c_cnst, -params.j_a1, -params.j_a2, beta,
-                                     schedule.dt, schedule.c_sat, -schedule.c_sat, 0.0))
+    j, nj_anc, j_anc = (np.repeat(np.array(v, dtype=float)[:, None], m, axis=1)
+                        for v in (coeffs[:4], [-coeffs[4], -coeffs[5]], coeffs[4:6]))
+    c_cnst, ndt_0d, hi, lo, amp_0d = (np.array(float(v)) for v in (coeffs[6], -dt, hi, -hi, 0.0))
     drift, grad = np.empty((2, N_OSC, m))
-    logical, anc, (c1, c2, c3, c4, c5, c6, c_ref) = x[:4], x[4:6], x
-    g_logical, (g5, g6, g_ref) = grad[:4], grad[4:]
-    others, ref_terms = np.empty((2, 4, m))
-    (o1, o2, o3, o4), (t1, t2, t3, t4) = others, ref_terms
-    anc_terms, (p12, p34, p1234, bracket) = np.empty((2, m)), np.empty((4, m))
-    a5, a6 = anc_terms
+    logical, lead, tail, anc, c_ref = x[:4], x[:2], x[2:4], x[4:6], x[6]
+    g_logical, g_anc, g_ref = grad[:4], grad[4:6], grad[6]
+    # rows c1 c3, c2 c4, c1 c3: the first two are the pairs, the last two the
+    # pairs swapped, so each call below pairs contiguous (2, m) operands
+    pairs, others, anc_terms = np.empty((3, m)), np.empty((4, m)), np.empty((2, m))
+    pair, swapped, c1, c3, p13 = pairs[:2], pairs[1:], x[0], x[2], pairs[2]
+    o12, o34, (a5, a6), bracket = others[:2], others[2:], anc_terms, np.empty(m)
+    s13, s24 = o12
     multiply, add, subtract, minimum, maximum = (
         np.multiply, np.add, np.subtract, np.minimum, np.maximum)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for k, gain in enumerate(gains, start):
-                # E = c_ref sum_i J_i c_i - (J_a1 c_5 + J_a2 c_6 + C) c_1 c_2 c_3 c_4
-                multiply(c1, c2, p12)
-                multiply(c3, c4, p34)
-                multiply(c2, p34, o1)  # the other three c_k of each logical c_i
-                multiply(c1, p34, o2)
-                multiply(c4, p12, o3)
-                multiply(c3, p12, o4)
+            for k, amp, n in zip(range(start, start + len(amps)), amps, noise):
+                # beta dt E = c_ref sum_i J'_i c_i - (J'_a1 c5 + J'_a2 c6 + C') c1 c2 c3 c4
+                multiply(lead, tail, pair)
+                multiply(c1, c3, p13)
+                multiply(tail, swapped, o12)  # c3 c2 c4, c4 c1 c3: each c_i's other three
+                multiply(lead, swapped, o34)  # c1 c2 c4, c2 c1 c3
                 multiply(anc, j_anc, anc_terms)
                 add(a5, a6, bracket)
                 add(bracket, c_cnst, bracket)
                 multiply(j, c_ref, g_logical)  # one row over four: one call, not four
                 multiply(others, bracket, others)
                 subtract(g_logical, others, g_logical)
-                multiply(p12, p34, p1234)
-                multiply(nja1, p1234, g5)
-                multiply(nja2, p1234, g6)
-                multiply(logical, j, ref_terms)
-                add(t1, t2, g_ref)  # left to right, as the Python-float step
-                add(g_ref, t3, g_ref)
-                add(g_ref, t4, g_ref)
+                multiply(pair, swapped, g_anc)  # c1 c2 c3 c4 on both rows
+                multiply(nj_anc, g_anc, g_anc)
+                multiply(logical, j, others)  # others now holds the c_i J'_i
+                add(o12, o34, o12)  # c1 J'1 + c3 J'3, c2 J'2 + c4 J'4
+                add(s13, s24, g_ref)
                 multiply(x, x, drift)
-                gain_0d.fill(gain)
-                subtract(gain_0d, drift, drift)
+                multiply(drift, ndt_0d, drift)
+                amp_0d.fill(amp)
+                add(drift, amp_0d, drift)
                 multiply(drift, x, drift)
-                multiply(grad, beta_0d, grad)
                 subtract(drift, grad, drift)
-                multiply(drift, dt_0d, drift)
-                add(drift, noise[k - start], drift)
-                add(x, drift, x)
+                add(drift, n, x)
                 minimum(x, hi, out=x)
                 maximum(x, lo, out=x)
     except FloatingPointError:

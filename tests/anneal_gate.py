@@ -4,21 +4,33 @@ against the analytic ground set of the tile Hamiltonian it programs.
 gate(program, trials, seed) runs run_trials(..., canonical=True, n_bits=6)
 and returns, as fractions of all trials, the readouts that lie in the
 program's tile ground set, those of odd logical parity and the unsettled
-trials, each with an exact Clopper-Pearson band. At 10**5 trials a program,
-as a change to the anneal's numerics should run it, with src and tests on
-sys.path:
+trials, each with an exact Clopper-Pearson band. A change to the anneal's
+numerics runs it at 10**5 trials on each of the five gate programs (the
+even and alternating programs and three random-phase ones), from the repo
+root:
 
-    >>> from jpotile.anneal import even_parity_program
-    >>> gate(even_parity_program(), 10**5, seed=1)
+    PYTHONPATH=src python tests/anneal_gate.py --trials 100000 --seed 1
+
+which prints, as one JSON object, each program's phases, its canonical
+six-bit histogram with an "unsettled" bin, and its hit, odd and unsettled
+bands.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import math
 
 import numpy as np
 
-from jpotile.anneal import effective_tile_couplings, run_trials
+from jpotile.anneal import (
+    CouplingProgram,
+    alternating_field_program,
+    effective_tile_couplings,
+    even_parity_program,
+    run_trials,
+)
 from jpotile.tile import ground_set
 
 ALPHA = 1e-3  # each band holds the true rate with probability at least 1 - ALPHA
@@ -57,12 +69,51 @@ def clopper_pearson(k: int, n: int, alpha: float = ALPHA) -> tuple[float, float]
 def gate(program, trials: int, seed: int) -> dict[str, tuple[float, float, float]]:
     """{"hit", "odd", "unsettled"} -> (fraction, band low, band high) over
     trials canonical six-bit readouts of program."""
+    return bands(program, run_trials(program, trials, seed=seed, canonical=True, n_bits=6))
+
+
+def bands(program, hist) -> dict[str, tuple[float, float, float]]:
+    """gate's bands over hist, a canonical six-bit histogram of program."""
     _, ground = ground_set(effective_tile_couplings(program))
     labels = {g.label for g in ground}
-    hist = run_trials(program, trials, seed=seed, canonical=True, n_bits=6)
     counts = {
         "hit": sum(c for label, c in hist.counts.items() if label in labels),
         "odd": sum(c for label, c in hist.counts.items() if label[:4].count("1") % 2),
         "unsettled": hist.unsettled,
     }
-    return {name: (k / trials, *clopper_pearson(k, trials)) for name, k in counts.items()}
+    n = hist.trials
+    return {name: (k / n, *clopper_pearson(k, n)) for name, k in counts.items()}
+
+
+def programs() -> dict[str, CouplingProgram]:
+    """The five gate programs: even, alternating, and three with uniform
+    random phases drawn as perfbench's anneal_ensemble draws them at its
+    seed 424243 (j_max = 2, c_cnst = 2)."""
+    rng = np.random.default_rng([424243, 1])
+    named = {"even": even_parity_program(), "alternating": alternating_field_program()}
+    for k in range(3):
+        phases = tuple(float(v) for v in rng.uniform(0.0, 2 * math.pi, 6))
+        named[f"random{k}"] = CouplingProgram(phases, j_max=2.0, c_cnst=2.0)
+    return named
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Run the anneal gate on its five programs.")
+    parser.add_argument("--trials", type=int, default=10**5)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    report = {}
+    for name, program in programs().items():
+        hist = run_trials(program, args.trials, seed=args.seed, canonical=True, n_bits=6)
+        report[name] = {
+            "pump_phase": list(program.pump_phase),
+            "j_max": program.j_max,
+            "c_cnst": program.c_cnst,
+            "histogram": {**hist.counts, "unsettled": hist.unsettled},
+            "bands": bands(program, hist),
+        }
+    print(json.dumps({"trials": args.trials, "seed": args.seed, "programs": report}))
+
+
+if __name__ == "__main__":
+    main()

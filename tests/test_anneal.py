@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jpotile import anneal
 from jpotile.anneal import (
@@ -217,7 +218,7 @@ def test_trajectory_digest_is_pinned():
     )
     assert result.trajectory.shape == (1001, 7)
     assert hashlib.sha256(result.trajectory.tobytes()).hexdigest() == (
-        "6f82b0c6159e9b255eb5545c88c107af0aa23d4f41e855c0f84fc3642ac3d78d"
+        "73c4e8c9d4a7178654bedb16f18b2e7ad926e3af4446fd5ff6285ccaacc0bea9"
     )
     assert result.config.label == "010111"
     assert result.canonical_config.label == "010111"
@@ -252,7 +253,7 @@ def test_batch_digest_is_pinned():
         digest.update(finals.tobytes())
         digest.update(trajectory.tobytes())
     assert digest.hexdigest() == (
-        "91a8ff113cae15513d6e6f1270f5c61a0c3f0c88c04ac2ecfce7bdba13972096"
+        "b82404050e8d4d25bb82f5ca4ce8c9da587c2165f9c136b6a49d10d316b9301b"
     )
 
 
@@ -324,6 +325,71 @@ def test_batch_rows_equal_single_trial_runs_bit_for_bit(
     batch, _ = _integrate_batch(params, schedule, eta, beta, seeds)
     singles = [_integrate_batch(params, schedule, eta, beta, [s]) for s in seeds]
     assert batch.tobytes() == np.concatenate([final for final, _ in singles]).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=6, max_size=6),
+    j_max=st.floats(0.0, 4.0),
+    j_max_ancilla=st.floats(-8.0, 8.0),
+    c_cnst=st.floats(-10.0, 10.0),
+    beta=st.floats(0.0, 1.0),
+    dt=st.floats(1e-4, 0.5),
+    p_start=st.floats(-2.0, 0.99),
+    p_end=st.floats(1.01, 4.0),
+    eta=st.floats(0.0, 2.0),
+    k=st.integers(0, 9),
+    unit=hnp.arrays(float, (7, NARROW_BATCH), elements=st.floats(-1.0, 1.0)),
+    signs=hnp.arrays(bool, (7, NARROW_BATCH)),
+)
+def test_one_step_is_the_documented_update(
+    phases, j_max, j_max_ancilla, c_cnst, beta, dt, p_start, p_end, eta, k, unit, signs
+):
+    # either step body, fed a state inside the clamp and a noise row, is
+    # c + dt ((p - 1 - c^2) c - beta dE/dc) + n clamped to +-c_sat, to a few
+    # ulps of the largest of the update and its terms: each side rounds ~10
+    # operations, each to half an ulp of a partial sum of that size
+    program = CouplingProgram(tuple(phases), j_max=j_max, j_max_ancilla=j_max_ancilla,
+                              c_cnst=c_cnst)
+    params = effective_tile_couplings(program)
+    schedule = AnnealSchedule(duration=10 * dt, dt=dt, p_start=p_start, p_end=p_end)
+    hi, scale = schedule.c_sat, eta * math.sqrt(dt)
+    state, n = unit * hi, np.where(signs, -scale, scale)
+    seeds = np.random.SeedSequence(0).spawn(NARROW_BATCH)
+
+    def one_step(name, narrow_batch):
+        body = getattr(anneal, name)
+
+        def spy(x, noise, amps, start, *rest):  # step k of the block, from state
+            x[...] = state
+            noise[k] = n
+            return body(x, noise[k : k + 1], amps[k : k + 1], start + k, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anneal, name, spy)
+            patch.setattr(anneal, "NARROW_BATCH", narrow_batch)
+            final, _ = _integrate_batch(params, schedule, eta, beta, seeds)
+        return final.T
+
+    c1, c2, c3, c4, c5, c6, cr = state
+    j, j_anc = np.array(params.j)[:, None], np.array([params.j_a1, params.j_a2])[:, None]
+    others = np.array([c2 * c3 * c4, c1 * c3 * c4, c1 * c2 * c4, c1 * c2 * c3])
+    bracket = np.array([c5 * params.j_a1, c6 * params.j_a2, np.full_like(c5, params.c_cnst)])
+    fields, anc = j * cr, -j_anc * (c1 * c2 * c3 * c4)
+    grad = np.vstack([fields - others * bracket.sum(axis=0), anc, (j * state[:4]).sum(axis=0)])
+    gain = schedule.pump(k * dt) - 1.0
+    update = state + dt * ((gain - state**2) * state - beta * grad) + n
+    expected = np.clip(update, -hi, hi)
+    grad_terms = np.vstack([
+        np.maximum(abs(fields), (abs(others[:, None]) * abs(bracket)).max(axis=1)),
+        abs(anc),
+        abs(j * state[:4]).max(axis=0),
+    ])
+    largest = np.max([abs(state), dt * abs(gain * state), dt * abs(state**3),
+                      dt * beta * grad_terms, abs(n), abs(update)], axis=0)
+    for name, narrow_batch in (("_row_steps", NARROW_BATCH), ("_float_steps", NARROW_BATCH + 1)):
+        error = abs(one_step(name, narrow_batch) - expected)
+        assert np.all(error <= 8 * np.spacing(largest)), name
 
 
 def test_unsettled_trials_are_reported_not_classified():
@@ -495,22 +561,35 @@ def test_deterministic_part_converges_at_first_order():
 
 
 def test_integration_blowup_is_reported(monkeypatch):
+    # the step subtracts beta dt dE/dc; at beta = 10 and dt = 0.1 the folded
+    # couplings equal the program's, and the bracket times c_1 c_2 c_4 at the
+    # clamp overflows on the second step
     hot = CouplingProgram(pump_phase=(0.0,) * 6, j_max=1.0, c_cnst=1e308)
     schedule = AnnealSchedule(duration=1.0, dt=0.1)
     with pytest.raises(IntegrationBlowupError) as err:
-        simulate_trial(hot, schedule=schedule, seed=0)
+        simulate_trial(hot, schedule=schedule, seed=0, beta=10.0)
     assert err.value.dt == 0.1
     assert err.value.t == pytest.approx(0.2, rel=1e-12)
     assert "non-finite" in str(err.value)
     # batches on both sides of NARROW_BATCH report the same step as a single
-    # trial, for an overflow in the step and for infinite noise
-    for program, eta, t in ((hot, DEFAULT_ETA, 0.2), (even_parity_program(), math.inf, 0.1)):
+    # trial: for an overflow in the step, for infinite noise, for a folded
+    # coupling beta dt C that overflows, and for pump factors
+    # 1 + (p - 1) dt that overflow on the first two steps, where the rows
+    # would clamp an infinite state and overflow only on the third
+    steep = AnnealSchedule(duration=20.0, dt=2.0, p_start=-1e308)
+    for program, sched, eta, beta, t in (
+        (hot, schedule, DEFAULT_ETA, 10.0, 0.2),
+        (even_parity_program(), schedule, math.inf, DEFAULT_BETA, 0.1),
+        (hot, schedule, DEFAULT_ETA, 20.0, 0.1),
+        (even_parity_program(), steep, DEFAULT_ETA, DEFAULT_BETA, 2.0),
+    ):
         for trials in (1, 3, NARROW_BATCH):
             with pytest.raises(IntegrationBlowupError) as err:
-                run_trials(program, trials=trials, schedule=schedule, seed=0, eta=eta)
+                run_trials(program, trials=trials, schedule=sched, seed=0, eta=eta, beta=beta)
             assert err.value.t == pytest.approx(t, rel=1e-12)
     # noise of 1e307 leaves every amplitude in the clamp at +-c_sat = +-0.15,
-    # with the sign of its increment. The ancilla bracket
+    # with the sign of its increment. At beta = 1 and dt = 1 the folded
+    # couplings are the program's, and the ancilla bracket
     # c_5 J_a1 + c_6 J_a2 + C then overflows only on a step that starts with
     # both ancillas at +c_sat, a different step in each trial; either path
     # reports the batch's first
@@ -521,7 +600,7 @@ def test_integration_blowup_is_reported(monkeypatch):
 
     def blowup_time(seeds):
         with pytest.raises(IntegrationBlowupError) as err:
-            _integrate_batch(params, coarse, 1e307, DEFAULT_BETA, seeds)
+            _integrate_batch(params, coarse, 1e307, 1.0, seeds)
         return err.value.t
 
     singles = [blowup_time([s]) for s in seeds]

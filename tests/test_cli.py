@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jpotile import __version__
-from jpotile.anneal import MAX_TRIALS
+from jpotile.anneal import MAX_TRIALS, NARROW_BATCH
 from jpotile.cli import MAX_GRID_POINTS, main
 from jpotile.spins import MAX_PROBLEM_SPINS
 from jpotile.tile import TileConfig, TileParams, ground_set, tile_energy
@@ -481,19 +481,26 @@ def test_anneal_draws_seed_when_absent(tmp_path, capsys):
 
 
 def test_anneal_blowup_exits_three(tmp_path, capsys):
-    path = program_file(
-        tmp_path,
-        name="hot.json",
-        pump_phase=[0.0] * 6,
-        j_max=1.0,
-        c_cnst=1e308,
-        schedule={"duration": 1.0, "dt": 0.1},
+    # beta = 10 folds the couplings by beta dt = 1, so the bracket overflows
+    # on the second step; beta = 20 makes beta dt C itself overflow; and a
+    # p_start of -1e308 at dt = 2 makes the first pump factor 1 + (p - 1) dt
+    # overflow. Each is the first step reported on either step body
+    hot = {"pump_phase": [0.0] * 6, "j_max": 1.0, "c_cnst": 1e308,
+           "schedule": {"duration": 1.0, "dt": 0.1}}
+    cases = (
+        ({**hot, "beta": 10.0}, "t=0.2 "),
+        ({**hot, "beta": 20.0}, "t=0.1 "),
+        ({"schedule": {"duration": 20.0, "dt": 2.0, "p_start": -1e308}}, "t=2 "),
     )
-    code, _, err = run_cli(
-        capsys, ["anneal", "--program", path, "--trials", "2", "--seed", "0"]
-    )
-    assert code == 3
-    assert "numerical failure" in err
+    for overrides, step in cases:
+        path = program_file(tmp_path, name="hot.json", **overrides)
+        for trials in ("2", str(NARROW_BATCH)):
+            code, _, err = run_cli(
+                capsys, ["anneal", "--program", path, "--trials", trials, "--seed", "0"]
+            )
+            assert code == 3
+            assert "numerical failure" in err
+            assert step in err
 
 
 SQUID = {"l1": 7.5e-12, "l2": 7.5e-12, "i_c1": 80e-6, "i_c2": 80e-6}
