@@ -99,8 +99,8 @@ def programs() -> dict[str, CouplingProgram]:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Run the anneal gate on its five programs.")
-    parser.add_argument("--trials", type=int, default=10**5)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trials", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     report = {}
     for name, program in programs().items():

@@ -1,6 +1,7 @@
 """Dynamics, statistics, and readout checks of the annealing module."""
 
 import hashlib
+import json
 import math
 import sys
 import tracemalloc
@@ -42,6 +43,7 @@ from jpotile.errors import (
 )
 from jpotile.tile import TileConfig, ground_set, tile_energy
 
+import anneal_gate
 from anneal_gate import ALPHA, clopper_pearson, gate
 
 EVEN_LABELS = {"0000", "0011", "0101", "0110", "1001", "1010", "1100", "1111"}
@@ -460,6 +462,19 @@ def test_noisy_anneals_meet_the_tile_ground_set_within_a_binomial_band():
     # the band's closed forms at no and at every success
     assert clopper_pearson(0, 4000) == (0.0, pytest.approx(1 - (ALPHA / 2) ** (1 / 4000)))
     assert clopper_pearson(4000, 4000) == (pytest.approx((ALPHA / 2) ** (1 / 4000)), 1.0)
+
+
+def test_gate_command_prints_each_program_histogram_and_bands(capsys):
+    anneal_gate.main(["--trials", "12", "--seed", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["trials"], report["seed"]) == (12, 3)
+    assert list(report["programs"]) == ["even", "alternating", "random0", "random1", "random2"]
+    for entry in report["programs"].values():
+        assert sum(entry["histogram"].values()) == 12
+        program = CouplingProgram(
+            tuple(entry["pump_phase"]), j_max=entry["j_max"], c_cnst=entry["c_cnst"]
+        )
+        assert entry["bands"] == {k: list(v) for k, v in gate(program, 12, seed=3).items()}
 
 
 def test_histogram_is_chunk_size_invariant():
