@@ -53,15 +53,15 @@ MAX_STEPS = 10**7        # longest accepted schedule, in Euler steps
 MAX_TRIALS = 10**7       # largest accepted ensemble
 NOISE_BLOCK = 256        # noise steps drawn per generator call
 NOISE_WORDS = NOISE_BLOCK * N_OSC // 64  # random_raw words of one noise block, 1 bit an increment
-NARROW_BATCH = 9         # narrower batches run on Python floats. A batch step took 9.0 us on
-                         # floats and 9.2-9.3 on rows at m = 8, 10.2-10.3 and 9.1-10.3 at m = 9
-                         # (medians of 21-41 interleaved runs): Python won at m <= 8
-# default trials per run_trials batch. Per trial-step in us, best of 3 runs of
-# 4,681 trials on a 2-vCPU VM, whose runs differ by up to 25 % per cell; no
-# batch gained that much on 512, which holds 7 MB of noise buffer:
+NARROW_BATCH = 7         # narrower batches run on Python floats. A batch step took 6.9-7.3 us on
+                         # floats and 7.7-8.2 on rows at m = 6, 7.8-8.6 and 7.4-8.2 at m = 7
+                         # (medians of 21-41 interleaved runs): Python won at m <= 6
+# default trials per run_trials batch. Per trial-step in us, best of 6 runs of
+# 4,681 trials on a 2-vCPU VM (tests/anneal_steps.py), whose runs differ by up to
+# 25 % per cell; no batch gained that much on 512, which holds 7 MB of noise buffer:
 #   batch          128    256    512    768  1,024  2,048  4,681
-#   1,000 steps  0.122  0.092  0.082  0.076  0.075  0.072  0.066
-#   5,000 steps  0.124  0.087  0.074  0.065  0.065  0.063  0.060
+#   1,000 steps  0.113  0.093  0.084  0.077  0.078  0.076  0.086
+#   5,000 steps  0.106  0.079  0.070  0.066  0.066  0.064  0.064
 TRIAL_CHUNK = 512
 
 
@@ -291,21 +291,22 @@ def _integrate_batch(
     which draws 7 Gaussian initial amplitudes, then +-eta * sqrt(dt)
     increments from its raw bits, one NOISE_BLOCK of steps at a time
     (_noise_block). Recorded batches and those narrower than NARROW_BATCH
-    step on Python floats (_float_steps), the others on (7, m) rows
-    (_row_steps), from the module docstring's folded constants. On a 2-vCPU
-    VM a trial-step on Python floats takes 1.2-1.8 us, and a row step 9-12
-    us at m = 12 and 32, 14-17 us at m = 128 and 65-89 us at m = 1000, as the
-    host's speed swings. Both bodies round the same operations in one order,
-    so a trial's states have the same bits at any width, and the batch
-    reports its first non-finite step. Returns the (m, 7) final states and,
-    if record, trial 0's trajectory."""
+    step on Python floats (_float_steps), the others on rows of a (9, m)
+    state in 20 ufunc calls (_row_steps), from the module docstring's folded
+    constants. On a 2-vCPU VM a trial-step on floats takes 1.3-1.5 us, a row
+    step 9.3-10.8 us at m = 32, 14.6-16.1 at 128 and 73-77 at 1000. Both
+    bodies round the same operations in one order, so a trial's states have
+    the same bits at any width, and the batch reports its first non-finite
+    step. Returns the (m, 7) final states and, if record, trial 0's trajectory."""
     for name, value in (("eta", eta), ("beta", beta)):  # noise strength, feedback gain
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0")
     dt, n_steps, hi = schedule.dt, schedule.n_steps, schedule.c_sat
     scale = eta * math.sqrt(dt)
     rngs = [np.random.default_rng(s) for s in seeds]
-    x = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T.copy()
+    state = np.empty((N_OSC + 2, len(rngs)))  # rows 7, 8: _row_steps' bracket and c1 c2 c3 c4
+    x = state[:N_OSC]
+    x[:] = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T
     trajectory = np.empty((n_steps + 1, N_OSC)) if record else None
     narrow = len(rngs) < NARROW_BATCH or record
     coeffs = [beta * dt * v for v in (*params.j, params.j_a1, params.j_a2, params.c_cnst)]
@@ -313,6 +314,8 @@ def _integrate_batch(
     # so both bodies stop short of its step; the noise is +-scale
     if not np.isfinite([*coeffs, scale]).all():
         raise IntegrationBlowupError(t=dt, dt=dt)
+    body, rest = (_float_steps, (coeffs, dt, hi, trajectory)) if narrow else (
+        _row_steps, (_row_work(state, coeffs, dt, hi),))
     noise = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, len(rngs)))
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
@@ -320,8 +323,7 @@ def _integrate_batch(
         amps = 1.0 + (schedule.pump(np.arange(start, stop) * dt) - 1.0) * dt
         fed = np.isfinite(amps)
         end = stop if fed.all() else start + int(fed.argmin())
-        args = x, noise[: end - start], amps[: end - start].tolist(), start, coeffs, dt, hi
-        k = _float_steps(*args, trajectory) if narrow else _row_steps(*args)
+        k = body(x, noise[: end - start], amps[: end - start].tolist(), start, *rest)
         if k is not None or end < stop:
             raise IntegrationBlowupError(t=((end if k is None else k) + 1) * dt, dt=dt)
     return x.T, trajectory
@@ -375,48 +377,51 @@ def _float_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int, coeff
     return min(blowups, default=None)
 
 
-def _row_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int, coeffs: list,
-               dt: float, hi: float) -> Optional[int]:
-    """_float_steps on the rows of the (7, m) state x, 23 ufunc calls a step.
-    Returns the first non-finite step, or None."""
-    m = x.shape[1]
-    # the step's operands are C-contiguous arrays, rows or 0-d arrays, which
-    # ufuncs take fastest: a Python float costs a conversion each call, a
-    # column or strided view the iterator's slow path, and a constant spread
-    # to (7, m) memory traffic at large m. Local names spare each call a
-    # module lookup
-    j, nj_anc, j_anc = (np.repeat(np.array(v, dtype=float)[:, None], m, axis=1)
-                        for v in (coeffs[:4], [-coeffs[4], -coeffs[5]], coeffs[4:6]))
-    c_cnst, ndt_0d, hi, lo, amp_0d = (np.array(float(v)) for v in (coeffs[6], -dt, hi, -hi, 0.0))
-    drift, grad = np.empty((2, N_OSC, m))
-    logical, lead, tail, anc, c_ref = x[:4], x[:2], x[2:4], x[4:6], x[6]
-    g_logical, g_anc, g_ref = grad[:4], grad[4:6], grad[6]
-    # rows c1 c3, c2 c4, c1 c3: the first two are the pairs, the last two the
-    # pairs swapped, so each call below pairs contiguous (2, m) operands
-    pairs, others, anc_terms = np.empty((3, m)), np.empty((4, m)), np.empty((2, m))
-    pair, swapped, c1, c3, p13 = pairs[:2], pairs[1:], x[0], x[2], pairs[2]
-    o12, o34, (a5, a6), bracket = others[:2], others[2:], anc_terms, np.empty(m)
-    s13, s24 = o12
-    multiply, add, subtract, minimum, maximum = (
+def _row_work(state: np.ndarray, coeffs: list, dt: float, hi: float) -> tuple:
+    """_row_steps' buffers and constant spreads for a batch's (9, m) state."""
+    m = state.shape[1]
+    block = np.zeros((3, 4, m))  # J'_1..J'_4 | each c_i's other three | -J'_a1, -J'_a2, 0, 0
+    block[0], block[2, :2] = (np.array(v)[:, None] for v in (coeffs[:4], [-coeffs[4], -coeffs[5]]))
+    spread = np.repeat(np.array(coeffs[:6])[:, None], m, axis=1)  # J'_1..J'_4, J'_a1, J'_a2
+    buffers = (np.empty(shape) for shape in ((3, m), (3, 4, m), (6, m), (N_OSC, m)))
+    scalars = (np.array(float(v)) for v in (coeffs[6], -dt, hi, -hi, 0.0))
+    return state, block, spread, *buffers, *scalars
+
+
+def _row_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int,
+               work: tuple) -> Optional[int]:
+    """_float_steps on the rows of the (7, m) state x, rows 0-6 of work's
+    state, 20 ufunc calls a step (9.3-10.8 us at m = 32, 14.6-16.1 at 128 on
+    a 2-vCPU VM). One call forms the rank-one gradient terms, whose 0 P
+    paddings are finite once P is. Returns the first non-finite step or None."""
+    state, block, spread, pairs, prods, terms, drift, c_cnst, ndt_0d, hi, lo, amp_0d = work
+    # operands are C-contiguous rows or 0-d arrays, which ufuncs take fastest: a
+    # Python float costs a conversion a call, a spread constant memory traffic, a
+    # strided view the slow path (rank_one's, paid once a step, replaces three calls)
+    lead, tail, six, c1, c3 = x[:2], x[2:4], x[:6], x[0], x[2]
+    # rows c1 c3, c2 c4, c1 c3: the pairs and the pairs swapped, each contiguous (2, m)
+    pair, swapped, (p13, p24, p31) = pairs[:2], pairs[1:], pairs
+    o12, o34, bracket, p1234 = block[1, :2], block[1, 2:], state[7], state[8]
+    (fields, g_logical, _), rank_one = prods, state[6:, None]  # c_ref, bracket, P: (3, 1, m)
+    sums, t34, (s13, s24), (a5, a6) = terms[:2], terms[2:4], terms[:2], terms[4:]
+    grad, g_ref = prods.reshape(12, -1)[4:11], prods[2, 2]  # g1..g4, g5, g6, then g_ref
+    multiply, add, subtract, minimum, maximum = (  # local names spare a lookup
         np.multiply, np.add, np.subtract, np.minimum, np.maximum)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k, amp, n in zip(range(start, start + len(amps)), amps, noise):
                 # beta dt E = c_ref sum_i J'_i c_i - (J'_a1 c5 + J'_a2 c6 + C') c1 c2 c3 c4
                 multiply(lead, tail, pair)
-                multiply(c1, c3, p13)
+                multiply(c1, c3, p31)
                 multiply(tail, swapped, o12)  # c3 c2 c4, c4 c1 c3: each c_i's other three
                 multiply(lead, swapped, o34)  # c1 c2 c4, c2 c1 c3
-                multiply(anc, j_anc, anc_terms)
+                multiply(six, spread, terms)  # c_i J'_i
                 add(a5, a6, bracket)
                 add(bracket, c_cnst, bracket)
-                multiply(j, c_ref, g_logical)  # one row over four: one call, not four
-                multiply(others, bracket, others)
-                subtract(g_logical, others, g_logical)
-                multiply(pair, swapped, g_anc)  # c1 c2 c3 c4 on both rows
-                multiply(nj_anc, g_anc, g_anc)
-                multiply(logical, j, others)  # others now holds the c_i J'_i
-                add(o12, o34, o12)  # c1 J'1 + c3 J'3, c2 J'2 + c4 J'4
+                multiply(p13, p24, p1234)
+                multiply(rank_one, block, prods)  # c_ref J'_i | bracket others_i | -P J'_a, 0
+                subtract(fields, g_logical, g_logical)  # g1..g4, next to g5 and g6
+                add(sums, t34, sums)  # c1 J'1 + c3 J'3, c2 J'2 + c4 J'4
                 add(s13, s24, g_ref)
                 multiply(x, x, drift)
                 multiply(drift, ndt_0d, drift)

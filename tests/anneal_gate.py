@@ -14,6 +14,13 @@ root:
 which prints, as one JSON object, each program's phases, its canonical
 six-bit histogram with an "unsettled" bin, and its hit, odd and unsettled
 bands.
+
+The paper's check holds for the even and alternating programs, not for
+every program. random1 (c_cnst = 2 against fields of about 2) ends in the
+odd-parity state 000100 in more than 99.99 % of 10**5 trials, while its
+tile's ground set is {000011}. The gate passes on it all the same: it
+compares the parent's histograms with the change's, not either with the
+ground set.
 """
 
 from __future__ import annotations

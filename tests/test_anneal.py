@@ -44,6 +44,7 @@ from jpotile.errors import (
 from jpotile.tile import TileConfig, ground_set, tile_energy
 
 import anneal_gate
+import anneal_steps
 from anneal_gate import ALPHA, clopper_pearson, gate
 
 EVEN_LABELS = {"0000", "0011", "0101", "0110", "1001", "1010", "1100", "1111"}
@@ -308,7 +309,7 @@ def test_noise_increments_are_the_documented_bits(monkeypatch):
     eta=st.floats(0.0, 2.0),
     beta=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
-    width=st.sampled_from([NARROW_BATCH, 37]),
+    width=st.sampled_from([NARROW_BATCH, 32, 37, 128]),  # 32 and 128: the benchmark's widths
 )
 @example(phases=[0.5, 1.5, 2.5, 3.5, 4.5, 5.5], j_max=2.0, c_cnst=2.0,
          eta=DEFAULT_ETA, beta=DEFAULT_BETA, seed=5, width=NARROW_BATCH)
@@ -475,6 +476,19 @@ def test_gate_command_prints_each_program_histogram_and_bands(capsys):
             tuple(entry["pump_phase"]), j_max=entry["j_max"], c_cnst=entry["c_cnst"]
         )
         assert entry["bands"] == {k: list(v) for k, v in gate(program, 12, seed=3).items()}
+
+
+def test_step_timing_command_prints_each_body_width_and_step_count(capsys):
+    anneal_steps.main(["--widths", "2", "9", "--steps", "10", "20", "--repeats", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["unit"] == "us per batch step"
+    for body in ("floats", "rows"):
+        cells = report["timings"][body]
+        assert list(cells) == ["2", "9"] and all(list(c) == ["10", "20"] for c in cells.values())
+        assert all(0 < t["min"] <= t["median"] for c in cells.values() for t in c.values())
+    anneal_steps.main(["--widths", "4", "--steps", "10", "--repeats", "1", "--trials", "9"])
+    assert json.loads(capsys.readouterr().out)["unit"] == "us per trial-step"
+    assert anneal.NARROW_BATCH == NARROW_BATCH
 
 
 def test_histogram_is_chunk_size_invariant():
