@@ -210,7 +210,10 @@ def tile_products(layout: LhzLayout, physical: Sequence[int] | np.ndarray) -> np
 def lhz_energy(
     problem: LhzProblem, layout: LhzLayout, physical: Sequence[int] | np.ndarray
 ) -> float:
-    """Field energy plus tile penalties: sum_k J_k sigma_k - C * sum_l prod_l."""
+    """Field energy plus tile penalties: sum_k J_k sigma_k - C * sum_l prod_l.
+
+    The field products are summed left to right in pair order from +0.0,
+    with no BLAS call, so the bits depend on no kernel or thread count."""
     if problem.j_fields.size != layout.k_physical:
         raise ValueError(
             f"j_fields has {problem.j_fields.size} entries, layout expects "
@@ -219,7 +222,9 @@ def lhz_energy(
     sigma = _checked_word(physical, layout)
     # an int8 sum accumulates in int64, as the int64 products did
     penalty = _tile_parity(layout, sigma).sum()
-    return float(problem.j_fields @ sigma.astype(float) - problem.c_penalty * penalty)
+    # + 0.0 gives the bits of a sum begun at +0.0: an all-zero sum is +0.0
+    field_sum = np.add.accumulate(problem.j_fields * sigma)[-1] + 0.0
+    return float(field_sum - problem.c_penalty * penalty)
 
 
 def _members(layout: LhzLayout, tiles: np.ndarray) -> np.ndarray:
@@ -261,11 +266,11 @@ def penalty_too_weak(j_fields: np.ndarray | Sequence[float], c_penalty: float) -
     return bool(c_penalty <= np.max(np.abs(j))) if j.size else False
 
 
-def layout_document(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dict:
+def layout_document(layout: LhzLayout, j_fields: np.ndarray) -> dict:
     """The layout as a document: its rows, "pairs", the (K, 2) array of each
     bit's logical pair (i, j), "tiles", the (T, 4) array of physical indices
     (north, east, south, west) with None in each fixed slot, and j_fields."""
-    doc = {
+    return {
         "n_logical": layout.n_logical,
         "k_physical": layout.k_physical,
         "rows": list(layout.rows),
@@ -273,13 +278,11 @@ def layout_document(layout: LhzLayout, j_fields: np.ndarray | None = None) -> di
         "fixed_row": layout.fixed_row,
         "pairs": layout.pair_ends.T,
         "tiles": _members(layout, layout.tiles),
+        "j_fields": np.asarray(j_fields, dtype=float),
     }
-    if j_fields is not None:
-        doc["j_fields"] = np.asarray(j_fields, dtype=float)
-    return doc
 
 
-def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray | None = None) -> dict:
+def layout_to_dict(layout: LhzLayout, j_fields: np.ndarray) -> dict:
     """JSON-ready layout_document: each of its arrays as nested lists."""
     doc = layout_document(layout, j_fields)
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}

@@ -126,13 +126,11 @@ def ising_energy(problem: IsingProblem, config: Sequence[int] | np.ndarray) -> f
     h, j = problem.h, problem.j
     if sigma.size != h.size:
         raise ValueError(f"configuration has {sigma.size} spins, problem has {h.size}")
-    # zero diagonal makes sigma.J.sigma twice the pair sum
-    if sigma.size == 1:
-        # over one spin np.dot multiplies where matmul sums, and their zeros
-        # carry different signs: keep matmul's
-        return float(-h @ sigma - 0.5 * sigma @ j @ sigma)
-    # that matmul form's BLAS calls in its order, at a fraction of its cost
-    return float((-h).dot(sigma)) - float((0.5 * sigma).dot(j).dot(sigma))
+    # zero diagonal makes sigma.J.sigma twice the pair sum. These are the
+    # BLAS calls of -h @ sigma - 0.5 * sigma @ J @ sigma in its order, at a
+    # fraction of its cost; over one spin np.dot multiplies where matmul
+    # sums from +0.0, and + 0.0 gives the field term matmul's sign of zero
+    return float((-h).dot(sigma) + 0.0) - float((0.5 * sigma).dot(j).dot(sigma))
 
 
 def ground_mask(energies: np.ndarray, axis=None) -> np.ndarray:

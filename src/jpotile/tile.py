@@ -11,6 +11,7 @@ the parity tiles of the LHZ layout are realized in hardware.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,14 +54,11 @@ class TileConfig:
     ancilla: tuple[int, int]
 
     def __post_init__(self):
-        logical = tuple(int(v) for v in self.logical)
-        ancilla = tuple(int(v) for v in self.ancilla)
-        if len(logical) != 4 or any(v not in (-1, 1) for v in logical):
-            raise ValueError("logical must be 4 spins valued -1 or +1")
-        if len(ancilla) != 2 or any(v not in (-1, 1) for v in ancilla):
-            raise ValueError("ancilla must be 2 spins valued -1 or +1")
-        object.__setattr__(self, "logical", logical)
-        object.__setattr__(self, "ancilla", ancilla)
+        for name, size in (("logical", 4), ("ancilla", 2)):
+            spins = tuple(int(v) for v in getattr(self, name))
+            if len(spins) != size or any(v not in (-1, 1) for v in spins):
+                raise ValueError(f"{name} must be {size} spins valued -1 or +1")
+            object.__setattr__(self, name, spins)
 
     @property
     def spins(self) -> tuple[int, ...]:
@@ -68,10 +66,7 @@ class TileConfig:
 
     @property
     def logical_parity(self) -> int:
-        p = 1
-        for v in self.logical:
-            p *= v
-        return p
+        return math.prod(self.logical)
 
     @property
     def label(self) -> str:

@@ -308,9 +308,13 @@ def test_row_slice_kernel_matches_the_gather_over_tiles(drawn):
     assert products.dtype == np.int64
     assert np.array_equal(products, reference)
 
+    # the documented order: the field products summed in pair order from +0.0
     fields = np.random.default_rng(n).normal(size=word.size)
+    total = 0.0
+    for f, w in zip(fields.tolist(), word.tolist()):
+        total += f * w
     energy = lhz_energy(LhzProblem(fields, 3.0), layout, word)
-    assert energy == float(fields @ word.astype(float) - 3.0 * reference.sum())
+    assert float.hex(energy) == float.hex(total - 3.0 * int(reference.sum()))
 
     violated = np.flatnonzero(reference == -1)
     if not violated.size:
@@ -328,3 +332,15 @@ def test_row_slice_kernel_matches_the_gather_over_tiles(drawn):
         f"parity tile {first} violated (members {members}); "
         "readout is not a valid encoding"
     )
+
+
+@pytest.mark.kernel_bytes
+def test_lhz_energy_bits_are_pinned():
+    # normal fields at n = 200, whose sum rounds at nearly every add: the
+    # bits hold under any BLAS kernel, thread count and ufunc loop
+    layout = build_layout(200)
+    rng = np.random.default_rng(2015)
+    fields = rng.normal(size=layout.k_physical)
+    word = rng.choice(np.array([-1, 1], dtype=np.int8), size=layout.k_physical)
+    energy = lhz_energy(LhzProblem(fields, 3.0), layout, word)
+    assert float.hex(energy) == "0x1.275b55e8a7138p+5"

@@ -61,12 +61,17 @@ def test_config_properties_and_validation():
     assert config.label == "101011"
     assert TileConfig(logical=(1, 1, 1, -1), ancilla=(-1, 1)).logical_parity == -1
 
-    with pytest.raises(ValueError):
-        TileConfig(logical=(1, 1, 1), ancilla=(1, 1))
-    with pytest.raises(ValueError):
-        TileConfig(logical=(1, 1, 1, 0), ancilla=(1, 1))
-    with pytest.raises(ValueError):
-        TileConfig(logical=(1, 1, 1, 1), ancilla=(1,))
+    logical = r"^logical must be 4 spins valued -1 or \+1$"
+    ancilla = r"^ancilla must be 2 spins valued -1 or \+1$"
+    for bad, message in [
+        (dict(logical=(1, 1, 1), ancilla=(1, 1)), logical),
+        (dict(logical=(1, 1, 1, 0), ancilla=(1, 1)), logical),
+        (dict(logical=(1, 1, 1), ancilla=(1,)), logical),
+        (dict(logical=(1, 1, 1, 1), ancilla=(1,)), ancilla),
+        (dict(logical=(1, 1, 1, 1), ancilla=(1, 0)), ancilla),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            TileConfig(**bad)
     with pytest.raises(ValueError):
         TileParams(j=(1.0, 2.0, 3.0), j_a1=0.0, j_a2=0.0, c_cnst=0.0)
 
