@@ -42,8 +42,8 @@ import numpy as np
 
 from .circuit import K_B
 from .errors import AmbiguousPhaseError, InsufficientDataError, IntegrationBlowupError
-from .spins import code_labels, indices_to_spins
-from .tile import TileConfig, TileParams
+from .spins import code_labels
+from .tile import TILE_STATES, TileConfig, TileParams
 
 DEFAULT_BETA = 0.2       # gradient coupling strength
 DEFAULT_ETA = 0.05       # per-step noise is +-eta * sqrt(dt)
@@ -466,10 +466,7 @@ def simulate_trial(
     )
     codes = np.concatenate([_readout_codes(final, schedule, c) for c in (False, True)])
     settled = bool(codes[0] >= 0)
-    configs = [None, None]
-    if settled:
-        spins = indices_to_spins(codes, 6).tolist()
-        configs = [TileConfig(logical=s[:4], ancilla=s[4:]) for s in spins]
+    configs = [TILE_STATES[c] for c in codes.tolist()] if settled else [None, None]
     times = np.arange(schedule.n_steps + 1) * schedule.dt if record_trajectory else None
     return TrialResult(
         state=OscillatorState(c=final[0, :6], c_ref=final[0, 6]),

@@ -57,7 +57,7 @@ from .quantum import (
     logical_distribution,
     sweep_distribution,
 )
-from .spins import JsonObject, code_labels, ground_mask, indices_to_spins, load_ising_problem
+from .spins import JsonObject, code_labels, ground_mask, load_ising_problem
 from .tile import TileParams, tile_table
 
 EXIT_OK = 0
@@ -399,7 +399,7 @@ def _cmd_tile_enumerate(args) -> int:
     fields = dataclasses.asdict(params)
     with data.naming(tile_table):  # clamp_ancilla
         with _overflow_errors(args.params, "the tile energy", fields):
-            codes, energies = tile_table(params, clamp_ancilla=clamp)
+            codes, rows, energies = tile_table(params, clamp_ancilla=clamp)
     with _overflow_errors(args.params, "the tile energy range", fields):
         ground_labels = code_labels(codes[ground_mask(energies)], 6)
     resolved = {
@@ -409,7 +409,6 @@ def _cmd_tile_enumerate(args) -> int:
         "ground_energy": float(energies.min()),
         "ground_states": ground_labels,
     }
-    rows = indices_to_spins(codes, 6)
     columns = dict(zip(("s1", "s2", "s3", "s4", "a1", "a2"), rows.T.tolist()))
     columns["energy"] = energies.tolist()
     columns["parity"] = np.prod(rows[:, :4], axis=1).tolist()
@@ -663,11 +662,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _log(args, f"jpotile {command} started {started}")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # ParseError and the other validation types subclass ValueError
-        print(f"jpotile: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
         print(f"jpotile: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RuntimeError as exc:

@@ -28,7 +28,6 @@ result equals the product over each of its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +122,7 @@ def build_layout(n: int) -> LhzLayout:
 
 def row_members(layout: LhzLayout) -> tuple[tuple[int, ...], ...]:
     """Physical indices per row, base row first, left to right."""
-    starts = accumulate(layout.rows, initial=0)
+    starts = layout._row_starts.tolist()
     return tuple(tuple(range(k, k + size)) for k, size in zip(starts, layout.rows))
 
 

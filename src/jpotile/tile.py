@@ -75,6 +75,8 @@ class TileConfig:
 
 # every assignment, logical spins first, row r labelled by r's binary digits
 _CONFIGS = all_configs(6)
+# state code c as a TileConfig: ground sets and trial readouts are these objects
+TILE_STATES = tuple(TileConfig(s[:4], s[4:]) for s in _CONFIGS.tolist())
 
 
 def tile_energy(params: TileParams, config: TileConfig) -> float:
@@ -97,28 +99,30 @@ def tile_energies(params: TileParams, spins: np.ndarray) -> np.ndarray:
 
 def tile_table(
     params: TileParams, clamp_ancilla: Optional[tuple[int, int]] = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The state codes, ascending, of the 64 tile assignments, or of the 16
-    that clamp_ancilla pins, and their tile_energies. Code c's six binary
-    digits are its spins, logical spins first."""
+    that clamp_ancilla pins, their (m, 6) int8 spin rows and their
+    tile_energies. Code c's six binary digits are its spins, logical spins
+    first, and TILE_STATES[c] is the same assignment as a TileConfig."""
     codes = np.arange(64)
     if clamp_ancilla is not None:
         # an entry such as 1.5 would match no row, so it is refused here
         if len(clamp_ancilla) != 2 or any(v not in (-1, 1) for v in clamp_ancilla):
             raise ValueError("clamp_ancilla takes two spins: entries must be -1 or +1")
         codes = np.flatnonzero(np.all(_CONFIGS[:, 4:] == clamp_ancilla, axis=1))
-    return codes, tile_energies(params, _CONFIGS[codes])
+    spins = _CONFIGS[codes]
+    return codes, spins, tile_energies(params, spins)
 
 
 def ground_set(
     params: TileParams, clamp_ancilla: Optional[tuple[int, int]] = None
 ) -> tuple[float, set[TileConfig]]:
     """Exhaustive minimum over tile_table's assignments, and the assignments
-    spins.ground_mask counts as degenerate with it. An energy range beyond
-    the float range raises ValueError."""
-    codes, energies = tile_table(params, clamp_ancilla)
-    ground = _CONFIGS[codes[ground_mask(energies)]].tolist()
-    return float(energies.min()), {TileConfig(s[:4], s[4:]) for s in ground}
+    spins.ground_mask counts as degenerate with it, as TILE_STATES entries.
+    An energy range beyond the float range raises ValueError."""
+    codes, _, energies = tile_table(params, clamp_ancilla)
+    ground = codes[ground_mask(energies)].tolist()
+    return float(energies.min()), {TILE_STATES[c] for c in ground}
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpotile.spins import DEGENERACY_TOL, all_configs
+from jpotile.anneal import alternating_field_program, even_parity_program, simulate_trial
+from jpotile.spins import DEGENERACY_TOL, all_configs, code_labels, indices_to_spins
 from jpotile.tile import (
+    TILE_STATES,
     TileConfig,
     TileParams,
     ground_set,
@@ -114,6 +116,34 @@ def test_ground_set_small_field_breaks_degeneracy():
     e_min, ground = ground_set(TileParams((eps,) * 4, 1.0, 1.0, 1.0))
     assert e_min == pytest.approx(-3.0 - 4 * eps, rel=1e-12)
     assert ground == {TileConfig(logical=(-1, -1, -1, -1), ancilla=(1, 1))}
+
+
+def test_ground_sets_and_trial_readouts_are_the_one_state_table():
+    assert len(TILE_STATES) == 64
+    for c, state in enumerate(TILE_STATES):
+        spins = indices_to_spins([c], 6)[0].tolist()
+        assert state == TileConfig(logical=spins[:4], ancilla=spins[4:])
+        assert state.label == code_labels([c], 6)[0]
+
+    def in_table(state):
+        return state is TILE_STATES[int(state.label, 2)]
+
+    rng = np.random.default_rng(17)
+    field_free = TileParams((0.0,) * 4, 1.0, 1.0, 1.0)
+    for params in [field_free] + [random_params(rng) for _ in range(8)]:
+        for clamp in (None, (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            _, ground = ground_set(params, clamp_ancilla=clamp)
+            assert ground and all(in_table(g) for g in ground)
+
+    for program in (even_parity_program(), alternating_field_program()):
+        result = simulate_trial(program, seed=1, record_trajectory=False)
+        assert result.settled
+        assert in_table(result.config) and in_table(result.canonical_config)
+        signs = tuple(np.where(result.state.c > 0, 1, -1).tolist())
+        assert result.config.spins == signs
+        ref = 1 if result.state.c_ref > 0 else -1
+        assert result.canonical_config.logical == tuple(ref * v for v in signs[:4])
+        assert result.canonical_config.ancilla == signs[4:]
 
 
 def test_ground_set_with_clamped_ancillas():
