@@ -34,6 +34,9 @@ _ENUMERATION_CHUNK = 1 << 16  # configurations per energy_fn batch
 # largest n a problem file may declare: `lhz map` at n = 1000 peaks at
 # ~290 MB resident (CSV output) and its memory grows as n**2
 MAX_PROBLEM_SPINS = 1000
+# 0-d operands: a Python scalar is converted again on every ufunc call
+_ONE = np.array(1, dtype=np.int8)
+_HALF = np.array(0.5)
 
 
 def _checked_spins(config: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -42,8 +45,10 @@ def _checked_spins(config: Sequence[int] | np.ndarray) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("spin configuration must be a non-empty 1-D sequence")
     if arr.dtype.kind in "biuf":
-        # |x| == 1 is exact in every real dtype (abs keeps int8 -128 at -128)
-        valid = not np.count_nonzero(np.abs(arr) != 1)
+        # |x| == 1 is exact in every real dtype (abs keeps int8 -128 at -128):
+        # int8 compares in int8, floats hold 1 exactly, and uint64 compares
+        # in float64, where only 1 maps to 1.0
+        valid = not np.count_nonzero(np.not_equal(np.abs(arr), _ONE))
     else:
         # complex, string and object values: |1j| == 1 but 1j is no spin
         valid = ((arr == 1) | (arr == -1)).all()
@@ -94,7 +99,12 @@ def all_configs(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class IsingProblem:
     """Fields h and symmetric zero-diagonal couplings J over n spins, kept
-    as read-only float copies (J in C order) so the caller's arrays stay free."""
+    as read-only float copies (J in C order) so the caller's arrays stay free.
+
+    The field term's operand is built once here, outside the dataclass
+    fields: -h, or None when every field is +-0 (ising_energy then skips
+    the field dot, whose value would be +0.0).
+    """
 
     h: np.ndarray
     j: np.ndarray
@@ -115,6 +125,11 @@ class IsingProblem:
         j.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "j", j)
+        neg_h = None
+        if np.count_nonzero(h):
+            neg_h = -h
+            neg_h.setflags(write=False)
+        object.__setattr__(self, "_neg_h", neg_h)
 
     @property
     def n(self) -> int:
@@ -122,15 +137,29 @@ class IsingProblem:
 
 
 def ising_energy(problem: IsingProblem, config: Sequence[int] | np.ndarray) -> float:
+    """E = -h . sigma - 0.5 * sigma . J . sigma for a +-1 configuration.
+
+    These are the BLAS calls of -h @ sigma - 0.5 * sigma @ J @ sigma in its
+    order, at a fraction of its cost: the field dot (-h).dot(sigma), then
+    (0.5 * sigma).dot(J) and its dot with sigma; the zero diagonal makes
+    sigma.J.sigma twice the pair sum. Over one spin np.dot multiplies where
+    matmul sums from +0.0, and + 0.0 gives the field term matmul's sign of
+    zero. When every field is +-0 that term is +0.0 whatever sigma is, so
+    it is taken as 0.0 with no field dot: the same bits.
+
+    Raises ValueError "spin configuration must be a non-empty 1-D sequence"
+    or "spin values must be exactly -1 or +1" for a configuration that is
+    no spin row, and ValueError when its size is not the problem's n.
+    """
+    # a contiguous copy even of a float row: BLAS sums a strided vector in
+    # another order
     sigma = _checked_spins(config).astype(float)
-    h, j = problem.h, problem.j
-    if sigma.size != h.size:
-        raise ValueError(f"configuration has {sigma.size} spins, problem has {h.size}")
-    # zero diagonal makes sigma.J.sigma twice the pair sum. These are the
-    # BLAS calls of -h @ sigma - 0.5 * sigma @ J @ sigma in its order, at a
-    # fraction of its cost; over one spin np.dot multiplies where matmul
-    # sums from +0.0, and + 0.0 gives the field term matmul's sign of zero
-    return float((-h).dot(sigma) + 0.0) - float((0.5 * sigma).dot(j).dot(sigma))
+    n = problem.h.size
+    if sigma.size != n:
+        raise ValueError(f"configuration has {sigma.size} spins, problem has {n}")
+    neg_h = problem._neg_h
+    field = 0.0 if neg_h is None else float(neg_h.dot(sigma) + 0.0)
+    return field - float(np.multiply(sigma, _HALF).dot(problem.j).dot(sigma))
 
 
 def ground_mask(energies: np.ndarray, axis=None) -> np.ndarray:

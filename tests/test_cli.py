@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -82,6 +83,23 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_python_m_jpotile_runs_the_cli():
+    # an uninstalled checkout runs the same command line with -m
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "jpotile", *argv], env=env, capture_output=True, text=True
+        )
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == __version__
+    missing = run()
+    assert missing.returncode == 1
+    assert "usage" in missing.stderr
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,7 +1,9 @@
 """Spin foundations: energies, exhaustive search, problem file parsing."""
 
+import dataclasses
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -214,6 +216,7 @@ def _bits(x):
     return "nan" if math.isnan(x) else float.hex(x)
 
 
+@pytest.mark.kernel_bytes
 @settings(deadline=None)
 @given(
     st.integers(min_value=1, max_value=20),
@@ -246,6 +249,7 @@ def test_ising_energy_matches_the_matmul_form_bit_for_bit(n, layout, dtype, data
     assert _bits(got) == _bits(want)
 
 
+@pytest.mark.kernel_bytes
 def test_ising_energy_signs_a_zero_energy_as_the_matmul_form():
     # over one spin np.dot multiplies where matmul sums, and their zeros
     # carry different signs
@@ -255,6 +259,64 @@ def test_ising_energy_signs_a_zero_energy_as_the_matmul_form():
             for s in all_configs(n).astype(float):
                 want = float(-problem.h @ s - 0.5 * s @ problem.j @ s)
                 assert _bits(ising_energy(problem, s)) == _bits(want)
+
+
+def _matmul_form(problem, sigma):
+    s = np.asarray(sigma).astype(float)
+    with np.errstate(all="ignore"):
+        return float(-problem.h @ s - 0.5 * s @ problem.j @ s)
+
+
+def _assert_matmul_bits(problem):
+    configs = all_configs(problem.n)
+    for sigma in (*configs, *configs.astype(float)):
+        assert _bits(ising_energy(problem, sigma)) == _bits(_matmul_form(problem, sigma))
+
+
+@pytest.mark.kernel_bytes
+def test_ising_energy_without_fields_matches_the_matmul_form_bit_for_bit():
+    # a field term of +-0 fields is +0.0 whatever the spins, so ising_energy
+    # skips its dot; every sign mix of zero fields, over couplings of
+    # either zero, subnormal and near-overflow size, keeps the matmul bits
+    rng = np.random.default_rng(38)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e300, -1e300,
+                     1.0, -0.5, 0.1, -3.7])
+    for n in range(1, 5):
+        for signs in product((0.0, -0.0), repeat=n):
+            for _ in range(6):
+                j = np.triu(rng.choice(pool, size=(n, n)), 1)
+                problem = IsingProblem(h=np.array(signs), j=j + j.T)
+                assert problem._neg_h is None
+                _assert_matmul_bits(problem)
+    # one field of the smallest subnormal is a field: it takes the dot,
+    # and on zero couplings the energy is that field's product
+    j = np.zeros((3, 3))
+    problem = IsingProblem(h=np.array([0.0, 5e-324, -0.0]), j=j)
+    assert problem._neg_h is not None
+    _assert_matmul_bits(problem)
+    assert ising_energy(problem, [1, 1, 1]) == -5e-324
+    # the field term is built per instance, not a dataclass field
+    assert [f.name for f in dataclasses.fields(IsingProblem)] == ["h", "j"]
+    moved = dataclasses.replace(problem, h=np.zeros(3))
+    assert moved._neg_h is None and ising_energy(moved, [1, 1, 1]) == 0.0
+    _assert_matmul_bits(moved)
+    back = dataclasses.replace(moved, h=np.array([2.0, -1.0, 0.0]))
+    assert ising_energy(back, [1, 1, 1]) == -1.0
+    _assert_matmul_bits(back)
+
+
+@pytest.mark.kernel_bytes
+def test_ising_energy_of_a_strided_row_is_the_contiguous_rows():
+    # BLAS sums a strided vector in another order than a contiguous one,
+    # so every configuration is dotted as a contiguous float copy
+    rng = np.random.default_rng(7)
+    n = 100
+    j = np.triu(rng.normal(size=(n, n)) * 10.0 ** rng.integers(-5, 5, size=(n, n)), 1)
+    problem = IsingProblem(h=rng.normal(size=n), j=j + j.T)
+    for _ in range(20):
+        wide = np.where(rng.random(2 * n) < 0.5, -1.0, 1.0)
+        for view in (wide[::2], wide[:n][::-1]):
+            assert _bits(ising_energy(problem, view)) == _bits(_matmul_form(problem, view))
 
 
 SHAPE_MESSAGE = "spin configuration must be a non-empty 1-D sequence"
