@@ -291,12 +291,13 @@ def _integrate_batch(
     which draws 7 Gaussian initial amplitudes, then +-eta * sqrt(dt)
     increments from its raw bits, one NOISE_BLOCK of steps at a time
     (_noise_block). Recorded batches and those narrower than NARROW_BATCH
-    step on Python floats (_float_steps), the others on rows of a (9, m)
-    state in 20 ufunc calls (_row_steps), from the module docstring's folded
-    constants. On a 2-vCPU VM a trial-step on floats takes 1.3-1.5 us, a row
-    step 9.3-10.8 us at m = 32, 14.6-16.1 at 128 and 73-77 at 1000. Both
-    bodies round the same operations in one order, so a trial's states have
-    the same bits at any width, and the batch reports its first non-finite
+    step on Python floats (_float_steps), the others on numpy rows in 20
+    ufunc calls (_row_steps), from the module docstring's folded constants;
+    the driver calls either with _float_steps' argument list, once a block.
+    On a 2-vCPU VM a trial-step on floats takes 1.3-1.5 us, a row step
+    9.3-10.8 us at m = 32, 14.6-16.1 at 128 and 73-77 at 1000. Both bodies
+    round the same operations in one order, so a trial's states have the
+    same bits at any width, and the batch reports its first non-finite
     step. Returns the (m, 7) final states and, if record, trial 0's trajectory."""
     for name, value in (("eta", eta), ("beta", beta)):  # noise strength, feedback gain
         if not value >= 0:
@@ -304,18 +305,15 @@ def _integrate_batch(
     dt, n_steps, hi = schedule.dt, schedule.n_steps, schedule.c_sat
     scale = eta * math.sqrt(dt)
     rngs = [np.random.default_rng(s) for s in seeds]
-    state = np.empty((N_OSC + 2, len(rngs)))  # rows 7, 8: _row_steps' bracket and c1 c2 c3 c4
-    x = state[:N_OSC]
+    x = np.empty((N_OSC, len(rngs)))
     x[:] = np.array([rng.normal(0.0, INIT_AMPLITUDE_STD, N_OSC) for rng in rngs]).T
     trajectory = np.empty((n_steps + 1, N_OSC)) if record else None
-    narrow = len(rngs) < NARROW_BATCH or record
+    body = _float_steps if len(rngs) < NARROW_BATCH or record else _row_steps
     coeffs = [beta * dt * v for v in (*params.j, params.j_a1, params.j_a2, params.c_cnst)]
     # a non-finite coefficient or pump factor sets no errstate flag on the rows,
     # so both bodies stop short of its step; the noise is +-scale
     if not np.isfinite([*coeffs, scale]).all():
         raise IntegrationBlowupError(t=dt, dt=dt)
-    body, rest = (_float_steps, (coeffs, dt, hi, trajectory)) if narrow else (
-        _row_steps, (_row_work(state, coeffs, dt, hi),))
     noise = np.empty((min(NOISE_BLOCK, n_steps), N_OSC, len(rngs)))
     for start in range(0, n_steps, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, n_steps)
@@ -323,7 +321,8 @@ def _integrate_batch(
         amps = 1.0 + (schedule.pump(np.arange(start, stop) * dt) - 1.0) * dt
         fed = np.isfinite(amps)
         end = stop if fed.all() else start + int(fed.argmin())
-        k = body(x, noise[: end - start], amps[: end - start].tolist(), start, *rest)
+        k = body(x, noise[: end - start], amps[: end - start].tolist(), start, coeffs, dt, hi,
+                 trajectory)
         if k is not None or end < stop:
             raise IntegrationBlowupError(t=((end if k is None else k) + 1) * dt, dt=dt)
     return x.T, trajectory
@@ -335,7 +334,7 @@ def _float_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int, coeff
     block row, on seven Python floats a trial, each column of the (7, m)
     state x in place, with _row_steps' operations in its order. Fills trial
     0's rows of trajectory from step start's state on, unless it is None.
-    Returns the first non-finite step, or None."""
+    Returns the first non-finite step, or None: both bodies' contract."""
     isfinite = math.isfinite
     j1, j2, j3, j4, ja1, ja2, cc = coeffs
     lo, nja1, nja2, ndt = -hi, -ja1, -ja2, -dt  # the clamp is min(c, hi), then max(c, lo)
@@ -377,28 +376,26 @@ def _float_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int, coeff
     return min(blowups, default=None)
 
 
-def _row_work(state: np.ndarray, coeffs: list, dt: float, hi: float) -> tuple:
-    """_row_steps' buffers and constant spreads for a batch's (9, m) state."""
-    m = state.shape[1]
+def _row_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int, coeffs: list,
+               dt: float, hi: float, trajectory) -> Optional[int]:
+    """_float_steps' contract on numpy rows, 20 ufunc calls a step (9.3-10.8
+    us at m = 32, 14.6-16.1 at 128 on a 2-vCPU VM); trajectory is left alone,
+    as recorded batches take _float_steps. Each call builds a (9, m) state,
+    x copied into rows 0-6 and back, and its constants (8-26 us, under 1 % of
+    a block). One call forms the rank-one gradient terms, whose 0 P paddings
+    are finite once P is."""
+    m = x.shape[1]
     block = np.zeros((3, 4, m))  # J'_1..J'_4 | each c_i's other three | -J'_a1, -J'_a2, 0, 0
     block[0], block[2, :2] = (np.array(v)[:, None] for v in (coeffs[:4], [-coeffs[4], -coeffs[5]]))
     spread = np.repeat(np.array(coeffs[:6])[:, None], m, axis=1)  # J'_1..J'_4, J'_a1, J'_a2
-    buffers = (np.empty(shape) for shape in ((3, m), (3, 4, m), (6, m), (N_OSC, m)))
-    scalars = (np.array(float(v)) for v in (coeffs[6], -dt, hi, -hi, 0.0))
-    return state, block, spread, *buffers, *scalars
-
-
-def _row_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int,
-               work: tuple) -> Optional[int]:
-    """_float_steps on the rows of the (7, m) state x, rows 0-6 of work's
-    state, 20 ufunc calls a step (9.3-10.8 us at m = 32, 14.6-16.1 at 128 on
-    a 2-vCPU VM). One call forms the rank-one gradient terms, whose 0 P
-    paddings are finite once P is. Returns the first non-finite step or None."""
-    state, block, spread, pairs, prods, terms, drift, c_cnst, ndt_0d, hi, lo, amp_0d = work
+    shapes = ((N_OSC + 2, m), (3, m), (3, 4, m), (6, m), (N_OSC, m))  # state row 7 bracket, 8 P
+    state, pairs, prods, terms, drift = (np.empty(shape) for shape in shapes)
+    c_cnst, ndt_0d, hi, lo, amp_0d = (np.array(float(v)) for v in (coeffs[6], -dt, hi, -hi, 0.0))
     # operands are C-contiguous rows or 0-d arrays, which ufuncs take fastest: a
     # Python float costs a conversion a call, a spread constant memory traffic, a
     # strided view the slow path (rank_one's, paid once a step, replaces three calls)
-    lead, tail, six, c1, c3 = x[:2], x[2:4], x[:6], x[0], x[2]
+    c = state[:N_OSC]
+    lead, tail, six, c1, c3 = c[:2], c[2:4], c[:6], c[0], c[2]
     # rows c1 c3, c2 c4, c1 c3: the pairs and the pairs swapped, each contiguous (2, m)
     pair, swapped, (p13, p24, p31) = pairs[:2], pairs[1:], pairs
     o12, o34, bracket, p1234 = block[1, :2], block[1, 2:], state[7], state[8]
@@ -407,6 +404,7 @@ def _row_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int,
     grad, g_ref = prods.reshape(12, -1)[4:11], prods[2, 2]  # g1..g4, g5, g6, then g_ref
     multiply, add, subtract, minimum, maximum = (  # local names spare a lookup
         np.multiply, np.add, np.subtract, np.minimum, np.maximum)
+    c[:] = x
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k, amp, n in zip(range(start, start + len(amps)), amps, noise):
@@ -423,17 +421,19 @@ def _row_steps(x: np.ndarray, noise: np.ndarray, amps: list, start: int,
                 subtract(fields, g_logical, g_logical)  # g1..g4, next to g5 and g6
                 add(sums, t34, sums)  # c1 J'1 + c3 J'3, c2 J'2 + c4 J'4
                 add(s13, s24, g_ref)
-                multiply(x, x, drift)
+                multiply(c, c, drift)
                 multiply(drift, ndt_0d, drift)
                 amp_0d.fill(amp)
                 add(drift, amp_0d, drift)
-                multiply(drift, x, drift)
+                multiply(drift, c, drift)
                 subtract(drift, grad, drift)
-                add(drift, n, x)
-                minimum(x, hi, out=x)
-                maximum(x, lo, out=x)
+                add(drift, n, c)
+                minimum(c, hi, out=c)
+                maximum(c, lo, out=c)
     except FloatingPointError:
         return k
+    finally:
+        x[:] = c
     return None
 
 

@@ -376,6 +376,8 @@ def _cmd_lhz_map(args) -> int:
     problem = load_ising_problem(args.problem)
     if problem.n != args.n:
         raise ValueError(f"--n {args.n} does not match the problem file (n={problem.n})")
+    if args.n < 3:  # build_layout's own message names no flag
+        raise ValueError(f"--n {args.n}: the triangular layout needs at least 3 logical spins")
     layout = build_layout(args.n)
     try:
         fields = map_couplings(problem)
@@ -573,7 +575,7 @@ def _cmd_anneal(args) -> int:
 # parser assembly
 
 
-def _add_output_flags(parser, dense: bool = False, canonical: bool = False):
+def _add_output_flags(parser, dense: bool = False):
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
@@ -586,12 +588,6 @@ def _add_output_flags(parser, dense: bool = False, canonical: bool = False):
             "--dense",
             action="store_true",
             help="emit zero-probability states as well",
-        )
-    if canonical:
-        parser.add_argument(
-            "--canonical",
-            action="store_true",
-            help="fold global sign flips into canonical readout",
         )
 
 
@@ -638,7 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True, help="coupling program file (JSON)")
     p.add_argument("--trials", type=int, default=1000, help="ensemble size")
     p.add_argument("--seed", type=int, help="master seed (drawn if absent)")
-    _add_output_flags(p, dense=True, canonical=True)
+    _add_output_flags(p, dense=True)
+    p.add_argument("--canonical", action="store_true",
+                   help="fold global sign flips into canonical readout")
     p.set_defaults(func=_cmd_anneal)
 
     return parser

@@ -366,9 +366,10 @@ def load_ising_problem(path: str) -> IsingProblem:
     j_raw = data.get("J")
     if not isinstance(j_raw, list):
         raise data.error("J", "expected a list")
-    # json.load builds plain lists, so the types of the entries tell the forms apart
+    # json.load builds plain lists, so the types of the entries tell the forms
+    # apart; an empty list is the sparse form with no entries, an all-zero J
     types = set(map(type, j_raw))
-    if list not in types:
+    if j_raw and list not in types:
         if len(j_raw) != n * n:
             raise data.error(
                 "J", f"flat row-major form needs {n * n} numbers, got {len(j_raw)}"
@@ -379,7 +380,7 @@ def load_ising_problem(path: str) -> IsingProblem:
         if np.any(np.diag(j) != 0.0):
             raise data.error("J", "diagonal must be zero")
         return IsingProblem(h=h, j=j)
-    if types != {list} or set(map(len, j_raw)) != {3}:
+    if types - {list} or set(map(len, j_raw)) - {3}:
         shaped = [isinstance(t, list) and len(t) == 3 for t in j_raw]
         raise data.error(f"J entry {shaped.index(False)}", "expected [i, j, value]")
     triples = _finite_array(j_raw, 3 * len(j_raw))

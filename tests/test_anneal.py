@@ -395,6 +395,44 @@ def test_one_step_is_the_documented_update(
         assert np.all(error <= 8 * np.spacing(largest)), name
 
 
+@pytest.mark.kernel_bytes
+@pytest.mark.parametrize("m", [1, 3, 7, 32])
+def test_both_step_bodies_share_one_contract(m):
+    # _integrate_batch calls either body as body(x, noise, amps, start,
+    # coeffs, dt, hi, trajectory); fed one plain (7, m) state and a partial
+    # noise block, both leave the same bytes in x, and with overflowing
+    # couplings both return the batch's first non-finite step
+    rng = np.random.default_rng(m)
+    start, steps = 5, NOISE_BLOCK // 2 + 3
+    state = rng.normal(0.0, 0.5, (7, m))
+    signs = np.where(rng.random((steps, 7, m)) < 0.5, -1.0, 1.0)
+
+    def run(body, coeffs, schedule, scale, trials=slice(None)):
+        dt, hi = schedule.dt, schedule.c_sat
+        amps = 1.0 + (schedule.pump(np.arange(start, start + steps) * dt) - 1.0) * dt
+        x, noise = state[:, trials].copy(), signs[:, :, trials] * scale
+        return body(x, noise, amps.tolist(), start, coeffs, dt, hi, None), x
+
+    schedule = AnnealSchedule(duration=5.0)
+    params = effective_tile_couplings(alternating_field_program())
+    coeffs = [DEFAULT_BETA * schedule.dt * v
+              for v in (*params.j, params.j_a1, params.j_a2, params.c_cnst)]
+    scale = DEFAULT_ETA * math.sqrt(schedule.dt)
+    (k_float, x_float), (k_rows, x_rows) = (
+        run(body, coeffs, schedule, scale) for body in (anneal._float_steps, anneal._row_steps))
+    assert k_float is None and k_rows is None
+    assert x_float.tobytes() == x_rows.tobytes()
+    assert not np.array_equal(x_float, state)
+    # the wild program of test_integration_blowup_is_reported: a trial
+    # overflows on the first step that starts with both ancillas at +c_sat
+    coarse = AnnealSchedule(duration=200.0, dt=1.0, p_end=1.01)
+    wild = [0.0, 0.0, 0.0, 0.0, 1e308, 1e308, 1.7e308]
+    singles = [run(anneal._float_steps, wild, coarse, 1e307, [i])[0] for i in range(m)]
+    assert None not in singles and (m == 1 or len(set(singles)) > 1)
+    for body in (anneal._float_steps, anneal._row_steps):
+        assert run(body, wild, coarse, 1e307)[0] == min(singles)
+
+
 def test_unsettled_trials_are_reported_not_classified():
     # a ramp that barely crosses threshold leaves amplitudes near zero
     short = AnnealSchedule(duration=0.5, dt=0.05, p_start=0.5, p_end=1.01)

@@ -184,6 +184,23 @@ def test_lhz_map_problem_above_the_spin_bound_exits_two(tmp_path, capsys, n):
     )
 
 
+def test_lhz_map_reads_an_empty_j_as_no_couplings(tmp_path, capsys):
+    path = problem_file(tmp_path, n=4, h=[0, 0, 0, 0], J=[])
+    code, out, err = run_cli(
+        capsys, ["lhz", "map", "--n", "4", "--problem", path, "--format", "json", "--quiet"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["j_fields"] == [0.0] * 6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lhz_map_below_three_spins_names_the_flag(tmp_path, capsys, n):
+    path = problem_file(tmp_path, n=n, h=[0] * n, J=[])
+    code, out, err = run_cli(capsys, ["lhz", "map", "--n", str(n), "--problem", path, "--quiet"])
+    assert (code, out) == (2, "")
+    assert f"jpotile: --n {n}: the triangular layout needs at least 3 logical spins" in err
+
+
 def test_lhz_map_malformed_problem(tmp_path, capsys):
     bad = write_json(tmp_path, "bad.json", {"n": 3, "h": [0, 0, 0]})
     code, _, err = run_cli(capsys, ["lhz", "map", "--n", "3", "--problem", bad])

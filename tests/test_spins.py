@@ -405,6 +405,20 @@ def test_load_problem_sparse_triples(tmp_path):
     assert prob.j[0, 2] == 0.0
 
 
+def test_load_problem_empty_j_is_sparse_with_no_entries(tmp_path):
+    # an empty J is zero [i, j, value] triples, so every coupling is zero;
+    # a one-spin [0] is still the flat form, and a list mixing triples and
+    # numbers still names its first non-triple entry
+    for n in (1, 2, 4):
+        prob = load_ising_problem(write_problem(tmp_path, {"n": n, "h": [0] * n, "J": []}))
+        assert prob.j.shape == (n, n) and not prob.j.any()
+    prob = load_ising_problem(write_problem(tmp_path, {"n": 1, "h": [0.5], "J": [0]}))
+    assert prob.j.tolist() == [[0.0]] and prob.h.tolist() == [0.5]
+    for j, entry in (([[0, 1, 1.0], 5], 1), ([5, [0, 1, 1.0]], 0)):
+        with pytest.raises(ParseError, match=rf"field 'J entry {entry}': expected \[i, j, value\]"):
+            load_ising_problem(write_problem(tmp_path, {"n": 2, "h": [0, 0], "J": j}))
+
+
 @pytest.mark.parametrize(
     "doc, fragment",
     [
